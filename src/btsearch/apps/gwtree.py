@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import IO
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -361,6 +361,9 @@ class GWTreeOracle(AdjacencyOracle):
 
     def parent(self, vertex: int) -> tuple[int, int] | None:
         return self._parent[vertex]
+
+    def children(self, vertex: int) -> Iterator[int]:
+        return iter(self._children[vertex])
 
 
 @dataclass(frozen=True)

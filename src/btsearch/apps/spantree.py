@@ -16,6 +16,7 @@ pairs in lexicographic order, positions taken in ascending edge index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from ..errors import InputFormatError, NodeDecodeError
 from ..reverse_search import AdjacencyOracle
@@ -140,27 +141,6 @@ class SpantreeOracle(AdjacencyOracle):
             adj[v].append((u, idx))
         return adj
 
-    def _path_edges(self, tree: Tree, src: int, dst: int) -> set[int]:
-        """Edge indices on the unique tree path from src to dst."""
-        adj = self._tree_adjacency(tree)
-        prev: dict[int, tuple[int, int]] = {src: (0, -1)}
-        stack = [src]
-        while stack:
-            u = stack.pop()
-            if u == dst:
-                break
-            for w, idx in adj[u]:
-                if w not in prev:
-                    prev[w] = (u, idx)
-                    stack.append(w)
-        path = set()
-        cur = dst
-        while cur != src:
-            parent, idx = prev[cur]
-            path.add(idx)
-            cur = parent
-        return path
-
     def is_spanning_tree(self, tree: Tree) -> bool:
         if len(tree) != self.n_tree or len(set(tree)) != self.n_tree:
             return False
@@ -194,8 +174,7 @@ class SpantreeOracle(AdjacencyOracle):
         a, b = divmod(j - 1, self.n_non)
         e_out = tree[a]
         e_in = self._non_tree(tree)[b]
-        u, v = self.graph.edges[e_in]
-        if e_out not in self._path_edges(tree, u, v):
+        if not self._crosses(self._cut_side(self._tree_adjacency(tree), e_out), e_in):
             return None  # exchange would disconnect
         return tuple(sorted(set(tree) - {e_out} | {e_in}))
 
@@ -203,20 +182,36 @@ class SpantreeOracle(AdjacencyOracle):
         if tree == self._root:
             return None
         e_out = max(set(tree) - self._rootset)
-        cut = self._cut_side(tree, e_out)
-        e_in = min(
-            idx
-            for idx in self._root
-            if (self.graph.edges[idx][0] in cut) != (self.graph.edges[idx][1] in cut)
-        )
+        e_in = self._root_edge_across(self._cut_side(self._tree_adjacency(tree), e_out))
         parent = tuple(sorted(set(tree) - {e_out} | {e_in}))
         a = parent.index(e_in)
         b = self._non_tree(parent).index(e_out)
         return parent, a * self.n_non + b + 1
 
-    def _cut_side(self, tree: Tree, e_out: int) -> set[int]:
-        """Vertices on one side of the cut induced by removing e_out."""
+    def children(self, tree: Tree) -> Iterator[Tree]:
+        # T - e + f is a child of T exactly when parent() undoes the exchange:
+        # f is the largest edge of the child outside the root (so f is a
+        # non-root edge above every non-root edge of T), and e is the smallest
+        # root edge across the cut of T - e (so e is a root edge).
+        rootset = self._rootset
+        inside = set(tree)
+        floor = max(inside - rootset, default=-1)
+        entering = [f for f in range(floor + 1, self.graph.m) if f not in inside and f not in rootset]
+        if not entering:
+            return
         adj = self._tree_adjacency(tree)
+        for e in tree:
+            if e not in rootset:
+                continue
+            side = self._cut_side(adj, e)
+            if self._root_edge_across(side) != e:
+                continue
+            for f in entering:
+                if self._crosses(side, f):
+                    yield tuple(sorted(inside - {e} | {f}))
+
+    def _cut_side(self, adj: list[list[tuple[int, int]]], e_out: int) -> set[int]:
+        """Vertices on one side of the cut induced by removing e_out."""
         start = self.graph.edges[e_out][0]
         side = {start}
         stack = [start]
@@ -228,9 +223,13 @@ class SpantreeOracle(AdjacencyOracle):
                     stack.append(w)
         return side
 
+    def _crosses(self, side: set[int], idx: int) -> bool:
+        u, v = self.graph.edges[idx]
+        return (u in side) != (v in side)
 
-def spantree_oracle(graph: Graph) -> SpantreeOracle:
-    return SpantreeOracle(graph)
+    def _root_edge_across(self, side: set[int]) -> int:
+        """Smallest root edge with exactly one endpoint in ``side``."""
+        return next(idx for idx in self._root if self._crosses(side, idx))
 
 
 def format_graph(graph: Graph) -> str:

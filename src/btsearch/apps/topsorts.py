@@ -13,6 +13,7 @@ extension has a unique finite path to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from ..errors import InputFormatError, NodeDecodeError
 from ..reverse_search import AdjacencyOracle
@@ -147,15 +148,40 @@ class TopsortsOracle(AdjacencyOracle):
     def parent(self, perm: Perm) -> tuple[Perm, int] | None:
         if perm == self._root:
             return None
+        misplaced = self._misplaced(perm)
+        if misplaced is None:
+            raise NodeDecodeError("permutation is not a linear extension of this poset")
+        p = misplaced[1]
+        return perm[: p - 1] + (perm[p], perm[p - 1]) + perm[p + 1 :], p
+
+    def children(self, perm: Perm) -> Iterator[Perm]:
+        # parent() swaps the first greedily-misplaced element one step left.
+        # Swapping inside the greedy prefix (length L) creates that misplaced
+        # element at the swap, so every legal swap j <= L is undone by
+        # parent(); beyond it, only moving the element the greedy order wants
+        # at L (at position p) one step further right is.
+        misplaced = self._misplaced(perm)
+        length = self.n if misplaced is None else misplaced[0]
+        for j in range(1, min(length, self.n - 1) + 1):
+            w = self.adjacent(perm, j)
+            if w is not None:
+                yield w
+        if misplaced is not None and misplaced[1] + 1 <= self.n - 1:
+            w = self.adjacent(perm, misplaced[1] + 1)
+            if w is not None:
+                yield w
+
+    def _misplaced(self, perm: Perm) -> tuple[int, int] | None:
+        """``(t, p)``: the first position t where ``perm`` leaves the greedy
+        order, and the position p > t of the element the greedy order wants
+        there; None when ``perm`` follows the greedy order throughout."""
         placed = 0
         for t, x in enumerate(perm):
             g = self._greedy_next(placed)
             if g != x:
-                p = perm.index(g)  # position of the wanted element, > t
-                parent = perm[: p - 1] + (perm[p], perm[p - 1]) + perm[p + 1 :]
-                return parent, p
+                return t, perm.index(g, t)
             placed |= 1 << x
-        raise NodeDecodeError("permutation is not a linear extension of this poset")
+        return None
 
     def _greedy_next(self, placed: int) -> int:
         for e in range(1, self.n + 1):
@@ -164,10 +190,6 @@ class TopsortsOracle(AdjacencyOracle):
             if self._pred[e] & ~placed == 0:
                 return e
         raise NodeDecodeError("no greedy continuation; corrupted permutation")
-
-
-def topsorts_oracle(poset: Poset) -> TopsortsOracle:
-    return TopsortsOracle(poset)
 
 
 def format_poset(poset: Poset) -> str:

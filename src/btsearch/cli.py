@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Sequence
 
 from .apps import APPLICATION_NAMES, build_application
-from .apps.gwtree import GWExperiment, make_law, measure_joblist_ratio, write_experiment_csv
 from .budget import SchedulerConfig
 from .engine import run
 from .errors import BtsearchError, CheckpointError, InputFormatError, MetricsError
@@ -208,6 +207,9 @@ def _cmd_run(opts: CliOptions) -> int:
 
 
 def _cmd_gwtree(ns: argparse.Namespace) -> int:
+    # Imported here so that other subcommands do not pay for loading numpy.
+    from .apps.gwtree import GWExperiment, make_law, measure_joblist_ratio, write_experiment_csv
+
     try:
         law = make_law(ns.law, k=ns.k)
         experiment = GWExperiment(

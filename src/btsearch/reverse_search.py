@@ -4,22 +4,31 @@ Reverse search enumerates a set of objects by walking the spanning tree
 implicitly defined by a local-search function ``parent`` that maps every
 object to its unique predecessor, ending at a designated root.  No visited
 set is needed: a neighbour ``w = adjacent(v, j)`` is a tree child of ``v``
-exactly when ``parent(w) == (v, j)``.
+exactly when ``parent(w) == (v, j)``.  An oracle's ``children(v)`` yields
+those children in increasing ``j``; the default applies the test above to
+every ``j``, and an oracle may override it to compute all of a vertex's
+children at once.
+
+The traversal keeps a stack of child iterators, one per level of the
+current path: the top iterator yields the next sibling to step into, and an
+exhausted iterator is popped to backtrack, so ``parent`` is never called to
+find the way back and the depth of the vertex being visited is the stack
+height.
 
 The budgeted variant stops descending once ``max_nodes`` vertices have been
-visited or ``max_depth`` is reached, then walks back to the start vertex
-emitting every remaining sibling along the backtrack path flagged as
-unexplored.  Those flagged vertices are the roots of the untouched subtrees
-and become new jobs.  Flagged vertices are forward steps like any other, so
-they are counted and emitted; the count over a whole run therefore sums to
-the node count of a single unbudgeted traversal.
+visited or ``max_depth`` is reached, then drains the iterators back to the
+start vertex, emitting every remaining sibling along the backtrack path
+flagged as unexplored.  Those flagged vertices are the roots of the
+untouched subtrees and become new jobs.  Flagged vertices are forward steps
+like any other, so they are counted and emitted; the count over a whole run
+therefore sums to the node count of a single unbudgeted traversal.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from .errors import OracleConsistencyError
 
@@ -34,7 +43,7 @@ class AdjacencyOracle(ABC):
     ``max_degree`` (or None); ``parent(v)`` returns the pair ``(u, j)`` with
     ``adjacent(u, j) == v`` for every non-root vertex, and None at the root.
     Repeated application of ``parent`` must reach :meth:`root` from any
-    vertex.
+    vertex.  :meth:`children` is the optional fast path the traversal uses.
     """
 
     max_degree: int
@@ -47,6 +56,17 @@ class AdjacencyOracle(ABC):
 
     @abstractmethod
     def parent(self, vertex: Vertex) -> tuple[Vertex, int] | None: ...
+
+    def children(self, vertex: Vertex) -> Iterator[Vertex]:
+        """Tree children of ``vertex``, in increasing oracle index ``j``.
+
+        The default tests every neighbour with :meth:`parent`.  An override
+        must yield exactly the same vertices in the same order.
+        """
+        for j in range(1, self.max_degree + 1):
+            w = self.adjacent(vertex, j)
+            if w is not None and self.parent(w) == (vertex, j):
+                yield w
 
 
 @dataclass
@@ -75,8 +95,9 @@ def budgeted_search(
 
     A consistency guard aborts the traversal when the number of unflagged
     forward steps exceeds ``hard_cap`` (default ``10 * max_nodes``, floor
-    1000, when a node budget is set), which can only happen when ``parent``
-    disagrees with ``adjacent``.
+    1000, when a node budget is set), or when more than ``hard_cap *
+    max_degree`` vertices are flagged; either can only happen when the
+    oracle's children do not form a tree.
     """
     if max_depth is not None and max_depth < 1:
         raise ValueError("max_depth must be >= 1 or None")
@@ -86,28 +107,19 @@ def budgeted_search(
         hard_cap = max(10 * max_nodes, 1000)
 
     degree = oracle.max_degree
-    v = start
-    j = 0
-    depth = 0
     count = 0
     plain = 0  # unflagged forward steps, for the consistency guard
     unexplored: list[Vertex] = []
+    # stack[i] yields the children of the depth-i vertex on the current path
+    stack = [iter(oracle.children(start))]
 
-    while True:
-        flagged = False
-        while j < degree and not flagged:
-            j += 1
-            w = oracle.adjacent(v, j)
-            if w is None or oracle.parent(w) != (v, j):
-                continue
-            # forward step
-            v = w
-            j = 0
+    while stack:
+        depth = len(stack)  # of every vertex the top iterator yields
+        for w in stack[-1]:
             count += 1
-            depth += 1
-            if (max_nodes is not None and count >= max_nodes) or depth == max_depth:
-                flagged = True
-                unexplored.append(v)
+            flagged = (max_nodes is not None and count >= max_nodes) or depth == max_depth
+            if flagged:
+                unexplored.append(w)
                 if hard_cap is not None and len(unexplored) > hard_cap * degree:
                     raise OracleConsistencyError(
                         f"traversal flagged more than {hard_cap * degree} vertices; "
@@ -121,15 +133,12 @@ def budgeted_search(
                         "adjacency oracle and local search are inconsistent"
                     )
             if sink is not None:
-                sink(v, flagged)
-        if depth > 0:
-            parent = oracle.parent(v)
-            if parent is None:
-                raise OracleConsistencyError("parent() returned None below the start vertex")
-            v, j = parent
-            depth -= 1
-        elif j >= degree:
-            break
+                sink(w, flagged)
+            if not flagged:
+                stack.append(iter(oracle.children(w)))
+                break
+        else:
+            stack.pop()
     return TraversalResult(count=count, unexplored=unexplored)
 
 
@@ -146,12 +155,7 @@ def reverse_search(
 
 def tree_children(oracle: AdjacencyOracle, vertex: Vertex) -> list[Vertex]:
     """Children of ``vertex`` in the reverse-search tree, in oracle order."""
-    kids = []
-    for j in range(1, oracle.max_degree + 1):
-        w = oracle.adjacent(vertex, j)
-        if w is not None and oracle.parent(w) == (vertex, j):
-            kids.append(w)
-    return kids
+    return list(oracle.children(vertex))
 
 
 def prune_filter(

@@ -134,3 +134,14 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "6"
+
+    def test_importing_the_cli_does_not_load_numpy(self):
+        # only the gwtree subcommand needs numpy; every run pays its import
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, btsearch.cli; print('numpy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

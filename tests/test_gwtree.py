@@ -220,6 +220,25 @@ class TestEngineApplication:
         assert sorted(int(l) for l in lines) == list(range(xi.shape[0]))
         assert sum(report.frequencies) == xi.shape[0] - 1
 
+    @pytest.mark.parametrize("budget", [1, 2, 7, 30])
+    def test_engine_jobs_match_budgeted_job_walker(self, budget):
+        # run_budgeted_jobs claims to reproduce the generic traversal's jobs
+        xi = sample_offspring_sequence(make_law("catalan"), 200, 400, rng=11)
+        expected = run_budgeted_jobs(subtree_sizes(xi), budget)
+        for workers in (1, 2):
+            report = run(
+                GWTreeApplication(count_only=True),
+                b"catalan 200 400 11",
+                SchedulerConfig(
+                    num_workers=workers, base_max_depth=None, base_max_nodes=budget, scale=1
+                ),
+            )
+            assert report.jobs_executed == expected.jobs
+            if workers == 1:  # one worker runs the FIFO job list in order
+                assert report.frequencies == expected.counts
+            else:
+                assert sorted(report.frequencies) == sorted(expected.counts)
+
     def test_oracle_child_index_structure(self):
         xi = np.array([2, 1, 0, 0], dtype=np.int64)
         oracle = GWTreeOracle(subtree_sizes(xi))

@@ -1,0 +1,107 @@
+"""Property tests of the reverse-search oracles over random small inputs.
+
+Hypothesis draws connected graphs and posets on at most 7 vertices and
+small Galton-Watson-style trees.  Each bundled oracle's ``children()``
+override must agree with the default derived from ``adjacent``/``parent``
+on every vertex, and a budgeted job loop must partition the objects that
+the independent oracles in ``oracles.py`` count.
+"""
+
+from collections import deque
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from btsearch.apps.gwtree import GWTreeOracle, subtree_sizes
+from btsearch.apps.spantree import Graph, SpantreeApplication, SpantreeOracle, format_graph
+from btsearch.apps.topsorts import Poset, TopsortsApplication, TopsortsOracle, format_poset
+from btsearch.budget import Budget
+from btsearch.reverse_search import AdjacencyOracle, reverse_search
+
+from oracles import brute_force_extensions, matrix_tree_count, random_offspring_sequence
+
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
+
+
+@st.composite
+def posets(draw, max_n=7):
+    n = draw(st.integers(1, max_n))
+    order = draw(st.permutations(range(1, n + 1)))
+    pairs = [(order[i], order[k]) for i in range(n) for k in range(i + 1, n)]
+    relations = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Poset(n=n, relations=frozenset(relations))
+
+
+@st.composite
+def connected_graphs(draw, max_n=7, max_extra=4):
+    n = draw(st.integers(1, max_n))
+    edges = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}  # a spanning tree
+    others = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if (u, v) not in edges]
+    if others:
+        edges |= draw(st.sets(st.sampled_from(others), max_size=max_extra))
+    # edge order sets the oracle's indices, so shuffle it
+    return Graph(n=n, edges=tuple(draw(st.permutations(sorted(edges)))))
+
+
+budgets = st.builds(
+    Budget,
+    max_depth=st.none() | st.integers(1, 4),
+    max_nodes=st.none() | st.integers(1, 20),
+)
+
+
+def assert_children_match_default(oracle: AdjacencyOracle) -> int:
+    """Full traversal; returns the vertex count, root included."""
+    vertices = [oracle.root()]
+    reverse_search(oracle, oracle.root(), sink=lambda v, flagged: vertices.append(v))
+    for v in vertices:
+        assert list(oracle.children(v)) == list(AdjacencyOracle.children(oracle, v)), v
+    return len(vertices)
+
+
+def job_partition(app, input_bytes: bytes, budget: Budget) -> list[str]:
+    """Every output line of a FIFO budgeted job loop run through ``app.search``."""
+    global_data, root = app.init(input_bytes)
+    jobs = deque([root])
+    lines: list[str] = []
+    while jobs:
+        result = app.search(global_data, jobs.popleft(), budget, [])
+        lines += result.outputs
+        jobs.extend(result.unexplored)
+    return lines
+
+
+@PROPERTY_SETTINGS
+@given(connected_graphs())
+def test_spantree_children_match_default(graph):
+    assert assert_children_match_default(SpantreeOracle(graph)) == matrix_tree_count(graph)
+
+
+@PROPERTY_SETTINGS
+@given(posets())
+def test_topsorts_children_match_default(poset):
+    assert assert_children_match_default(TopsortsOracle(poset)) == len(brute_force_extensions(poset))
+
+
+@PROPERTY_SETTINGS
+@given(st.randoms(use_true_random=False))
+def test_gwtree_children_match_default(rng):
+    xi = np.array(random_offspring_sequence(rng, 80), dtype=np.int64)
+    assert assert_children_match_default(GWTreeOracle(subtree_sizes(xi))) == xi.shape[0]
+
+
+@PROPERTY_SETTINGS
+@given(connected_graphs(), budgets, st.sampled_from(["off", "0", "1"]))
+def test_spantree_job_partition(graph, budget, prune):
+    app = SpantreeApplication(prune=prune)
+    lines = job_partition(app, format_graph(graph).encode("ascii"), budget)
+    assert len(lines) == len(set(lines)) == matrix_tree_count(graph)
+
+
+@PROPERTY_SETTINGS
+@given(posets(), budgets, st.sampled_from(["off", "0", "1"]))
+def test_topsorts_job_partition(poset, budget, prune):
+    app = TopsortsApplication(prune=prune)
+    lines = job_partition(app, format_poset(poset).encode("ascii"), budget)
+    assert len(lines) == len(set(lines)) == len(brute_force_extensions(poset))

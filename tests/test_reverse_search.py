@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -255,6 +256,29 @@ class TestConsistencyGuard:
         # Without a node budget the bogus forward steps would descend forever.
         with pytest.raises(OracleConsistencyError):
             budgeted_search(Liar(), 0, hard_cap=50)
+
+    def test_lying_children_override_aborts_instead_of_hanging(self):
+        class LyingChildren(AdjacencyOracle):
+            max_degree = 1
+
+            def root(self):
+                return 0
+
+            def adjacent(self, vertex, j):
+                return None
+
+            def parent(self, vertex):
+                return None
+
+            def children(self, vertex):
+                return itertools.count(vertex + 1)  # endless non-children
+
+        # unbudgeted: descends forever, caught by the forward-step cap
+        with pytest.raises(OracleConsistencyError):
+            budgeted_search(LyingChildren(), 0, hard_cap=50)
+        # budgeted: flags siblings forever, caught by the flagged-vertex cap
+        with pytest.raises(OracleConsistencyError):
+            budgeted_search(LyingChildren(), 0, max_nodes=1)
 
     def test_legitimate_wide_star_is_not_flagged_as_inconsistent(self):
         children = {"r": [f"k{i}" for i in range(40)]}

@@ -28,7 +28,7 @@ from .reverse_search import (
     reverse_search,
     tree_children,
 )
-from .search_api import Application, ApplicationDescriptor, JobNode, SearchResult
+from .search_api import Application, ApplicationDescriptor, SearchResult
 
 __version__ = "0.1.0"
 
@@ -59,7 +59,6 @@ __all__ = [
     "tree_children",
     "Application",
     "ApplicationDescriptor",
-    "JobNode",
     "SearchResult",
     "__version__",
 ]

@@ -6,7 +6,7 @@ from typing import Any, Sequence
 
 from ..budget import Budget
 from ..reverse_search import AdjacencyOracle, budgeted_search, prune_filter
-from ..search_api import Application, JobNode, SearchResult
+from ..search_api import Application, SearchResult
 
 PRUNE_MODES = {"off": None, "0": 0, "1": 1}
 
@@ -40,14 +40,14 @@ class EnumerationApplication(Application):
     def search(
         self,
         global_data: Any,
-        node: JobNode,
+        payload: bytes,
         budget: Budget,
         shared: Sequence[bytes],
     ) -> SearchResult:
         if budget.kind != "nodes":
             raise ValueError(f"{self.descriptor.name} only supports node budgets")
         oracle = self.oracle_for(global_data)
-        start = self.decode_node(node.payload, global_data)
+        start = self.decode_node(payload, global_data)
         outputs: list[str] = []
         tally = 0
 
@@ -84,10 +84,7 @@ class EnumerationApplication(Application):
         return SearchResult(
             outputs=outputs,
             output_count=tally,
-            unexplored=[
-                JobNode(payload=self.encode_node(v), origin_depth=node.origin_depth + 1)
-                for v in kept
-            ],
+            unexplored=[self.encode_node(v) for v in kept],
             visited=visited,
             shared_delta=[],
         )

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..errors import InputFormatError, NodeDecodeError
 from ..reverse_search import AdjacencyOracle
-from ..search_api import ApplicationDescriptor, JobNode
+from ..search_api import ApplicationDescriptor
 from .base import EnumerationApplication
 
 LAW_NAMES = ("catalan", "fullbinary", "geometric", "poisson", "binomial", "uniform")
@@ -82,11 +82,6 @@ def make_law(name: str, k: int | None = None) -> OffspringLaw:
             raise InputFormatError("uniform law is critical (mean 1) only for k = 2")
         return OffspringLaw("uniform", variance=2.0 / 3.0, ratio_sigma2=2.0 / 3.0, k=k)
     raise InputFormatError(f"unknown offspring law {name!r}; choose from {LAW_NAMES}")
-
-
-def offspring_variance(law: OffspringLaw) -> float:
-    """Exact variance of the offspring distribution."""
-    return law.variance
 
 
 def predicted_ratio(law: OffspringLaw, budget: int) -> float:
@@ -376,9 +371,9 @@ class GWTreeApplication(EnumerationApplication):
     """Engine plug-in: input ``law size_lo size_hi seed [k]`` samples one tree
     deterministically, then enumerates its nodes under the usual budgets."""
 
-    descriptor = ApplicationDescriptor(name="gwtree", supports_shared_data=False)
+    descriptor = ApplicationDescriptor(name="gwtree")
 
-    def init(self, input_bytes: bytes) -> tuple[_Global, JobNode]:
+    def init(self, input_bytes: bytes) -> tuple[_Global, bytes]:
         text = input_bytes.decode("ascii", errors="replace")
         parts = text.split()
         if len(parts) not in (4, 5):
@@ -392,7 +387,7 @@ class GWTreeApplication(EnumerationApplication):
         xi = sample_offspring_sequence(law, lo, hi, rng=seed)
         sizes = subtree_sizes(xi)
         gd = _Global(sizes=sizes, oracle=GWTreeOracle(sizes))
-        return gd, JobNode(payload=self.encode_node(0), origin_depth=0)
+        return gd, self.encode_node(0)
 
     def oracle_for(self, global_data: _Global) -> GWTreeOracle:
         return global_data.oracle

@@ -1,6 +1,6 @@
 """Engine adapter: budgeted SAT as a tree-search application.
 
-A job node is an ordered list of assumed decision literals (propagations
+A job payload is an ordered list of assumed decision literals (propagations
 are re-derived by the worker).  Budget exhaustion returns the backtrack-path
 splits as new jobs; learnt unit clauses travel as shared tokens.  The first
 model found halts the run; a completed run with no model means the whole
@@ -14,7 +14,7 @@ from typing import Sequence
 
 from ...budget import Budget
 from ...errors import BtsearchError, NodeDecodeError
-from ...search_api import Application, ApplicationDescriptor, JobNode, SearchResult
+from ...search_api import Application, ApplicationDescriptor, SearchResult
 from .dimacs import CnfFormula, parse_dimacs, verify_model
 from .solver import SatBudget, SolveOutcome, solve_budgeted
 
@@ -49,7 +49,6 @@ class SatApplication(Application):
 
     descriptor = ApplicationDescriptor(
         name="sat",
-        supports_shared_data=True,
         budget_kinds=frozenset({"decisions", "conflicts"}),
     )
 
@@ -57,9 +56,9 @@ class SatApplication(Application):
         self.restarts = restarts
         self.vsids = vsids
 
-    def init(self, input_bytes: bytes) -> tuple[_Global, JobNode]:
+    def init(self, input_bytes: bytes) -> tuple[_Global, bytes]:
         formula = parse_dimacs(input_bytes)
-        return _Global(formula=formula), JobNode(payload=b"", origin_depth=0)
+        return _Global(formula=formula), b""
 
     def encode_node(self, vertex: Sequence[int]) -> bytes:
         return _encode_assumption(vertex)
@@ -70,13 +69,13 @@ class SatApplication(Application):
     def search(
         self,
         global_data: _Global,
-        node: JobNode,
+        payload: bytes,
         budget: Budget,
         shared: Sequence[bytes],
     ) -> SearchResult:
         if budget.kind not in self.descriptor.budget_kinds:
             raise ValueError("sat supports decision or conflict budgets only")
-        assumption = self.decode_node(node.payload, global_data)
+        assumption = self.decode_node(payload, global_data)
         units = [self._decode_unit(tok, global_data) for tok in shared]
         outcome = solve_budgeted(
             global_data.formula,
@@ -86,12 +85,11 @@ class SatApplication(Application):
             restarts=self.restarts,
             vsids=self.vsids,
         )
-        return self._package(global_data, node, budget, outcome)
+        return self._package(global_data, budget, outcome)
 
     def _package(
         self,
         global_data: _Global,
-        node: JobNode,
         budget: Budget,
         outcome: SolveOutcome,
     ) -> SearchResult:
@@ -121,10 +119,7 @@ class SatApplication(Application):
             # this assumption subspace is refuted; nothing left to do here
             return SearchResult(visited=visited, shared_delta=delta)
         return SearchResult(
-            unexplored=[
-                JobNode(payload=_encode_assumption(split), origin_depth=node.origin_depth + 1)
-                for split in outcome.splits
-            ],
+            unexplored=[_encode_assumption(split) for split in outcome.splits],
             visited=visited,
             shared_delta=delta,
         )

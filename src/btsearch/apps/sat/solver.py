@@ -370,9 +370,6 @@ class CdclSolver:
             self._new_level()
             self._enqueue(branch, -1)
 
-    def learnt_units(self) -> tuple[int, ...]:
-        return tuple(self._units)
-
 
 def unit_propagate(
     clauses: Sequence[Sequence[int]],

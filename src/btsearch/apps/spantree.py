@@ -20,7 +20,7 @@ from typing import Iterator
 
 from ..errors import InputFormatError, NodeDecodeError
 from ..reverse_search import AdjacencyOracle
-from ..search_api import ApplicationDescriptor, JobNode
+from ..search_api import ApplicationDescriptor
 from .base import EnumerationApplication
 
 Tree = tuple[int, ...]  # sorted 0-based edge indices
@@ -256,13 +256,13 @@ class _Global:
 
 
 class SpantreeApplication(EnumerationApplication):
-    descriptor = ApplicationDescriptor(name="spantree", supports_shared_data=False)
+    descriptor = ApplicationDescriptor(name="spantree")
 
-    def init(self, input_bytes: bytes) -> tuple[_Global, JobNode]:
+    def init(self, input_bytes: bytes) -> tuple[_Global, bytes]:
         graph = parse_graph(input_bytes)
         oracle = SpantreeOracle(graph)
         gd = _Global(graph=graph, oracle=oracle)
-        return gd, JobNode(payload=self.encode_node(oracle.root()), origin_depth=0)
+        return gd, self.encode_node(oracle.root())
 
     def oracle_for(self, global_data: _Global) -> SpantreeOracle:
         return global_data.oracle

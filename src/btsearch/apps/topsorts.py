@@ -17,7 +17,7 @@ from typing import Iterator
 
 from ..errors import InputFormatError, NodeDecodeError
 from ..reverse_search import AdjacencyOracle
-from ..search_api import ApplicationDescriptor, JobNode
+from ..search_api import ApplicationDescriptor
 from .base import EnumerationApplication
 
 Perm = tuple[int, ...]
@@ -216,13 +216,13 @@ class _Global:
 
 
 class TopsortsApplication(EnumerationApplication):
-    descriptor = ApplicationDescriptor(name="topsorts", supports_shared_data=False)
+    descriptor = ApplicationDescriptor(name="topsorts")
 
-    def init(self, input_bytes: bytes) -> tuple[_Global, JobNode]:
+    def init(self, input_bytes: bytes) -> tuple[_Global, bytes]:
         poset = parse_poset(input_bytes)
         oracle = TopsortsOracle(poset)
         gd = _Global(poset=poset, oracle=oracle)
-        return gd, JobNode(payload=self.encode_node(oracle.root()), origin_depth=0)
+        return gd, self.encode_node(oracle.root())
 
     def oracle_for(self, global_data: _Global) -> TopsortsOracle:
         return global_data.oracle

@@ -51,7 +51,6 @@ class SchedulerConfig:
     checkpoint_path: str | Path | None = None
     restart_path: str | Path | None = None
     checkpoint_interval_s: float = 30.0
-    sample_interval_s: float = 0.1
     # Stop handing out jobs after collecting this many results, checkpoint,
     # and return an incomplete report (lets the user migrate a run).
     stop_after_jobs: int | None = None

@@ -1,6 +1,12 @@
-"""Checkpoint files: pending jobs plus shared tokens, written at master
-quiescence so a run can be stopped and resumed (possibly elsewhere) without
-losing work.
+"""Checkpoint files: pending job payloads plus shared tokens, so a run can
+be stopped and resumed (possibly elsewhere) without losing work.
+
+The final checkpoint of a ``stop_after_jobs`` run is written once every
+worker is idle.  Periodic checkpoints are written while jobs are in flight
+and list those jobs too, so a job that finished after the snapshot runs
+again on resume (at-least-once).  Each write goes to ``<path>.tmp`` and is
+renamed over ``path``, so a failed write leaves the previous checkpoint
+intact.
 
 Line-oriented text format::
 
@@ -13,11 +19,11 @@ from __future__ import annotations
 
 import base64
 import binascii
+import os
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import CheckpointError
-from .search_api import JobNode
 
 _MAGIC = "mts-checkpoint"
 _VERSION = "1"
@@ -26,28 +32,29 @@ _VERSION = "1"
 def checkpoint_write(
     path: str | Path,
     app_name: str,
-    jobs: Iterable[JobNode],
+    jobs: Iterable[bytes],
     shared_tokens: Sequence[bytes] = (),
 ) -> None:
-    """Write the pending job list and shared store to ``path``."""
+    """Atomically replace ``path`` with the pending job payloads and shared store."""
     lines = [f"{_MAGIC} {_VERSION} {app_name}"]
     for token in shared_tokens:
         lines.append("S " + base64.b64encode(token).decode("ascii"))
     for job in jobs:
-        lines.append("N " + base64.b64encode(job.payload).decode("ascii"))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+        lines.append("N " + base64.b64encode(job).decode("ascii"))
+    tmp = Path(f"{path}.tmp")
+    try:
+        tmp.write_text("\n".join(lines) + "\n", encoding="ascii")
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def checkpoint_read(
     path: str | Path,
     expected_app: str | None = None,
-) -> tuple[list[JobNode], list[bytes]]:
-    """Reconstruct ``(jobs, shared_tokens)`` from a checkpoint file.
-
-    Job nodes come back with ``origin_depth`` 0: budgets are relative to a
-    job's own start vertex, so the original split generation is not needed
-    to resume.
-    """
+) -> tuple[list[bytes], list[bytes]]:
+    """Reconstruct ``(job_payloads, shared_tokens)`` from a checkpoint file."""
     try:
         text = Path(path).read_text(encoding="ascii")
     except OSError as exc:
@@ -64,7 +71,7 @@ def checkpoint_read(
         raise CheckpointError(
             f"{path}: checkpoint belongs to application {header[2]!r}, expected {expected_app!r}"
         )
-    jobs: list[JobNode] = []
+    jobs: list[bytes] = []
     tokens: list[bytes] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -79,5 +86,5 @@ def checkpoint_read(
         if tag == "S":
             tokens.append(data)
         else:
-            jobs.append(JobNode(payload=data, origin_depth=0))
+            jobs.append(data)
     return jobs, tokens

@@ -2,10 +2,13 @@
 
 One master, one consumer, and N workers run as isolated execution contexts
 (threads here) that share no mutable state: every interaction travels over
-point-to-point FIFO channels as a small immutable message.  Workers block on
-their inbox; the master polls non-blockingly, growing the job list from
-returned unexplored nodes and shrinking it by assignment until the list is
-empty and no worker is marked working.
+FIFO channels as a small immutable message, and a job is just the payload
+bytes its application encoded.  Workers block on their own inbox and all
+put their results on one shared queue; the master polls that queue
+non-blockingly, growing the job list from returned unexplored payloads and
+shrinking it by assignment until the list is empty and no worker is marked
+working.  The master also owns the output count: in count-only mode it
+sends the consumer the run's total as a single line.
 
 Shared data is master-mediated: workers send opaque token deltas with each
 result, the master merges them (set semantics, global sequence order) and
@@ -26,11 +29,12 @@ from typing import IO, Sequence
 from .budget import Budget, SchedulerConfig, select_budget
 from .checkpoint import checkpoint_read, checkpoint_write
 from .errors import EngineError, WorkerCrashError
-from .search_api import Application, JobNode
+from .search_api import Application
 
 logger = logging.getLogger("btsearch")
 
 _IDLE_SLEEP_S = 0.0002
+_SAMPLE_INTERVAL_S = 0.1
 
 
 # --------------------------------------------------------------------------
@@ -41,7 +45,6 @@ _IDLE_SLEEP_S = 0.0002
 @dataclass(frozen=True)
 class AssignMsg:
     payload: bytes
-    origin_depth: int
     max_depth: int | None
     max_nodes: int | None
     budget_kind: str
@@ -53,7 +56,7 @@ class ResultMsg:
     worker_id: int
     visited: int
     output_count: int
-    unexplored: tuple[tuple[bytes, int], ...]  # (payload, origin_depth)
+    unexplored: tuple[bytes, ...]
     shared_delta: tuple[bytes, ...]
     halt: bool
 
@@ -68,11 +71,6 @@ class CrashMsg:
 class OutputMsg:
     lines: tuple[str, ...]
     verdict: bool = False
-
-
-@dataclass(frozen=True)
-class CountMsg:
-    count: int
 
 
 @dataclass(frozen=True)
@@ -159,7 +157,6 @@ def worker_loop(
     inbox: "queue.Queue",
     to_master: "queue.Queue",
     to_consumer: "queue.Queue",
-    count_only: bool,
 ) -> None:
     """Receive jobs, run the application search, ship results until terminate.
 
@@ -180,19 +177,16 @@ def worker_loop(
                 if token not in seen:
                     seen.add(token)
                     local_shared.append(token)
-            node = JobNode(payload=msg.payload, origin_depth=msg.origin_depth)
             budget = Budget(msg.max_depth, msg.max_nodes, msg.budget_kind)
-            result = app.search(global_data, node, budget, tuple(local_shared))
+            result = app.search(global_data, msg.payload, budget, tuple(local_shared))
             if result.outputs:
                 to_consumer.put(OutputMsg(tuple(result.outputs), verdict=result.halt))
-            elif count_only:
-                to_consumer.put(CountMsg(result.output_count))
             to_master.put(
                 ResultMsg(
                     worker_id=worker_id,
                     visited=result.visited,
                     output_count=result.output_count,
-                    unexplored=tuple((n.payload, n.origin_depth) for n in result.unexplored),
+                    unexplored=tuple(result.unexplored),
                     shared_delta=tuple(result.shared_delta),
                     halt=result.halt,
                 )
@@ -201,30 +195,23 @@ def worker_loop(
         to_master.put(CrashMsg(worker_id=worker_id, error=f"{type(exc).__name__}: {exc}"))
 
 
-def consumer_loop(inbox: "queue.Queue", out: IO[str], count_only: bool) -> None:
-    """Write worker output verbatim in arrival order until terminate.
+def consumer_loop(inbox: "queue.Queue", out: IO[str]) -> None:
+    """Write output lines verbatim in arrival order until terminate.
 
-    Verdict-tagged messages are deduplicated to the first one seen.  In
-    count-only mode workers send per-job counts instead of lines and only
-    the final aggregate line is emitted.
+    Verdict-tagged messages are deduplicated to the first one seen.
     """
-    total = 0
     verdict_seen = False
     while True:
         msg = inbox.get()
         if isinstance(msg, TerminateMsg):
             break
-        if isinstance(msg, CountMsg):
-            total += msg.count
-        elif isinstance(msg, OutputMsg):
+        if isinstance(msg, OutputMsg):
             if msg.verdict:
                 if verdict_seen:
                     continue
                 verdict_seen = True
             for line in msg.lines:
                 out.write(line + "\n")
-    if count_only:
-        out.write(f"{total}\n")
     out.flush()
 
 
@@ -234,15 +221,14 @@ def consumer_loop(inbox: "queue.Queue", out: IO[str], count_only: bool) -> None:
 
 
 class _WorkerHandle:
-    __slots__ = ("worker_id", "inbox", "results", "thread", "working", "current_job")
+    __slots__ = ("worker_id", "inbox", "thread", "working", "current_job")
 
     def __init__(self, worker_id: int) -> None:
         self.worker_id = worker_id
         self.inbox: queue.Queue = queue.Queue()
-        self.results: queue.Queue = queue.Queue()
         self.thread: threading.Thread | None = None
         self.working = False
-        self.current_job: JobNode | None = None
+        self.current_job: bytes | None = None
 
 
 class Master:
@@ -255,9 +241,11 @@ class Master:
     def __init__(self, config: SchedulerConfig, num_workers: int | None = None) -> None:
         self.config = config
         n = config.num_workers if num_workers is None else num_workers
-        self.joblist: deque[JobNode] = deque()
+        self.joblist: deque[bytes] = deque()
         self.store = SharedStore(n)
         self.handles = [_WorkerHandle(i) for i in range(n)]
+        # every worker's ResultMsg/CrashMsg, tagged with its worker_id
+        self.results: queue.Queue = queue.Queue()
         self.report = RunReport()
         self.halting = False
 
@@ -266,7 +254,7 @@ class Master:
     def next_budget(self) -> Budget:
         return select_budget(len(self.joblist), self.config)
 
-    def assign_job(self, handle: _WorkerHandle, job: JobNode, budget: Budget) -> AssignMsg:
+    def assign_job(self, handle: _WorkerHandle, job: bytes, budget: Budget) -> AssignMsg:
         """Mark the worker working and build its assignment message.
 
         The message carries exactly the shared tokens newer than the
@@ -277,8 +265,7 @@ class Master:
         handle.working = True
         handle.current_job = job
         msg = AssignMsg(
-            payload=job.payload,
-            origin_depth=job.origin_depth,
+            payload=job,
             max_depth=budget.max_depth,
             max_nodes=budget.max_nodes,
             budget_kind=budget.kind,
@@ -295,10 +282,10 @@ class Master:
             raise EngineError(f"result from idle worker {handle.worker_id}")
         if msg.visited < 0 or msg.output_count < 0:
             raise EngineError(f"worker {handle.worker_id}: malformed result counts")
-        for payload, depth in msg.unexplored:
+        for payload in msg.unexplored:
             if not isinstance(payload, bytes):
                 raise EngineError(f"worker {handle.worker_id}: malformed unexplored payload")
-            self.joblist.append(JobNode(payload=payload, origin_depth=depth))
+            self.joblist.append(payload)
         self.store.merge(msg.shared_delta)
         handle.working = False
         handle.current_job = None
@@ -316,7 +303,7 @@ class Master:
     def any_working(self) -> bool:
         return any(h.working for h in self.handles)
 
-    def pending_jobs(self) -> list[JobNode]:
+    def pending_jobs(self) -> list[bytes]:
         """In-flight jobs plus the queued list: everything not yet finished.
 
         Checkpoints use this so that a crash after the snapshot loses no
@@ -363,7 +350,7 @@ def run(
     consumer_inbox: queue.Queue = queue.Queue()
     consumer = threading.Thread(
         target=consumer_loop,
-        args=(consumer_inbox, out, config.count_only),
+        args=(consumer_inbox, out),
         name="btsearch-consumer",
         daemon=True,
     )
@@ -376,9 +363,8 @@ def run(
                 app,
                 input_bytes,
                 handle.inbox,
-                handle.results,
+                master.results,
                 consumer_inbox,
-                config.count_only,
             ),
             name=f"btsearch-worker-{handle.worker_id}",
             daemon=True,
@@ -388,13 +374,12 @@ def run(
     start_time = time.monotonic()
     last_sample = -1.0
     last_checkpoint = start_time
-    crash: CrashMsg | None = None
     draining = False
 
     def sample_metrics(now: float) -> None:
         nonlocal last_sample
         elapsed = now - start_time
-        if elapsed - last_sample >= config.sample_interval_s or last_sample < 0:
+        if elapsed - last_sample >= _SAMPLE_INTERVAL_S or last_sample < 0:
             master.report.samples.append((elapsed, master.busy_count(), len(master.joblist)))
             last_sample = elapsed
 
@@ -414,26 +399,20 @@ def run(
     try:
         while True:
             progressed = False
-            # Collect any finished results (poll every worker; a crash can
-            # arrive even before the first assignment).
-            for handle in master.handles:
-                while True:
-                    try:
-                        msg = handle.results.get_nowait()
-                    except queue.Empty:
-                        break
-                    if isinstance(msg, CrashMsg):
-                        crash = msg
-                        break
-                    master.collect_result(handle, msg)
-                    progressed = True
-                if crash is not None:
+            # Collect any finished results (a crash can arrive even before
+            # the first assignment).
+            while True:
+                try:
+                    msg = master.results.get_nowait()
+                except queue.Empty:
                     break
-            if crash is not None:
-                raise WorkerCrashError(
-                    f"worker {crash.worker_id} crashed ({crash.error}); "
-                    "its job is lost and the run was aborted"
-                )
+                if isinstance(msg, CrashMsg):
+                    raise WorkerCrashError(
+                        f"worker {msg.worker_id} crashed ({msg.error}); "
+                        "its job is lost and the run was aborted"
+                    )
+                master.collect_result(master.handles[msg.worker_id], msg)
+                progressed = True
 
             stop_requested = (
                 config.stop_after_jobs is not None
@@ -480,6 +459,8 @@ def run(
             final_lines = app.finalize(global_data, master.store.tokens, master.halting)
             if final_lines:
                 consumer_inbox.put(OutputMsg(tuple(final_lines), verdict=False))
+        if config.count_only:
+            consumer_inbox.put(OutputMsg((str(master.report.total_output_count),)))
     finally:
         for handle in master.handles:
             handle.inbox.put(TerminateMsg())

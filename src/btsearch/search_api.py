@@ -1,9 +1,9 @@
 """Contract between the engine and pluggable search applications.
 
-An application parses its input once, produces a root job, and can run a
-budgeted search from *any* job node it previously produced, in any worker.
-Job payloads and shared tokens are opaque bytes to the engine; only the
-owning application interprets them.
+An application parses its input once, produces a root job payload, and can
+run a budgeted search from *any* payload it previously produced, in any
+worker.  Job payloads and shared tokens are opaque bytes to the engine; only
+the owning application interprets them.
 """
 
 from __future__ import annotations
@@ -20,24 +20,11 @@ class ApplicationDescriptor:
     """Stable identity and capabilities of an application."""
 
     name: str
-    supports_shared_data: bool = False
     budget_kinds: frozenset[str] = frozenset({"nodes"})
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("application name must be nonempty")
-
-
-@dataclass(frozen=True)
-class JobNode:
-    """Serialized root of an unexplored subtree, owned by one application.
-
-    ``origin_depth`` is informational (split generation below the original
-    root); budgets are always relative to the job's own start vertex.
-    """
-
-    payload: bytes
-    origin_depth: int = 0
 
 
 @dataclass
@@ -47,13 +34,14 @@ class SearchResult:
     ``visited`` is the number of budget units consumed (nodes for
     enumeration, decisions/conflicts for SAT) and is what the frequency file
     records.  In count-only mode ``outputs`` stays empty and ``output_count``
-    carries the tally.  ``halt`` signals a global answer (e.g. a SAT model):
+    carries the tally.  Each ``unexplored`` entry is the payload of the root
+    of an unexplored subtree.  ``halt`` signals a global answer (e.g. a SAT model):
     the master stops issuing jobs and drains.
     """
 
     outputs: list[str] = field(default_factory=list)
     output_count: int = 0
-    unexplored: list[JobNode] = field(default_factory=list)
+    unexplored: list[bytes] = field(default_factory=list)
     visited: int = 0
     shared_delta: list[bytes] = field(default_factory=list)
     halt: bool = False
@@ -62,7 +50,7 @@ class SearchResult:
 class Application(ABC):
     """Budgeted tree-search code the engine can drive.
 
-    Implementations must be deterministic given (global data, node, budget,
+    Implementations must be deterministic given (global data, payload, budget,
     shared tokens) and must keep global data immutable after ``init`` so it
     can be replicated freely across worker contexts.
     """
@@ -70,21 +58,21 @@ class Application(ABC):
     descriptor: ApplicationDescriptor
 
     @abstractmethod
-    def init(self, input_bytes: bytes) -> tuple[Any, JobNode]:
-        """Parse input; return (immutable global data, root job node)."""
+    def init(self, input_bytes: bytes) -> tuple[Any, bytes]:
+        """Parse input; return (immutable global data, root job payload)."""
 
     @abstractmethod
     def search(
         self,
         global_data: Any,
-        node: JobNode,
+        payload: bytes,
         budget: Budget,
         shared: Sequence[bytes],
     ) -> SearchResult:
-        """Run one budgeted job from ``node``.
+        """Run one budgeted job from the vertex ``payload`` encodes.
 
-        The job's outputs plus the subtrees of its unexplored nodes must
-        cover the subtree rooted at ``node`` exactly once.
+        The job's outputs plus the subtrees of its unexplored payloads must
+        cover the subtree rooted at that vertex exactly once.
         """
 
     @abstractmethod

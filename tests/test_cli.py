@@ -3,6 +3,8 @@ import sys
 
 import pytest
 
+from btsearch import cli
+from btsearch.apps.topsorts import TopsortsApplication
 from btsearch.cli import main, parse_cli, _CliError
 
 from oracles import cnf_text, pigeonhole_cnf
@@ -64,6 +66,43 @@ class TestMain:
         code = main(["run", "topsorts", str(inp), "-countonly", "-np", "2"])
         assert code == 0
         assert capsys.readouterr().out.strip() == "6"
+
+    def test_countonly_stopafter_prints_the_master_total(self, tmp_path, capsys, monkeypatch):
+        inp = tmp_path / "poset.txt"
+        inp.write_text("4 0\n")
+        reports = []
+        real_run = cli.run
+
+        def recording_run(*args, **kwargs):
+            reports.append(real_run(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "run", recording_run)
+        code = main(
+            [
+                "run", "topsorts", str(inp), "-countonly", "-np", "2", "-maxd", "inf",
+                "-maxnodes", "3", "-scale", "1", "-stopafter", "4",
+                "-checkpoint", str(tmp_path / "state.ckpt"),
+            ]
+        )
+        assert code == 0
+        (report,) = reports
+        assert not report.completed
+        assert capsys.readouterr().out.splitlines() == [str(report.total_output_count)]
+
+    def test_countonly_worker_crash_exits_3_without_a_count(self, tmp_path, capsys, monkeypatch):
+        class CrashingTopsorts(TopsortsApplication):
+            def search(self, global_data, payload, budget, shared):
+                raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "build_application", lambda name, **kw: CrashingTopsorts(**kw))
+        inp = tmp_path / "poset.txt"
+        inp.write_text("4 0\n")
+        code = main(["run", "topsorts", str(inp), "-countonly", "-np", "2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "boom" in captured.err
 
     def test_run_writes_frequency_and_histogram_files(self, tmp_path, capsys):
         inp = tmp_path / "poset.txt"

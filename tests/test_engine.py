@@ -1,14 +1,15 @@
 import io
+import itertools
 import math
 import queue
 import threading
+import time
 
 import pytest
 
 from btsearch.budget import Budget, SchedulerConfig
 from btsearch.engine import (
     AssignMsg,
-    CountMsg,
     Master,
     OutputMsg,
     ResultMsg,
@@ -19,7 +20,7 @@ from btsearch.engine import (
     worker_loop,
 )
 from btsearch.errors import InputFormatError, WorkerCrashError
-from btsearch.search_api import Application, ApplicationDescriptor, JobNode, SearchResult
+from btsearch.search_api import Application, ApplicationDescriptor, SearchResult
 from btsearch.apps import build_application
 from btsearch.apps.topsorts import count_extensions
 
@@ -53,12 +54,12 @@ class TreeApp(Application):
 
     def init(self, input_bytes):
         oracle = complete_binary_depth3()
-        return oracle, JobNode(payload=b"r")
+        return oracle, b"r"
 
-    def search(self, global_data, node, budget, shared):
+    def search(self, global_data, payload, budget, shared):
         from btsearch.reverse_search import budgeted_search
 
-        start = self.decode_node(node.payload, global_data)
+        start = self.decode_node(payload, global_data)
         outputs = []
         result = budgeted_search(
             global_data,
@@ -70,7 +71,7 @@ class TreeApp(Application):
         return SearchResult(
             outputs=outputs,
             output_count=len(outputs),
-            unexplored=[JobNode(payload=v.encode()) for v in result.unexplored],
+            unexplored=[v.encode() for v in result.unexplored],
             visited=result.count,
         )
 
@@ -84,10 +85,24 @@ class TreeApp(Application):
 class CrashingApp(TreeApp):
     descriptor = ApplicationDescriptor(name="crash15")
 
-    def search(self, global_data, node, budget, shared):
-        if node.payload == b"r":
+    def search(self, global_data, payload, budget, shared):
+        if payload == b"r":
             raise RuntimeError("boom")
-        return super().search(global_data, node, budget, shared)
+        return super().search(global_data, payload, budget, shared)
+
+
+class WorkerInitCrashApp(TreeApp):
+    """``init`` succeeds for the master's call and raises in every worker."""
+
+    descriptor = ApplicationDescriptor(name="initcrash15")
+
+    def __init__(self):
+        self.calls = itertools.count()
+
+    def init(self, input_bytes):
+        if next(self.calls) > 0:
+            raise RuntimeError("worker init failed")
+        return super().init(input_bytes)
 
 
 class TestSharedStore:
@@ -113,7 +128,7 @@ class TestMasterOperations:
 
     def test_assign_with_empty_store_carries_nothing(self):
         master = self.make_master()
-        msg = master.assign_job(master.handles[0], JobNode(b"x"), Budget(None, 10))
+        msg = master.assign_job(master.handles[0], b"x", Budget(None, 10))
         assert msg.shared == ()
         assert master.handles[0].working
 
@@ -122,7 +137,7 @@ class TestMasterOperations:
         master.store.merge([b"s1", b"s2", b"s3", b"s4", b"s5"])
         # simulate a worker that has already seen the first three
         master.store._marks[0] = 3
-        msg = master.assign_job(master.handles[0], JobNode(b"x"), Budget(None, 10))
+        msg = master.assign_job(master.handles[0], b"x", Budget(None, 10))
         assert msg.shared == (b"s4", b"s5")
         assert master.store.mark_of(0) == 5
 
@@ -130,16 +145,16 @@ class TestMasterOperations:
         master = self.make_master()
         master.store.merge([b"s1"])
         h = master.handles[0]
-        first = master.assign_job(h, JobNode(b"x"), Budget(None, 10))
+        first = master.assign_job(h, b"x", Budget(None, 10))
         assert first.shared == (b"s1",)
         master.collect_result(h, ResultMsg(0, 1, 0, (), (), False))
-        second = master.assign_job(h, JobNode(b"y"), Budget(None, 10))
+        second = master.assign_job(h, b"y", Budget(None, 10))
         assert second.shared == ()
 
     def test_collect_with_no_unfinished_leaves_joblist_alone(self):
         master = self.make_master()
         h = master.handles[0]
-        master.assign_job(h, JobNode(b"x"), Budget(None, 10))
+        master.assign_job(h, b"x", Budget(None, 10))
         master.collect_result(h, ResultMsg(0, 3, 2, (), (), False))
         assert len(master.joblist) == 0
         assert not h.working
@@ -148,28 +163,28 @@ class TestMasterOperations:
     def test_collect_appends_each_unfinished_node(self):
         master = self.make_master()
         h = master.handles[0]
-        master.assign_job(h, JobNode(b"x"), Budget(None, 10))
-        unfinished = ((b"u1", 1), (b"u2", 1), (b"u3", 1))
+        master.assign_job(h, b"x", Budget(None, 10))
+        unfinished = (b"u1", b"u2", b"u3")
         master.collect_result(h, ResultMsg(0, 5, 0, unfinished, (), False))
-        assert [n.payload for n in master.joblist] == [b"u1", b"u2", b"u3"]
+        assert list(master.joblist) == [b"u1", b"u2", b"u3"]
 
     def test_collect_merges_tokens_without_redelivery(self):
         master = self.make_master()
         h = master.handles[0]
-        master.assign_job(h, JobNode(b"x"), Budget(None, 10))
+        master.assign_job(h, b"x", Budget(None, 10))
         master.collect_result(h, ResultMsg(0, 1, 0, (), (b"tok",), False))
         assert len(master.store) == 1
-        master.assign_job(h, JobNode(b"y"), Budget(None, 10))
+        master.assign_job(h, b"y", Budget(None, 10))
         master.collect_result(h, ResultMsg(0, 1, 0, (), (b"tok",), False))
         assert len(master.store) == 1  # duplicate token, stored once
 
     def test_pending_jobs_cover_in_flight_and_queued(self):
         master = self.make_master()
-        master.joblist.append(JobNode(b"queued"))
-        master.assign_job(master.handles[0], JobNode(b"flying"), Budget(None, 10))
-        assert [n.payload for n in master.pending_jobs()] == [b"flying", b"queued"]
+        master.joblist.append(b"queued")
+        master.assign_job(master.handles[0], b"flying", Budget(None, 10))
+        assert master.pending_jobs() == [b"flying", b"queued"]
         master.collect_result(master.handles[0], ResultMsg(0, 1, 0, (), (), False))
-        assert [n.payload for n in master.pending_jobs()] == [b"queued"]
+        assert master.pending_jobs() == [b"queued"]
 
 
 class TestWorkerLoop:
@@ -177,7 +192,7 @@ class TestWorkerLoop:
         inbox, to_master, to_consumer = queue.Queue(), queue.Queue(), queue.Queue()
         for msg in messages:
             inbox.put(msg)
-        worker_loop(0, TreeApp(), b"", inbox, to_master, to_consumer, count_only=False)
+        worker_loop(0, TreeApp(), b"", inbox, to_master, to_consumer)
         results = []
         while not to_master.empty():
             results.append(to_master.get())
@@ -191,7 +206,7 @@ class TestWorkerLoop:
         assert results == [] and outputs == []
 
     def test_job_within_budget_returns_no_unfinished(self):
-        msg = AssignMsg(b"r", 0, None, None, "nodes", ())
+        msg = AssignMsg(b"r", None, None, "nodes", ())
         results, _ = self.run_worker([msg, TerminateMsg()])
         assert len(results) == 1
         assert results[0].unexplored == ()
@@ -200,20 +215,20 @@ class TestWorkerLoop:
     def test_budget_five_leaves_unfinished_work(self):
         # 15-vertex subtree, node budget 5: the flagged over-budget vertex
         # plus one backtrack sibling are returned; both were counted.
-        msg = AssignMsg(b"r", 0, None, 5, "nodes", ())
+        msg = AssignMsg(b"r", None, 5, "nodes", ())
         results, _ = self.run_worker([msg, TerminateMsg()])
         assert len(results[0].unexplored) == 2
         assert results[0].visited == 6
 
 
 class TestConsumerLoop:
-    def drain(self, messages, count_only=False):
+    def drain(self, messages):
         inbox = queue.Queue()
         for m in messages:
             inbox.put(m)
         inbox.put(TerminateMsg())
         out = io.StringIO()
-        consumer_loop(inbox, out, count_only)
+        consumer_loop(inbox, out)
         return out.getvalue()
 
     def test_messages_written_verbatim_in_order(self):
@@ -222,10 +237,6 @@ class TestConsumerLoop:
 
     def test_no_messages_no_output(self):
         assert self.drain([]) == ""
-
-    def test_count_only_emits_single_aggregate_line(self):
-        got = self.drain([CountMsg(3), CountMsg(2), CountMsg(1)], count_only=True)
-        assert got == "6\n"
 
     def test_verdicts_deduplicated_to_first(self):
         got = self.drain(
@@ -266,6 +277,14 @@ class TestRun:
         with pytest.raises(WorkerCrashError, match="boom"):
             run(CrashingApp(), b"", SchedulerConfig(num_workers=2))
 
+    def test_worker_crash_before_first_result_aborts_promptly(self):
+        start = time.monotonic()
+        with pytest.raises(WorkerCrashError, match="worker init failed"):
+            run(WorkerInitCrashApp(), b"", SchedulerConfig(num_workers=2))
+        assert time.monotonic() - start < 5.0
+        leaked = [t.name for t in threading.enumerate() if t.name.startswith("btsearch-")]
+        assert leaked == []
+
     def test_report_invariants(self):
         report = run(build_application("topsorts"), b"4 0\n", static_config(None, 7, num_workers=3))
         assert report.jobs_executed == len(report.frequencies)
@@ -275,6 +294,16 @@ class TestRun:
             assert 0 <= busy <= 3
             assert joblist_len >= 0
         assert [s[0] for s in report.samples] == sorted(s[0] for s in report.samples)
+
+    def test_count_only_emits_single_aggregate_line(self):
+        # many jobs, stopped part-way: still one line, the master's total
+        out = io.StringIO()
+        app = build_application("topsorts", count_only=True)
+        cfg = static_config(None, 3, num_workers=2, count_only=True, stop_after_jobs=4)
+        report = run(app, b"4 0\n", cfg, out)
+        assert not report.completed
+        assert 0 < report.total_output_count < 24
+        assert out.getvalue() == f"{report.total_output_count}\n"
 
     def test_count_only_consumer_emits_total(self):
         out = io.StringIO()

@@ -14,7 +14,6 @@ from btsearch.apps.gwtree import (
     GWTreeOracle,
     make_law,
     measure_joblist_ratio,
-    offspring_variance,
     predicted_ratio,
     run_budgeted_jobs,
     sample_offspring_sequence,
@@ -30,7 +29,7 @@ class TestLaws:
         law = make_law("catalan")
         # direct variance of {0:1/4, 1:1/2, 2:1/4} is 1/2; the published
         # growth-law constant corresponds to 3/2, kept separately
-        assert offspring_variance(law) == pytest.approx(0.5)
+        assert law.variance == pytest.approx(0.5)
         assert law.ratio_sigma2 == pytest.approx(1.5)
 
     @pytest.mark.parametrize(
@@ -44,7 +43,7 @@ class TestLaws:
         ],
     )
     def test_variances(self, name, k, var):
-        assert offspring_variance(make_law(name, k=k)) == pytest.approx(var)
+        assert make_law(name, k=k).variance == pytest.approx(var)
 
     def test_noncritical_laws_rejected(self):
         with pytest.raises(InputFormatError):
@@ -169,7 +168,7 @@ class TestExperiment:
         law = make_law("catalan")
         exp = GWExperiment(law=law, target_size=120_000, budget=500, trials=6, seed=11)
         result = measure_joblist_ratio(exp)
-        variance_pred = math.sqrt(math.pi * offspring_variance(law) / (8 * 500))
+        variance_pred = math.sqrt(math.pi * law.variance / (8 * 500))
         assert abs(result.mean_ratio / variance_pred - 1.0) < 0.15
         # the published catalan constant is sqrt(3) higher and does not fit
         assert result.predicted == pytest.approx(variance_pred * math.sqrt(3.0), rel=1e-6)

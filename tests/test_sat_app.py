@@ -125,8 +125,8 @@ class TestNodePayloads:
     def test_assumption_round_trip(self):
         app = SatApplication()
         gd, root = app.init(b"p cnf 3 1\n1 2 3 0\n")
-        assert root.payload == b""
-        assert app.decode_node(root.payload, gd) == ()
+        assert root == b""
+        assert app.decode_node(root, gd) == ()
         assert app.decode_node(app.encode_node((1, -3)), gd) == (1, -3)
 
     def test_decode_rejects_garbage(self):

@@ -132,8 +132,8 @@ class TestApplication:
     def test_node_round_trip(self):
         app = TopsortsApplication()
         gd, root = app.init(format_poset(bipartite_poset(2, 2)).encode())
-        vertex = app.decode_node(root.payload, gd)
-        assert app.encode_node(vertex) == root.payload
+        vertex = app.decode_node(root, gd)
+        assert app.encode_node(vertex) == root
 
     def test_search_is_stateless(self):
         from btsearch.budget import Budget

@@ -44,8 +44,6 @@ class EnumerationApplication(Application):
         budget: Budget,
         shared: Sequence[bytes],
     ) -> SearchResult:
-        if budget.kind != "nodes":
-            raise ValueError(f"{self.descriptor.name} only supports node budgets")
         oracle = self.oracle_for(global_data)
         start = self.decode_node(payload, global_data)
         outputs: list[str] = []

@@ -1,14 +1,13 @@
 """Budgeted SAT solving pluggable into the engine."""
 
 from .dimacs import CnfFormula, parse_dimacs, verify_model
-from .solver import CdclSolver, SatBudget, SolveOutcome, solve_budgeted, unit_propagate
+from .solver import CdclSolver, SolveOutcome, solve_budgeted, unit_propagate
 
 __all__ = [
     "CnfFormula",
     "parse_dimacs",
     "verify_model",
     "CdclSolver",
-    "SatBudget",
     "SolveOutcome",
     "solve_budgeted",
     "unit_propagate",

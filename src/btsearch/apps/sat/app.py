@@ -16,7 +16,7 @@ from ...budget import Budget
 from ...errors import BtsearchError, NodeDecodeError
 from ...search_api import Application, ApplicationDescriptor, SearchResult
 from .dimacs import CnfFormula, parse_dimacs, verify_model
-from .solver import SatBudget, SolveOutcome, solve_budgeted
+from .solver import SolveOutcome, solve_budgeted
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class SatApplication(Application):
 
     descriptor = ApplicationDescriptor(
         name="sat",
-        budget_kinds=frozenset({"decisions", "conflicts"}),
+        budget_kinds=("decisions", "conflicts"),
     )
 
     def __init__(self, restarts: bool = False, vsids: bool = False) -> None:
@@ -73,14 +73,12 @@ class SatApplication(Application):
         budget: Budget,
         shared: Sequence[bytes],
     ) -> SearchResult:
-        if budget.kind not in self.descriptor.budget_kinds:
-            raise ValueError("sat supports decision or conflict budgets only")
         assumption = self.decode_node(payload, global_data)
         units = [self._decode_unit(tok, global_data) for tok in shared]
         outcome = solve_budgeted(
             global_data.formula,
             assumption,
-            SatBudget(kind=budget.kind, limit=budget.max_nodes),
+            budget,
             shared_units=units,
             restarts=self.restarts,
             vsids=self.vsids,

@@ -18,28 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from ...budget import Budget
 from ...errors import InputFormatError
 from .dimacs import CnfFormula
 
 _TRUE = 1
 _FALSE = -1
 _UNASSIGNED = 0
-
-BUDGET_KINDS = ("decisions", "conflicts")
-
-
-@dataclass(frozen=True)
-class SatBudget:
-    """Work limit for one solving job; ``None`` means solve to completion."""
-
-    kind: str = "decisions"
-    limit: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in BUDGET_KINDS:
-            raise ValueError(f"budget kind must be one of {BUDGET_KINDS}")
-        if self.limit is not None and self.limit < 1:
-            raise ValueError("budget limit must be >= 1 or None")
 
 
 @dataclass(frozen=True)
@@ -61,7 +46,7 @@ class SolveOutcome:
     global_unsat: bool = False
 
     def budget_spent(self, kind: str) -> int:
-        return self.decisions if kind == "decisions" else self.conflicts
+        return self.conflicts if kind == "conflicts" else self.decisions
 
 
 class CdclSolver:
@@ -282,13 +267,17 @@ class CdclSolver:
 
     # -- main loop ---------------------------------------------------------------
 
-    def solve(self, assumptions: Sequence[int] = (), budget: SatBudget | None = None) -> SolveOutcome:
+    def solve(self, assumptions: Sequence[int] = (), budget: Budget | None = None) -> SolveOutcome:
         """Solve under ``assumptions`` within ``budget``.
 
+        ``budget.max_nodes`` caps the conflicts when ``budget.kind`` is
+        ``"conflicts"`` and the decisions otherwise; ``max_depth`` is not
+        used.  No budget, or ``max_nodes=None``, solves to completion.
         Consistency of the assumption list is the caller's contract (job
         payloads are validated on decode).
         """
-        budget = budget or SatBudget(limit=None)
+        limit = None if budget is None else budget.max_nodes
+        by_conflicts = budget is not None and budget.kind == "conflicts"
         base = tuple(assumptions)
         num_assumed = len(base)
         decisions = 0
@@ -325,9 +314,7 @@ class CdclSolver:
                 ci = self._record_learnt(learnt)
                 self._cancel_until(backjump)
                 self._enqueue(learnt[0], ci)
-                over = budget.limit is not None and budget.kind == "conflicts" and (
-                    conflicts >= budget.limit
-                )
+                over = by_conflicts and limit is not None and conflicts >= limit
                 if self.restarts and not over and conflicts_since_restart >= restart_limit:
                     flips = self._splits_from(base, self._free_decisions(num_assumed))[1:]
                     pending.extend(flips)
@@ -350,10 +337,7 @@ class CdclSolver:
             branch = self._pick_branch()
             if branch is None:
                 return outcome("sat", model=self._model())
-            if budget.limit is not None and (
-                (budget.kind == "decisions" and decisions >= budget.limit)
-                or (budget.kind == "conflicts" and conflicts >= budget.limit)
-            ):
+            if limit is not None and (conflicts if by_conflicts else decisions) >= limit:
                 frees = self._free_decisions(num_assumed)
                 if frees:
                     splits = self._splits_from(base, frees)
@@ -414,7 +398,7 @@ def unit_propagate(
 def solve_budgeted(
     formula: CnfFormula,
     assumption: Sequence[int] = (),
-    budget: SatBudget | None = None,
+    budget: Budget | None = None,
     shared_units: Sequence[int] = (),
     restarts: bool = False,
     vsids: bool = False,

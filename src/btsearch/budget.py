@@ -7,7 +7,7 @@ limit carried in the same ``max_nodes`` slot.  ``None`` means unbounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 BUDGET_KINDS = ("nodes", "decisions", "conflicts")
@@ -46,11 +46,11 @@ class SchedulerConfig:
     scale: int = 40
     lmin: float = 1.0
     lmax: float = 3.0
-    budget_kind: str = "nodes"
+    # None: the application's default kind (``run`` resolves it)
+    budget_kind: str | None = None
     count_only: bool = False
     checkpoint_path: str | Path | None = None
     restart_path: str | Path | None = None
-    checkpoint_interval_s: float = 30.0
     # Stop handing out jobs after collecting this many results, checkpoint,
     # and return an incomplete report (lets the user migrate a run).
     stop_after_jobs: int | None = None
@@ -64,11 +64,11 @@ class SchedulerConfig:
             raise ValueError("base_max_nodes must be >= 1 or None")
         if self.scale < 1:
             raise ValueError("scale must be >= 1")
-        if self.lmin <= 0 or self.lmax <= 0:
+        if not (self.lmin > 0 and self.lmax > 0):  # also rejects NaN
             raise ValueError("lmin and lmax must be positive")
         if self.lmin > self.lmax:
             raise ValueError("lmin must not exceed lmax")
-        if self.budget_kind not in BUDGET_KINDS:
+        if self.budget_kind is not None and self.budget_kind not in BUDGET_KINDS:
             raise ValueError(f"unknown budget kind {self.budget_kind!r}")
         if self.stop_after_jobs is not None and self.stop_after_jobs < 1:
             raise ValueError("stop_after_jobs must be >= 1 or None")
@@ -93,4 +93,4 @@ def select_budget(joblist_len: int, config: SchedulerConfig) -> Budget:
         )
     else:
         max_nodes = config.base_max_nodes
-    return Budget(max_depth=max_depth, max_nodes=max_nodes, kind=config.budget_kind)
+    return Budget(max_depth=max_depth, max_nodes=max_nodes, kind=config.budget_kind or "nodes")

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .apps import APPLICATION_NAMES, build_application
-from .budget import SchedulerConfig
+from .budget import BUDGET_KINDS, SchedulerConfig
 from .engine import run
 from .errors import BtsearchError, CheckpointError, InputFormatError, MetricsError
 from .metrics import compute_efficiency, write_frequency_file, write_histogram_file
@@ -32,27 +32,16 @@ _ENUM_APPS = ("topsorts", "spantree", "gwtree")
 
 @dataclass
 class CliOptions:
-    """Parsed options for a ``run`` invocation."""
+    """Parsed options for a ``run`` invocation: the engine config plus CLI-only settings."""
 
     app: str
     input_path: str
-    num_workers: int
-    max_depth: int | None
-    max_nodes: int | None
-    scale: int
-    lmin: float
-    lmax: float
     prune: str
-    count_only: bool
     hist_path: str | None
     freq_path: str | None
-    checkpoint_path: str | None
-    restart_path: str | None
-    budget_kind: str
-    seed: int | None
     restarts: bool
     vsids: bool
-    stop_after: int | None
+    config: SchedulerConfig
 
 
 class _CliError(Exception):
@@ -69,25 +58,29 @@ class _Parser(argparse.ArgumentParser):
 def _unbounded_int(text: str) -> int | None:
     if text.lower() in ("inf", "none", "unbounded"):
         return None
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1 or 'inf'")
-    return value
+    return int(text)
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="btsearch", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = SchedulerConfig()
     runp = sub.add_parser("run", help="parallel run of a bundled application")
     runp.add_argument("app", choices=APPLICATION_NAMES)
     runp.add_argument("input", help="problem input file")
-    runp.add_argument("-np", type=int, default=4, dest="np", help="number of workers")
-    runp.add_argument("-maxd", type=_unbounded_int, default=2, help="initial depth budget")
-    runp.add_argument("-maxnodes", type=_unbounded_int, default=5000, help="node budget")
-    runp.add_argument("-scale", type=int, default=40, help="budget multiplier for long job lists")
-    runp.add_argument("-lmin", type=float, default=1.0)
-    runp.add_argument("-lmax", type=float, default=3.0)
+    runp.add_argument("-np", type=int, default=defaults.num_workers, help="number of workers")
+    runp.add_argument(
+        "-maxd", type=_unbounded_int, default=defaults.base_max_depth, help="initial depth budget"
+    )
+    runp.add_argument(
+        "-maxnodes", type=_unbounded_int, default=defaults.base_max_nodes, help="node budget"
+    )
+    runp.add_argument(
+        "-scale", type=int, default=defaults.scale, help="budget multiplier for long job lists"
+    )
+    runp.add_argument("-lmin", type=float, default=defaults.lmin)
+    runp.add_argument("-lmax", type=float, default=defaults.lmax)
     runp.add_argument("-prune", choices=("off", "0", "1"), default="off")
     runp.add_argument("-countonly", action="store_true")
     runp.add_argument("-hist", default=None, help="histogram CSV path")
@@ -95,9 +88,10 @@ def _build_parser() -> _Parser:
     runp.add_argument("-checkpoint", default=None, help="checkpoint file path")
     runp.add_argument("-restart", default=None, help="resume from this checkpoint")
     runp.add_argument(
-        "-budgetkind", choices=("nodes", "decisions", "conflicts"), default=None
+        "-budgetkind",
+        default=None,
+        help=f"unit of -maxnodes: {', '.join(BUDGET_KINDS)} (default: the app's own)",
     )
-    runp.add_argument("-seed", type=int, default=None)
     runp.add_argument("-restarts", action="store_true", help="sat: enable solver restarts")
     runp.add_argument("-vsids", action="store_true", help="sat: activity-based branching")
     runp.add_argument(
@@ -122,43 +116,41 @@ def _build_parser() -> _Parser:
 
 
 def parse_cli(argv: Sequence[str]) -> CliOptions:
-    """Parse a ``run`` command line into options, applying the defaults."""
+    """Parse a ``run`` command line into options and a validated engine config.
+
+    Out-of-range values are usage errors.  Whether the app accepts the budget
+    kind is checked by ``run``, before any worker starts.
+    """
     ns = _build_parser().parse_args(["run", *argv] if argv and argv[0] not in ("run",) else argv)
     if ns.command != "run":
         raise _CliError("parse_cli handles 'run' invocations", USAGE_ERROR)
-    if ns.lmin > ns.lmax:
-        raise _CliError("lmin must not exceed lmax", USAGE_ERROR)
-    if ns.np < 1:
-        raise _CliError("need at least one worker", USAGE_ERROR)
-    budget_kind = ns.budgetkind
-    if budget_kind is None:
-        budget_kind = "decisions" if ns.app == "sat" else "nodes"
-    if ns.app == "sat" and budget_kind == "nodes":
-        raise _CliError("sat needs -budgetkind decisions or conflicts", USAGE_ERROR)
-    if ns.app != "sat" and budget_kind != "nodes":
-        raise _CliError(f"{ns.app} only supports -budgetkind nodes", USAGE_ERROR)
     if ns.app == "sat" and ns.countonly:
         raise _CliError("sat streams its verdict; -countonly is not supported", USAGE_ERROR)
+    try:
+        config = SchedulerConfig(
+            num_workers=ns.np,
+            base_max_depth=ns.maxd,
+            base_max_nodes=ns.maxnodes,
+            scale=ns.scale,
+            lmin=ns.lmin,
+            lmax=ns.lmax,
+            budget_kind=ns.budgetkind,
+            count_only=ns.countonly,
+            checkpoint_path=ns.checkpoint,
+            restart_path=ns.restart,
+            stop_after_jobs=ns.stopafter,
+        )
+    except ValueError as exc:
+        raise _CliError(f"btsearch: {exc}", USAGE_ERROR) from None
     return CliOptions(
         app=ns.app,
         input_path=ns.input,
-        num_workers=ns.np,
-        max_depth=ns.maxd,
-        max_nodes=ns.maxnodes,
-        scale=ns.scale,
-        lmin=ns.lmin,
-        lmax=ns.lmax,
         prune=ns.prune,
-        count_only=ns.countonly,
         hist_path=ns.hist,
         freq_path=ns.freq,
-        checkpoint_path=ns.checkpoint,
-        restart_path=ns.restart,
-        budget_kind=budget_kind,
-        seed=ns.seed,
         restarts=ns.restarts,
         vsids=ns.vsids,
-        stop_after=ns.stopafter,
+        config=config,
     )
 
 
@@ -169,24 +161,14 @@ def _cmd_run(opts: CliOptions) -> int:
         print(f"btsearch: cannot read input: {exc}", file=sys.stderr)
         return INPUT_ERROR
     if opts.app in _ENUM_APPS:
-        app = build_application(opts.app, prune=opts.prune, count_only=opts.count_only)
+        app = build_application(opts.app, prune=opts.prune, count_only=opts.config.count_only)
     else:
         app = build_application(opts.app, restarts=opts.restarts, vsids=opts.vsids)
-    config = SchedulerConfig(
-        num_workers=opts.num_workers,
-        base_max_depth=opts.max_depth,
-        base_max_nodes=opts.max_nodes,
-        scale=opts.scale,
-        lmin=opts.lmin,
-        lmax=opts.lmax,
-        budget_kind=opts.budget_kind,
-        count_only=opts.count_only,
-        checkpoint_path=opts.checkpoint_path,
-        restart_path=opts.restart_path,
-        stop_after_jobs=opts.stop_after,
-    )
     try:
-        report = run(app, input_bytes, config, out=sys.stdout)
+        report = run(app, input_bytes, opts.config, out=sys.stdout)
+    except ValueError as exc:  # a budget kind the app does not accept
+        print(f"btsearch: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except (InputFormatError, CheckpointError) as exc:
         print(f"btsearch: {exc}", file=sys.stderr)
         return INPUT_ERROR

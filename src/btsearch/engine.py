@@ -23,7 +23,7 @@ import queue
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import IO, Sequence
 
 from .budget import Budget, SchedulerConfig, select_budget
@@ -35,6 +35,7 @@ logger = logging.getLogger("btsearch")
 
 _IDLE_SLEEP_S = 0.0002
 _SAMPLE_INTERVAL_S = 0.1
+_CHECKPOINT_INTERVAL_S = 30.0
 
 
 # --------------------------------------------------------------------------
@@ -45,9 +46,7 @@ _SAMPLE_INTERVAL_S = 0.1
 @dataclass(frozen=True)
 class AssignMsg:
     payload: bytes
-    max_depth: int | None
-    max_nodes: int | None
-    budget_kind: str
+    budget: Budget
     shared: tuple[bytes, ...]
 
 
@@ -177,8 +176,7 @@ def worker_loop(
                 if token not in seen:
                     seen.add(token)
                     local_shared.append(token)
-            budget = Budget(msg.max_depth, msg.max_nodes, msg.budget_kind)
-            result = app.search(global_data, msg.payload, budget, tuple(local_shared))
+            result = app.search(global_data, msg.payload, msg.budget, tuple(local_shared))
             if result.outputs:
                 to_consumer.put(OutputMsg(tuple(result.outputs), verdict=result.halt))
             to_master.put(
@@ -264,13 +262,7 @@ class Master:
             raise EngineError(f"worker {handle.worker_id} already working")
         handle.working = True
         handle.current_job = job
-        msg = AssignMsg(
-            payload=job,
-            max_depth=budget.max_depth,
-            max_nodes=budget.max_nodes,
-            budget_kind=budget.kind,
-            shared=self.store.delta_for(handle.worker_id),
-        )
+        msg = AssignMsg(payload=job, budget=budget, shared=self.store.delta_for(handle.worker_id))
         handle.inbox.put(msg)
         return msg
 
@@ -327,12 +319,14 @@ def run(
 ) -> RunReport:
     """Execute a full parallel run of ``app`` on ``input_bytes``.
 
-    Parses the input (aborting before any worker starts on failure), seeds
-    the job list with the application root or a restart checkpoint, then
-    drives the master loop until every job is done, a worker signals a
-    global answer, or ``stop_after_jobs`` triggers a checkpointed early
-    stop.  Output lines stream to ``out`` via the consumer.
+    Resolves the budget kind against ``app.descriptor`` (ValueError on a kind
+    the app does not accept) and parses the input, both before any worker
+    starts.  Then seeds the job list with the application root or a restart
+    checkpoint and drives the master loop until every job is done, a worker
+    signals a global answer, or ``stop_after_jobs`` triggers a checkpointed
+    early stop.  Output lines stream to ``out`` via the consumer.
     """
+    config = replace(config, budget_kind=app.descriptor.resolve_budget_kind(config.budget_kind))
     if out is None:
         import io
 
@@ -414,14 +408,15 @@ def run(
                 master.collect_result(master.handles[msg.worker_id], msg)
                 progressed = True
 
+            # A run whose last job is also its stop_after_jobs-th is complete.
+            if not master.joblist and not master.any_working():
+                break
             stop_requested = (
                 config.stop_after_jobs is not None
                 and master.report.jobs_executed >= config.stop_after_jobs
             )
             if (master.halting or stop_requested) and not master.any_working():
                 draining = stop_requested and not master.halting
-                break
-            if not master.joblist and not master.any_working():
                 break
 
             # Hand out jobs FIFO to free workers under the current budget.
@@ -440,7 +435,7 @@ def run(
             sample_metrics(now)
             if (
                 config.checkpoint_path is not None
-                and now - last_checkpoint >= config.checkpoint_interval_s
+                and now - last_checkpoint >= _CHECKPOINT_INTERVAL_S
             ):
                 write_checkpoint_now()
                 last_checkpoint = now

@@ -17,14 +17,27 @@ from .budget import Budget
 
 @dataclass(frozen=True)
 class ApplicationDescriptor:
-    """Stable identity and capabilities of an application."""
+    """Stable identity and capabilities of an application.
+
+    ``budget_kinds`` lists the budget kinds the application accepts; the
+    first is its default.
+    """
 
     name: str
-    budget_kinds: frozenset[str] = frozenset({"nodes"})
+    budget_kinds: tuple[str, ...] = ("nodes",)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("application name must be nonempty")
+
+    def resolve_budget_kind(self, kind: str | None) -> str:
+        """``kind``, or the default kind for ``None``; ValueError if not accepted."""
+        if kind is None:
+            return self.budget_kinds[0]
+        if kind not in self.budget_kinds:
+            accepted = ", ".join(self.budget_kinds)
+            raise ValueError(f"{self.name} accepts budget kinds {accepted}, not {kind!r}")
+        return kind
 
 
 @dataclass
@@ -71,7 +84,9 @@ class Application(ABC):
     ) -> SearchResult:
         """Run one budgeted job from the vertex ``payload`` encodes.
 
-        The job's outputs plus the subtrees of its unexplored payloads must
+        ``budget.kind`` is always one of ``descriptor.budget_kinds``: the
+        engine rejects any other kind before a worker starts.  The job's
+        outputs plus the subtrees of its unexplored payloads must
         cover the subtree rooted at that vertex exactly once.
         """
 

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from btsearch import cli
+from btsearch.apps.sat.app import SatApplication
 from btsearch.apps.topsorts import TopsortsApplication
 from btsearch.cli import main, parse_cli, _CliError
 
@@ -13,23 +14,24 @@ from oracles import cnf_text, pigeonhole_cnf
 class TestParseCli:
     def test_defaults_applied(self):
         opts = parse_cli(["run", "topsorts", "input.txt"])
-        assert opts.num_workers == 4
-        assert opts.max_depth == 2
-        assert opts.max_nodes == 5000
-        assert opts.scale == 40
-        assert (opts.lmin, opts.lmax) == (1.0, 3.0)
+        config = opts.config
+        assert config.num_workers == 4
+        assert config.base_max_depth == 2
+        assert config.base_max_nodes == 5000
+        assert config.scale == 40
+        assert (config.lmin, config.lmax) == (1.0, 3.0)
         assert opts.prune == "off"
-        assert opts.budget_kind == "nodes"
-        assert not opts.count_only
+        assert TopsortsApplication.descriptor.resolve_budget_kind(config.budget_kind) == "nodes"
+        assert not config.count_only
 
     def test_explicit_budget_flags(self):
         opts = parse_cli(["run", "topsorts", "in.txt", "-scale", "200", "-maxnodes", "10000"])
-        assert opts.scale == 200
-        assert opts.max_nodes == 10000
+        assert opts.config.scale == 200
+        assert opts.config.base_max_nodes == 10000
 
     def test_unbounded_depth_spelling(self):
         opts = parse_cli(["run", "spantree", "in.txt", "-maxd", "inf"])
-        assert opts.max_depth is None
+        assert opts.config.base_max_depth is None
 
     def test_lmin_above_lmax_is_usage_error(self):
         with pytest.raises(_CliError) as err:
@@ -46,17 +48,27 @@ class TestParseCli:
 
     def test_sat_defaults_to_decision_budgeting(self):
         opts = parse_cli(["run", "sat", "f.cnf"])
-        assert opts.budget_kind == "decisions"
+        kind = SatApplication.descriptor.resolve_budget_kind(opts.config.budget_kind)
+        assert kind == "decisions"
 
-    def test_sat_rejects_node_budgeting_and_countonly(self):
-        with pytest.raises(_CliError):
-            parse_cli(["run", "sat", "f.cnf", "-budgetkind", "nodes"])
-        with pytest.raises(_CliError):
+    def test_sat_rejects_node_budgeting_and_countonly(self, tmp_path, capsys):
+        inp = tmp_path / "php.cnf"
+        inp.write_text(cnf_text(pigeonhole_cnf(3, 2)))
+        assert main(["run", "sat", str(inp), "-budgetkind", "nodes"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sat accepts budget kinds decisions, conflicts" in captured.err
+        with pytest.raises(_CliError) as err:
             parse_cli(["run", "sat", "f.cnf", "-countonly"])
+        assert err.value.code == 1
 
-    def test_enumeration_rejects_conflict_budgeting(self):
-        with pytest.raises(_CliError):
-            parse_cli(["run", "topsorts", "in.txt", "-budgetkind", "conflicts"])
+    def test_enumeration_rejects_conflict_budgeting(self, tmp_path, capsys):
+        inp = tmp_path / "poset.txt"
+        inp.write_text("3 0\n")
+        assert main(["run", "topsorts", str(inp), "-budgetkind", "conflicts"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "topsorts accepts budget kinds nodes" in captured.err
 
 
 class TestMain:
@@ -173,6 +185,32 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "6"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["-stopafter", "0"],
+            ["-scale", "0"],
+            ["-lmin", "0"],
+            ["-lmin", "nan"],
+            ["-lmax", "0"],
+            ["-np", "0"],
+            ["-budgetkind", "hours"],
+        ],
+    )
+    def test_out_of_range_settings_exit_1_without_traceback(self, tmp_path, flags):
+        inp = tmp_path / "p.txt"
+        inp.write_text("3 0\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "btsearch.cli", "run", "topsorts", str(inp), *flags],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stdout == ""
 
     def test_importing_the_cli_does_not_load_numpy(self):
         # only the gwtree subcommand needs numpy; every run pays its import

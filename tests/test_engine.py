@@ -24,7 +24,7 @@ from btsearch.search_api import Application, ApplicationDescriptor, SearchResult
 from btsearch.apps import build_application
 from btsearch.apps.topsorts import count_extensions
 
-from oracles import antichain, bipartite_poset, brute_force_extensions
+from oracles import antichain, bipartite_poset, brute_force_extensions, cnf_text, pigeonhole_cnf
 from test_reverse_search import complete_binary_depth3
 
 
@@ -206,7 +206,7 @@ class TestWorkerLoop:
         assert results == [] and outputs == []
 
     def test_job_within_budget_returns_no_unfinished(self):
-        msg = AssignMsg(b"r", None, None, "nodes", ())
+        msg = AssignMsg(b"r", Budget(None, None), ())
         results, _ = self.run_worker([msg, TerminateMsg()])
         assert len(results) == 1
         assert results[0].unexplored == ()
@@ -215,7 +215,7 @@ class TestWorkerLoop:
     def test_budget_five_leaves_unfinished_work(self):
         # 15-vertex subtree, node budget 5: the flagged over-budget vertex
         # plus one backtrack sibling are returned; both were counted.
-        msg = AssignMsg(b"r", None, 5, "nodes", ())
+        msg = AssignMsg(b"r", Budget(None, 5), ())
         results, _ = self.run_worker([msg, TerminateMsg()])
         assert len(results[0].unexplored) == 2
         assert results[0].visited == 6
@@ -282,6 +282,20 @@ class TestRun:
         with pytest.raises(WorkerCrashError, match="worker init failed"):
             run(WorkerInitCrashApp(), b"", SchedulerConfig(num_workers=2))
         assert time.monotonic() - start < 5.0
+        leaked = [t.name for t in threading.enumerate() if t.name.startswith("btsearch-")]
+        assert leaked == []
+
+    @pytest.mark.parametrize(
+        ("name", "kind", "data"),
+        [("topsorts", "conflicts", b"4 0\n"), ("sat", "nodes", b"p cnf 1 1\n1 0\n")],
+    )
+    def test_rejects_a_budget_kind_the_app_does_not_accept(self, name, kind, data):
+        app = build_application(name)
+        inits = []
+        app.init = lambda input_bytes: inits.append(input_bytes)
+        with pytest.raises(ValueError, match=f"{name} accepts budget kinds"):
+            run(app, data, static_config(None, 5, budget_kind=kind))
+        assert inits == []  # rejected before the input is parsed
         leaked = [t.name for t in threading.enumerate() if t.name.startswith("btsearch-")]
         assert leaked == []
 
@@ -355,6 +369,22 @@ class TestStopAndResume:
         assert not report.completed  # stopped early; checkpoint failed but no crash
         assert not bad.exists()
         assert any("cannot write checkpoint" in r.message for r in caplog.records)
+
+    def test_stop_after_the_last_job_completes_the_run(self, tmp_path):
+        # pigeonhole(4 into 3) at conflict budget 3 takes exactly 3 jobs on one worker
+        cnf = cnf_text(pigeonhole_cnf(4, 3)).encode()
+        cp = tmp_path / "state.ckpt"
+        for stop in (3, 4):
+            out = io.StringIO()
+            cfg = static_config(
+                None, 3, num_workers=1, budget_kind="conflicts", checkpoint_path=cp,
+                stop_after_jobs=stop,
+            )
+            report = run(build_application("sat"), cnf, cfg, out)
+            assert report.jobs_executed == 3
+            assert report.completed
+            assert out.getvalue().splitlines() == ["s UNSATISFIABLE"]
+            assert not cp.exists()
 
     def test_stop_after_jobs_checkpoints_and_reports_incomplete(self, tmp_path):
         cp = tmp_path / "state.ckpt"

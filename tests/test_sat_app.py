@@ -140,10 +140,11 @@ class TestNodePayloads:
             app.decode_node(b"xyz", gd)
 
     def test_search_rejects_node_budget_kind(self):
-        app = SatApplication()
-        gd, root = app.init(b"p cnf 1 1\n1 0\n")
+        # the engine checks the kind against the descriptor before any search
         with pytest.raises(ValueError):
-            app.search(gd, root, Budget(None, 5, "nodes"), ())
+            SatApplication.descriptor.resolve_budget_kind("nodes")
+        with pytest.raises(ValueError):
+            run(SatApplication(), b"p cnf 1 1\n1 0\n", sat_config(5, "nodes"))
 
     def test_inconsistent_shared_units_signal_global_unsat(self):
         app = SatApplication()

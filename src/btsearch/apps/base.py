@@ -5,10 +5,49 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from ..budget import Budget
+from ..errors import InputFormatError
 from ..reverse_search import AdjacencyOracle, budgeted_search, prune_filter
 from ..search_api import Application, SearchResult
 
 PRUNE_MODES = {"off": None, "0": 0, "1": 1}
+
+
+def parse_pairs(
+    data: bytes | str, what: str, item: str, fields: str
+) -> tuple[int, list[tuple[int, int, int]]]:
+    """Read an ``n m`` header then m lines of two integers; ``#`` starts a comment.
+
+    Returns n and one ``(line number, first, second)`` per pair line; the
+    caller checks what the pairs mean.  Messages call the input ``what``
+    (``graph``), each pair an ``item`` (``edge``) with ``fields`` (``u v``).
+    """
+    text = data.decode("ascii", errors="replace") if isinstance(data, bytes) else data
+    rows = [line.split("#", 1)[0].strip() for line in text.splitlines()]
+    rows = [(i + 1, r) for i, r in enumerate(rows) if r]
+    if not rows:
+        raise InputFormatError(f"{what} input is empty")
+    lineno, header = rows[0]
+    parts = header.split()
+    if len(parts) != 2:
+        raise InputFormatError(f"line {lineno}: expected 'n m' header, got {header!r}")
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError as exc:
+        raise InputFormatError(f"line {lineno}: bad header numbers: {exc}") from exc
+    if n < 1 or m < 0:
+        raise InputFormatError(f"line {lineno}: need n >= 1 and m >= 0")
+    if len(rows) - 1 != m:
+        raise InputFormatError(f"expected {m} {item} lines, found {len(rows) - 1}")
+    pairs = []
+    for lineno, row in rows[1:]:
+        parts = row.split()
+        if len(parts) != 2:
+            raise InputFormatError(f"line {lineno}: expected '{fields}', got {row!r}")
+        try:
+            pairs.append((lineno, int(parts[0]), int(parts[1])))
+        except ValueError as exc:
+            raise InputFormatError(f"line {lineno}: bad {item}: {exc}") from exc
+    return n, pairs
 
 
 class EnumerationApplication(Application):
@@ -30,7 +69,8 @@ class EnumerationApplication(Application):
     # Subclass surface ------------------------------------------------------
 
     def oracle_for(self, global_data: Any) -> AdjacencyOracle:
-        raise NotImplementedError
+        """The oracle a job searches; ``init`` returns it as the global data."""
+        return global_data
 
     def format_vertex(self, global_data: Any, vertex: Any) -> str:
         raise NotImplementedError

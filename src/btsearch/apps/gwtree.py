@@ -361,19 +361,13 @@ class GWTreeOracle(AdjacencyOracle):
         return iter(self._children[vertex])
 
 
-@dataclass(frozen=True)
-class _Global:
-    sizes: np.ndarray
-    oracle: GWTreeOracle
-
-
 class GWTreeApplication(EnumerationApplication):
     """Engine plug-in: input ``law size_lo size_hi seed [k]`` samples one tree
     deterministically, then enumerates its nodes under the usual budgets."""
 
     descriptor = ApplicationDescriptor(name="gwtree")
 
-    def init(self, input_bytes: bytes) -> tuple[_Global, bytes]:
+    def init(self, input_bytes: bytes) -> tuple[GWTreeOracle, bytes]:
         text = input_bytes.decode("ascii", errors="replace")
         parts = text.split()
         if len(parts) not in (4, 5):
@@ -385,24 +379,19 @@ class GWTreeApplication(EnumerationApplication):
             raise InputFormatError(f"bad gwtree input numbers: {exc}") from exc
         law = make_law(parts[0], k=k)
         xi = sample_offspring_sequence(law, lo, hi, rng=seed)
-        sizes = subtree_sizes(xi)
-        gd = _Global(sizes=sizes, oracle=GWTreeOracle(sizes))
-        return gd, self.encode_node(0)
+        return GWTreeOracle(subtree_sizes(xi)), self.encode_node(0)
 
-    def oracle_for(self, global_data: _Global) -> GWTreeOracle:
-        return global_data.oracle
-
-    def format_vertex(self, global_data: _Global, vertex: int) -> str:
+    def format_vertex(self, global_data: GWTreeOracle, vertex: int) -> str:
         return str(vertex)
 
     def encode_node(self, vertex: int) -> bytes:
         return str(vertex).encode("ascii")
 
-    def decode_node(self, payload: bytes, global_data: _Global) -> int:
+    def decode_node(self, payload: bytes, global_data: GWTreeOracle) -> int:
         try:
             node = int(payload.decode("ascii"))
         except (UnicodeDecodeError, ValueError) as exc:
             raise NodeDecodeError(f"bad gwtree node payload: {exc}") from exc
-        if not 0 <= node < global_data.oracle.n:
+        if not 0 <= node < global_data.n:
             raise NodeDecodeError(f"gwtree node {node} out of range")
         return node

@@ -29,10 +29,9 @@ def _encode_assumption(lits: Sequence[int]) -> bytes:
 
 
 def _decode_assumption(payload: bytes, num_vars: int) -> tuple[int, ...]:
-    text = payload.decode("ascii", errors="strict") if payload else ""
     try:
-        lits = tuple(int(tok) for tok in text.split())
-    except ValueError as exc:
+        lits = tuple(int(tok) for tok in payload.decode("ascii").split())
+    except (UnicodeDecodeError, ValueError) as exc:
         raise NodeDecodeError(f"bad assumption payload: {exc}") from exc
     seen: set[int] = set()
     for lit in lits:

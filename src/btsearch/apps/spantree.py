@@ -16,12 +16,12 @@ pairs in lexicographic order, positions taken in ascending edge index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from ..errors import InputFormatError, NodeDecodeError
 from ..reverse_search import AdjacencyOracle
 from ..search_api import ApplicationDescriptor
-from .base import EnumerationApplication
+from .base import EnumerationApplication, parse_pairs
 
 Tree = tuple[int, ...]  # sorted 0-based edge indices
 
@@ -40,33 +40,10 @@ class Graph:
 
 def parse_graph(data: bytes | str) -> Graph:
     """Parse ``n m`` followed by m lines ``u v`` (1-based vertices)."""
-    text = data.decode("ascii", errors="replace") if isinstance(data, bytes) else data
-    rows = [line.split("#", 1)[0].strip() for line in text.splitlines()]
-    rows = [(i + 1, r) for i, r in enumerate(rows) if r]
-    if not rows:
-        raise InputFormatError("graph input is empty")
-    lineno, header = rows[0]
-    parts = header.split()
-    if len(parts) != 2:
-        raise InputFormatError(f"line {lineno}: expected 'n m' header, got {header!r}")
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise InputFormatError(f"line {lineno}: bad header numbers: {exc}") from exc
-    if n < 1 or m < 0:
-        raise InputFormatError(f"line {lineno}: need n >= 1 and m >= 0")
-    if len(rows) - 1 != m:
-        raise InputFormatError(f"expected {m} edge lines, found {len(rows) - 1}")
+    n, pairs = parse_pairs(data, "graph", "edge", "u v")
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for lineno, row in rows[1:]:
-        parts = row.split()
-        if len(parts) != 2:
-            raise InputFormatError(f"line {lineno}: expected 'u v', got {row!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise InputFormatError(f"line {lineno}: bad edge: {exc}") from exc
+    for lineno, u, v in pairs:
         if not (1 <= u <= n and 1 <= v <= n):
             raise InputFormatError(f"line {lineno}: edge {u} {v} out of range")
         if u == v:
@@ -112,6 +89,11 @@ class SpantreeOracle(AdjacencyOracle):
         self._rootset = frozenset(self._root)
 
     def _greedy_root(self) -> Tree:
+        return tuple(self._forest_edges(range(self.graph.m)))
+
+    def _forest_edges(self, indices: Iterable[int]) -> list[int]:
+        """The edge indices, in the given order, that join two components of
+        the edges kept before them (Kruskal's rule, by union-find)."""
         parent = list(range(self.graph.n + 1))
 
         def find(x: int) -> int:
@@ -120,13 +102,14 @@ class SpantreeOracle(AdjacencyOracle):
                 x = parent[x]
             return x
 
-        chosen = []
-        for idx, (u, v) in enumerate(self.graph.edges):
+        kept = []
+        for idx in indices:
+            u, v = self.graph.edges[idx]
             ru, rv = find(u), find(v)
             if ru != rv:
                 parent[ru] = rv
-                chosen.append(idx)
-        return tuple(chosen)
+                kept.append(idx)
+        return kept
 
     def root(self) -> Tree:
         return self._root
@@ -146,21 +129,8 @@ class SpantreeOracle(AdjacencyOracle):
             return False
         if any(not 0 <= idx < self.graph.m for idx in tree):
             return False
-        parent = list(range(self.graph.n + 1))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for idx in tree:
-            u, v = self.graph.edges[idx]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
+        # n - 1 distinct edges form a spanning tree exactly when none closes a cycle
+        return len(self._forest_edges(tree)) == self.n_tree
 
     def _non_tree(self, tree: Tree) -> list[int]:
         inside = set(tree)
@@ -249,35 +219,24 @@ def count_spanning_trees(graph: Graph, config=None) -> int:
     return report.total_output_count
 
 
-@dataclass(frozen=True)
-class _Global:
-    graph: Graph
-    oracle: SpantreeOracle
-
-
 class SpantreeApplication(EnumerationApplication):
     descriptor = ApplicationDescriptor(name="spantree")
 
-    def init(self, input_bytes: bytes) -> tuple[_Global, bytes]:
-        graph = parse_graph(input_bytes)
-        oracle = SpantreeOracle(graph)
-        gd = _Global(graph=graph, oracle=oracle)
-        return gd, self.encode_node(oracle.root())
+    def init(self, input_bytes: bytes) -> tuple[SpantreeOracle, bytes]:
+        oracle = SpantreeOracle(parse_graph(input_bytes))
+        return oracle, self.encode_node(oracle.root())
 
-    def oracle_for(self, global_data: _Global) -> SpantreeOracle:
-        return global_data.oracle
-
-    def format_vertex(self, global_data: _Global, vertex: Tree) -> str:
+    def format_vertex(self, global_data: SpantreeOracle, vertex: Tree) -> str:
         return " ".join(str(idx + 1) for idx in vertex)  # 1-based like the input
 
     def encode_node(self, vertex: Tree) -> bytes:
         return " ".join(str(idx) for idx in vertex).encode("ascii")
 
-    def decode_node(self, payload: bytes, global_data: _Global) -> Tree:
+    def decode_node(self, payload: bytes, global_data: SpantreeOracle) -> Tree:
         try:
             tree = tuple(int(tok) for tok in payload.decode("ascii").split())
         except (UnicodeDecodeError, ValueError) as exc:
             raise NodeDecodeError(f"bad tree payload: {exc}") from exc
-        if tuple(sorted(tree)) != tree or not global_data.oracle.is_spanning_tree(tree):
+        if tuple(sorted(tree)) != tree or not global_data.is_spanning_tree(tree):
             raise NodeDecodeError("payload is not a spanning tree of this graph")
         return tree

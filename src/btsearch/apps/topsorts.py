@@ -18,7 +18,7 @@ from typing import Iterator
 from ..errors import InputFormatError, NodeDecodeError
 from ..reverse_search import AdjacencyOracle
 from ..search_api import ApplicationDescriptor
-from .base import EnumerationApplication
+from .base import EnumerationApplication, parse_pairs
 
 Perm = tuple[int, ...]
 
@@ -33,32 +33,9 @@ class Poset:
 
 def parse_poset(data: bytes | str) -> Poset:
     """Parse ``n m`` followed by m lines ``a b`` (1-based, a precedes b)."""
-    text = data.decode("ascii", errors="replace") if isinstance(data, bytes) else data
-    rows = [line.split("#", 1)[0].strip() for line in text.splitlines()]
-    rows = [(i + 1, r) for i, r in enumerate(rows) if r]
-    if not rows:
-        raise InputFormatError("poset input is empty")
-    lineno, header = rows[0]
-    parts = header.split()
-    if len(parts) != 2:
-        raise InputFormatError(f"line {lineno}: expected 'n m' header, got {header!r}")
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise InputFormatError(f"line {lineno}: bad header numbers: {exc}") from exc
-    if n < 1 or m < 0:
-        raise InputFormatError(f"line {lineno}: need n >= 1 and m >= 0")
-    if len(rows) - 1 != m:
-        raise InputFormatError(f"expected {m} relation lines, found {len(rows) - 1}")
+    n, pairs = parse_pairs(data, "poset", "relation", "a b")
     relations = set()
-    for lineno, row in rows[1:]:
-        parts = row.split()
-        if len(parts) != 2:
-            raise InputFormatError(f"line {lineno}: expected 'a b', got {row!r}")
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise InputFormatError(f"line {lineno}: bad relation: {exc}") from exc
+    for lineno, a, b in pairs:
         if not (1 <= a <= n and 1 <= b <= n) or a == b:
             raise InputFormatError(f"line {lineno}: relation {a} {b} out of range")
         relations.add((a, b))
@@ -209,35 +186,24 @@ def count_extensions(poset: Poset, config=None) -> int:
     return report.total_output_count
 
 
-@dataclass(frozen=True)
-class _Global:
-    poset: Poset
-    oracle: TopsortsOracle
-
-
 class TopsortsApplication(EnumerationApplication):
     descriptor = ApplicationDescriptor(name="topsorts")
 
-    def init(self, input_bytes: bytes) -> tuple[_Global, bytes]:
-        poset = parse_poset(input_bytes)
-        oracle = TopsortsOracle(poset)
-        gd = _Global(poset=poset, oracle=oracle)
-        return gd, self.encode_node(oracle.root())
+    def init(self, input_bytes: bytes) -> tuple[TopsortsOracle, bytes]:
+        oracle = TopsortsOracle(parse_poset(input_bytes))
+        return oracle, self.encode_node(oracle.root())
 
-    def oracle_for(self, global_data: _Global) -> TopsortsOracle:
-        return global_data.oracle
-
-    def format_vertex(self, global_data: _Global, vertex: Perm) -> str:
+    def format_vertex(self, global_data: TopsortsOracle, vertex: Perm) -> str:
         return " ".join(str(e) for e in vertex)
 
     def encode_node(self, vertex: Perm) -> bytes:
         return " ".join(str(e) for e in vertex).encode("ascii")
 
-    def decode_node(self, payload: bytes, global_data: _Global) -> Perm:
+    def decode_node(self, payload: bytes, global_data: TopsortsOracle) -> Perm:
         try:
             perm = tuple(int(tok) for tok in payload.decode("ascii").split())
         except (UnicodeDecodeError, ValueError) as exc:
             raise NodeDecodeError(f"bad permutation payload: {exc}") from exc
-        if not global_data.oracle.is_extension(perm):
+        if not global_data.is_extension(perm):
             raise NodeDecodeError("payload is not a linear extension of this poset")
         return perm

@@ -6,9 +6,11 @@ FIFO channels as a small immutable message, and a job is just the payload
 bytes its application encoded.  Workers block on their own inbox and all
 put their results on one shared queue; the master polls that queue
 non-blockingly, growing the job list from returned unexplored payloads and
-shrinking it by assignment until the list is empty and no worker is marked
-working.  The master also owns the output count: in count-only mode it
-sends the consumer the run's total as a single line.
+shrinking it by assignment until the list is empty and no job is in flight.
+The master's view of the workers is a deque of idle worker ids and a map
+from each busy worker to its job, so assigning, collecting and the done
+test never scan the workers.  The master also owns the output count: in
+count-only mode it sends the consumer the run's total as a single line.
 
 Shared data is master-mediated: workers send opaque token deltas with each
 result, the master merges them (set semantics, global sequence order) and
@@ -86,17 +88,14 @@ class SharedStore:
     """Master-side table of opaque shared tokens with per-worker delivery.
 
     Tokens get strictly increasing sequence numbers (list position);
-    duplicates are stored once.  Each worker has a high-water mark so a
-    token is delivered to it at most once.
+    duplicates are stored once.  Each worker has a high-water mark so each
+    token is delivered to it exactly once.
     """
 
     def __init__(self, num_workers: int) -> None:
         self._tokens: list[bytes] = []
         self._seen: set[bytes] = set()
         self._marks = [0] * num_workers
-
-    def __len__(self) -> int:
-        return len(self._tokens)
 
     @property
     def tokens(self) -> tuple[bytes, ...]:
@@ -118,9 +117,6 @@ class SharedStore:
         delta = tuple(self._tokens[mark:])
         self._marks[worker_id] = len(self._tokens)
         return delta
-
-    def mark_of(self, worker_id: int) -> int:
-        return self._marks[worker_id]
 
 
 # --------------------------------------------------------------------------
@@ -165,17 +161,13 @@ def worker_loop(
     try:
         global_data, _root = app.init(input_bytes)
         local_shared: list[bytes] = []
-        seen: set[bytes] = set()
         while True:
             msg = inbox.get()
             if isinstance(msg, TerminateMsg):
                 return
             if not isinstance(msg, AssignMsg):
                 raise EngineError(f"worker {worker_id}: unexpected message {type(msg).__name__}")
-            for token in msg.shared:
-                if token not in seen:
-                    seen.add(token)
-                    local_shared.append(token)
+            local_shared.extend(msg.shared)
             result = app.search(global_data, msg.payload, msg.budget, tuple(local_shared))
             if result.outputs:
                 to_consumer.put(OutputMsg(tuple(result.outputs), verdict=result.halt))
@@ -218,82 +210,63 @@ def consumer_loop(inbox: "queue.Queue", out: IO[str]) -> None:
 # --------------------------------------------------------------------------
 
 
-class _WorkerHandle:
-    __slots__ = ("worker_id", "inbox", "thread", "working", "current_job")
-
-    def __init__(self, worker_id: int) -> None:
-        self.worker_id = worker_id
-        self.inbox: queue.Queue = queue.Queue()
-        self.thread: threading.Thread | None = None
-        self.working = False
-        self.current_job: bytes | None = None
-
-
 class Master:
     """Job-list owner: assigns budgeted jobs, merges results and shared data.
 
-    Kept separate from the thread plumbing so assignment and collection can
-    be exercised directly.
+    Its worker state is one inbox per worker, the ``idle`` deque of worker
+    ids with no job, and ``in_flight``, which maps each busy worker id to
+    its job; every worker id is in exactly one of the two.  Kept separate
+    from the thread plumbing so assignment and collection can be exercised
+    directly.
     """
 
-    def __init__(self, config: SchedulerConfig, num_workers: int | None = None) -> None:
+    def __init__(self, config: SchedulerConfig) -> None:
         self.config = config
-        n = config.num_workers if num_workers is None else num_workers
+        n = config.num_workers
         self.joblist: deque[bytes] = deque()
         self.store = SharedStore(n)
-        self.handles = [_WorkerHandle(i) for i in range(n)]
+        self.inboxes: list[queue.Queue] = [queue.Queue() for _ in range(n)]
+        self.idle: deque[int] = deque(range(n))
+        self.in_flight: dict[int, bytes] = {}
         # every worker's ResultMsg/CrashMsg, tagged with its worker_id
         self.results: queue.Queue = queue.Queue()
         self.report = RunReport()
         self.halting = False
 
-    # -- assignment -------------------------------------------------------
+    def assign_next(self) -> AssignMsg:
+        """Send the head of the job list to the longest-idle worker.
 
-    def next_budget(self) -> Budget:
-        return select_budget(len(self.joblist), self.config)
-
-    def assign_job(self, handle: _WorkerHandle, job: bytes, budget: Budget) -> AssignMsg:
-        """Mark the worker working and build its assignment message.
-
-        The message carries exactly the shared tokens newer than the
-        worker's high-water mark.
+        The budget is chosen from the job-list length before the pop.  The
+        message carries exactly the shared tokens newer than the worker's
+        high-water mark.
         """
-        if handle.working:
-            raise EngineError(f"worker {handle.worker_id} already working")
-        handle.working = True
-        handle.current_job = job
-        msg = AssignMsg(payload=job, budget=budget, shared=self.store.delta_for(handle.worker_id))
-        handle.inbox.put(msg)
+        budget = select_budget(len(self.joblist), self.config)
+        job = self.joblist.popleft()
+        worker_id = self.idle.popleft()
+        self.in_flight[worker_id] = job
+        msg = AssignMsg(payload=job, budget=budget, shared=self.store.delta_for(worker_id))
+        self.inboxes[worker_id].put(msg)
         return msg
 
-    # -- collection -------------------------------------------------------
-
-    def collect_result(self, handle: _WorkerHandle, msg: ResultMsg) -> None:
+    def collect_result(self, msg: ResultMsg) -> None:
         """Merge one worker result into the job list, store, and report."""
-        if not handle.working:
-            raise EngineError(f"result from idle worker {handle.worker_id}")
+        worker_id = msg.worker_id
+        if worker_id not in self.in_flight:
+            raise EngineError(f"result from idle worker {worker_id}")
         if msg.visited < 0 or msg.output_count < 0:
-            raise EngineError(f"worker {handle.worker_id}: malformed result counts")
+            raise EngineError(f"worker {worker_id}: malformed result counts")
         for payload in msg.unexplored:
             if not isinstance(payload, bytes):
-                raise EngineError(f"worker {handle.worker_id}: malformed unexplored payload")
+                raise EngineError(f"worker {worker_id}: malformed unexplored payload")
             self.joblist.append(payload)
         self.store.merge(msg.shared_delta)
-        handle.working = False
-        handle.current_job = None
+        del self.in_flight[worker_id]
+        self.idle.append(worker_id)
         self.report.jobs_executed += 1
         self.report.frequencies.append(msg.visited)
         self.report.total_output_count += msg.output_count
         if msg.halt:
             self.halting = True
-
-    # -- bookkeeping ------------------------------------------------------
-
-    def busy_count(self) -> int:
-        return sum(1 for h in self.handles if h.working)
-
-    def any_working(self) -> bool:
-        return any(h.working for h in self.handles)
 
     def pending_jobs(self) -> list[bytes]:
         """In-flight jobs plus the queued list: everything not yet finished.
@@ -302,8 +275,7 @@ class Master:
         work; a job both in-flight at snapshot time and completed before the
         crash may be re-run on recovery (at-least-once).
         """
-        in_flight = [h.current_job for h in self.handles if h.current_job is not None]
-        return in_flight + list(self.joblist)
+        return [*self.in_flight.values(), *self.joblist]
 
 
 # --------------------------------------------------------------------------
@@ -349,21 +321,17 @@ def run(
         daemon=True,
     )
     consumer.start()
-    for handle in master.handles:
-        handle.thread = threading.Thread(
+    workers = [
+        threading.Thread(
             target=worker_loop,
-            args=(
-                handle.worker_id,
-                app,
-                input_bytes,
-                handle.inbox,
-                master.results,
-                consumer_inbox,
-            ),
-            name=f"btsearch-worker-{handle.worker_id}",
+            args=(worker_id, app, input_bytes, inbox, master.results, consumer_inbox),
+            name=f"btsearch-worker-{worker_id}",
             daemon=True,
         )
-        handle.thread.start()
+        for worker_id, inbox in enumerate(master.inboxes)
+    ]
+    for worker in workers:
+        worker.start()
 
     start_time = time.monotonic()
     last_sample = -1.0
@@ -374,7 +342,7 @@ def run(
         nonlocal last_sample
         elapsed = now - start_time
         if elapsed - last_sample >= _SAMPLE_INTERVAL_S or last_sample < 0:
-            master.report.samples.append((elapsed, master.busy_count(), len(master.joblist)))
+            master.report.samples.append((elapsed, len(master.in_flight), len(master.joblist)))
             last_sample = elapsed
 
     def write_checkpoint_now() -> None:
@@ -405,30 +373,24 @@ def run(
                         f"worker {msg.worker_id} crashed ({msg.error}); "
                         "its job is lost and the run was aborted"
                     )
-                master.collect_result(master.handles[msg.worker_id], msg)
+                master.collect_result(msg)
                 progressed = True
 
             # A run whose last job is also its stop_after_jobs-th is complete.
-            if not master.joblist and not master.any_working():
+            if not master.joblist and not master.in_flight:
                 break
             stop_requested = (
                 config.stop_after_jobs is not None
                 and master.report.jobs_executed >= config.stop_after_jobs
             )
-            if (master.halting or stop_requested) and not master.any_working():
+            if (master.halting or stop_requested) and not master.in_flight:
                 draining = stop_requested and not master.halting
                 break
 
             # Hand out jobs FIFO to free workers under the current budget.
             if not master.halting and not stop_requested:
-                for handle in master.handles:
-                    if not master.joblist:
-                        break
-                    if handle.working:
-                        continue
-                    budget = master.next_budget()
-                    job = master.joblist.popleft()
-                    master.assign_job(handle, job, budget)
+                while master.idle and master.joblist:
+                    master.assign_next()
                     progressed = True
 
             now = time.monotonic()
@@ -457,11 +419,10 @@ def run(
         if config.count_only:
             consumer_inbox.put(OutputMsg((str(master.report.total_output_count),)))
     finally:
-        for handle in master.handles:
-            handle.inbox.put(TerminateMsg())
+        for inbox in master.inboxes:
+            inbox.put(TerminateMsg())
         consumer_inbox.put(TerminateMsg())
-        for handle in master.handles:
-            if handle.thread is not None:
-                handle.thread.join(timeout=30.0)
+        for worker in workers:
+            worker.join(timeout=30.0)
         consumer.join(timeout=30.0)
     return master.report

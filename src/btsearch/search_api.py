@@ -64,8 +64,8 @@ class Application(ABC):
     """Budgeted tree-search code the engine can drive.
 
     Implementations must be deterministic given (global data, payload, budget,
-    shared tokens) and must keep global data immutable after ``init`` so it
-    can be replicated freely across worker contexts.
+    shared tokens) and must keep global data immutable after ``init``:
+    workers only read it.
     """
 
     descriptor: ApplicationDescriptor

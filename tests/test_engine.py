@@ -19,7 +19,7 @@ from btsearch.engine import (
     run,
     worker_loop,
 )
-from btsearch.errors import InputFormatError, WorkerCrashError
+from btsearch.errors import EngineError, InputFormatError, WorkerCrashError
 from btsearch.search_api import Application, ApplicationDescriptor, SearchResult
 from btsearch.apps import build_application
 from btsearch.apps.topsorts import count_extensions
@@ -123,67 +123,78 @@ class TestSharedStore:
 
 
 class TestMasterOperations:
-    def make_master(self, num_workers=2):
-        return Master(static_config(None, 10, num_workers=num_workers))
+    def make_master(self, *jobs, num_workers=2):
+        master = Master(static_config(None, 10, num_workers=num_workers))
+        master.joblist.extend(jobs)
+        return master
 
     def test_assign_with_empty_store_carries_nothing(self):
-        master = self.make_master()
-        msg = master.assign_job(master.handles[0], b"x", Budget(None, 10))
-        assert msg.shared == ()
-        assert master.handles[0].working
+        master = self.make_master(b"x")
+        msg = master.assign_next()
+        assert msg == AssignMsg(b"x", Budget(None, 10), ())
+        assert master.inboxes[0].get_nowait() is msg
+        assert master.in_flight == {0: b"x"}
+        assert list(master.idle) == [1]
+        assert not master.joblist
 
     def test_assign_carries_only_tokens_above_high_water_mark(self):
-        master = self.make_master()
+        master = self.make_master(b"x")
         master.store.merge([b"s1", b"s2", b"s3", b"s4", b"s5"])
         # simulate a worker that has already seen the first three
         master.store._marks[0] = 3
-        msg = master.assign_job(master.handles[0], b"x", Budget(None, 10))
+        msg = master.assign_next()
         assert msg.shared == (b"s4", b"s5")
-        assert master.store.mark_of(0) == 5
+        assert master.store.delta_for(0) == ()
 
     def test_consecutive_assigns_carry_nothing_new(self):
-        master = self.make_master()
+        master = self.make_master(b"x", b"y", num_workers=1)
         master.store.merge([b"s1"])
-        h = master.handles[0]
-        first = master.assign_job(h, b"x", Budget(None, 10))
+        first = master.assign_next()
         assert first.shared == (b"s1",)
-        master.collect_result(h, ResultMsg(0, 1, 0, (), (), False))
-        second = master.assign_job(h, b"y", Budget(None, 10))
+        master.collect_result(ResultMsg(0, 1, 0, (), (), False))
+        second = master.assign_next()
         assert second.shared == ()
 
     def test_collect_with_no_unfinished_leaves_joblist_alone(self):
-        master = self.make_master()
-        h = master.handles[0]
-        master.assign_job(h, b"x", Budget(None, 10))
-        master.collect_result(h, ResultMsg(0, 3, 2, (), (), False))
+        master = self.make_master(b"x")
+        master.assign_next()
+        master.collect_result(ResultMsg(0, 3, 2, (), (), False))
         assert len(master.joblist) == 0
-        assert not h.working
+        assert not master.in_flight
+        assert list(master.idle) == [1, 0]
         assert master.report.frequencies == [3]
 
     def test_collect_appends_each_unfinished_node(self):
-        master = self.make_master()
-        h = master.handles[0]
-        master.assign_job(h, b"x", Budget(None, 10))
+        master = self.make_master(b"x")
+        master.assign_next()
         unfinished = (b"u1", b"u2", b"u3")
-        master.collect_result(h, ResultMsg(0, 5, 0, unfinished, (), False))
+        master.collect_result(ResultMsg(0, 5, 0, unfinished, (), False))
         assert list(master.joblist) == [b"u1", b"u2", b"u3"]
 
     def test_collect_merges_tokens_without_redelivery(self):
-        master = self.make_master()
-        h = master.handles[0]
-        master.assign_job(h, b"x", Budget(None, 10))
-        master.collect_result(h, ResultMsg(0, 1, 0, (), (b"tok",), False))
-        assert len(master.store) == 1
-        master.assign_job(h, b"y", Budget(None, 10))
-        master.collect_result(h, ResultMsg(0, 1, 0, (), (b"tok",), False))
-        assert len(master.store) == 1  # duplicate token, stored once
+        master = self.make_master(b"x", b"y", num_workers=1)
+        master.assign_next()
+        master.collect_result(ResultMsg(0, 1, 0, (), (b"tok",), False))
+        assert len(master.store.tokens) == 1
+        master.assign_next()
+        master.collect_result(ResultMsg(0, 1, 0, (), (b"tok",), False))
+        assert len(master.store.tokens) == 1  # duplicate token, stored once
+
+    def test_result_from_a_worker_with_no_job_is_rejected(self):
+        master = self.make_master(b"x")
+        master.assign_next()
+        with pytest.raises(EngineError, match="result from idle worker 1"):
+            master.collect_result(ResultMsg(1, 1, 0, (), (), False))
+        master.collect_result(ResultMsg(0, 1, 0, (), (), False))
+        with pytest.raises(EngineError, match="result from idle worker 0"):
+            master.collect_result(ResultMsg(0, 1, 0, (), (), False))
+        assert master.report.jobs_executed == 1
 
     def test_pending_jobs_cover_in_flight_and_queued(self):
-        master = self.make_master()
-        master.joblist.append(b"queued")
-        master.assign_job(master.handles[0], b"flying", Budget(None, 10))
+        master = self.make_master(b"flying", b"queued", num_workers=1)
+        master.assign_next()
         assert master.pending_jobs() == [b"flying", b"queued"]
-        master.collect_result(master.handles[0], ResultMsg(0, 1, 0, (), (), False))
+        master.collect_result(ResultMsg(0, 1, 0, (), (), False))
         assert master.pending_jobs() == [b"queued"]
 
 

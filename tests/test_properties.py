@@ -1,22 +1,27 @@
-"""Property tests of the reverse-search oracles over random small inputs.
+"""Property tests of the bundled applications over random small inputs.
 
 Hypothesis draws connected graphs and posets on at most 7 vertices and
 small Galton-Watson-style trees.  Each bundled oracle's ``children()``
 override must agree with the default derived from ``adjacent``/``parent``
 on every vertex, and a budgeted job loop must partition the objects that
-the independent oracles in ``oracles.py`` count.
+the independent oracles in ``oracles.py`` count.  Every application's
+``decode_node`` must reject arbitrary bytes with ``NodeDecodeError``.
 """
 
 from collections import deque
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from btsearch.apps import APPLICATION_NAMES, build_application
 
 from btsearch.apps.gwtree import GWTreeOracle, subtree_sizes
 from btsearch.apps.spantree import Graph, SpantreeApplication, SpantreeOracle, format_graph
 from btsearch.apps.topsorts import Poset, TopsortsApplication, TopsortsOracle, format_poset
 from btsearch.budget import Budget
+from btsearch.errors import NodeDecodeError
 from btsearch.reverse_search import AdjacencyOracle, reverse_search
 
 from oracles import brute_force_extensions, matrix_tree_count, random_offspring_sequence
@@ -105,3 +110,24 @@ def test_topsorts_job_partition(poset, budget, prune):
     app = TopsortsApplication(prune=prune)
     lines = job_partition(app, format_poset(poset).encode("ascii"), budget)
     assert len(lines) == len(set(lines)) == len(brute_force_extensions(poset))
+
+
+DECODE_INPUTS = {
+    "topsorts": b"4 2\n1 2\n3 4\n",
+    "spantree": b"4 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n",
+    "gwtree": b"catalan 20 40 7\n",
+    "sat": b"p cnf 3 2\n1 -2 0\n2 3 0\n",
+}
+
+
+@pytest.mark.parametrize("name", APPLICATION_NAMES)
+@PROPERTY_SETTINGS
+@given(payload=st.binary(max_size=24) | st.text("0123456789 -", max_size=24).map(str.encode))
+@example(payload=b"\xff")
+def test_decode_node_rejects_garbage_with_node_decode_error(name, payload):
+    app = build_application(name)
+    global_data, _root = app.init(DECODE_INPUTS[name])
+    try:
+        app.decode_node(payload, global_data)
+    except NodeDecodeError:
+        pass

@@ -2,14 +2,27 @@
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from ..budget import Budget
-from ..errors import InputFormatError
+from ..errors import InputFormatError, NodeDecodeError
 from ..reverse_search import AdjacencyOracle, budgeted_search, prune_filter
 from ..search_api import Application, SearchResult
 
 PRUNE_MODES = {"off": None, "0": 0, "1": 1}
+
+
+def encode_ints(values: Iterable[int]) -> bytes:
+    """Every bundled app's payload format: space-separated ASCII decimals."""
+    return " ".join(map(str, values)).encode("ascii")
+
+
+def decode_ints(payload: bytes, what: str) -> tuple[int, ...]:
+    """Inverse of :func:`encode_ints`; NodeDecodeError naming ``what`` on garbage."""
+    try:
+        return tuple(map(int, payload.decode("ascii").split()))
+    except (UnicodeDecodeError, ValueError) as exc:
+        raise NodeDecodeError(f"bad {what} payload: {exc}") from exc
 
 
 def parse_pairs(
@@ -53,11 +66,13 @@ def parse_pairs(
 class EnumerationApplication(Application):
     """Reverse-search application: one oracle, one vertex codec, one format.
 
-    Subclasses provide the oracle and vertex handling; this class runs the
-    budgeted traversal for a job, applies optional pruning to the unexplored
-    list, and packages the result.  Pruned-away chain vertices are emitted
-    (and counted) by the pruning job itself so the run-wide partition of
-    visits is preserved exactly.
+    Subclasses provide ``init``, which returns the oracle as the global data;
+    this class runs the budgeted traversal for a job, applies optional
+    pruning to the unexplored list, and packages the result.  Pruned-away
+    chain vertices are emitted (and counted) by the pruning job itself so
+    the run-wide partition of visits is preserved exactly.  The default
+    codec and line format suit integer-tuple vertices: :func:`encode_ints`
+    payloads, decoded only to a tuple the oracle's ``is_vertex`` accepts.
     """
 
     def __init__(self, prune: str = "off", count_only: bool = False) -> None:
@@ -73,7 +88,17 @@ class EnumerationApplication(Application):
         return global_data
 
     def format_vertex(self, global_data: Any, vertex: Any) -> str:
-        raise NotImplementedError
+        return " ".join(map(str, vertex))
+
+    def encode_node(self, vertex: Any) -> bytes:
+        return encode_ints(vertex)
+
+    def decode_node(self, payload: bytes, global_data: Any) -> Any:
+        # not through oracle_for(): a wrapping oracle need not forward is_vertex
+        vertex = decode_ints(payload, f"{self.descriptor.name} vertex")
+        if not global_data.is_vertex(vertex):
+            raise NodeDecodeError(f"payload is not a vertex of this {self.descriptor.name} input")
+        return vertex
 
     # Application contract --------------------------------------------------
 

@@ -26,7 +26,7 @@ import numpy as np
 from ..errors import InputFormatError, NodeDecodeError
 from ..reverse_search import AdjacencyOracle
 from ..search_api import ApplicationDescriptor
-from .base import EnumerationApplication
+from .base import EnumerationApplication, decode_ints, encode_ints
 
 LAW_NAMES = ("catalan", "fullbinary", "geometric", "poisson", "binomial", "uniform")
 
@@ -385,13 +385,10 @@ class GWTreeApplication(EnumerationApplication):
         return str(vertex)
 
     def encode_node(self, vertex: int) -> bytes:
-        return str(vertex).encode("ascii")
+        return encode_ints((vertex,))
 
     def decode_node(self, payload: bytes, global_data: GWTreeOracle) -> int:
-        try:
-            node = int(payload.decode("ascii"))
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise NodeDecodeError(f"bad gwtree node payload: {exc}") from exc
-        if not 0 <= node < global_data.n:
-            raise NodeDecodeError(f"gwtree node {node} out of range")
-        return node
+        node = decode_ints(payload, "gwtree node")
+        if len(node) != 1 or not 0 <= node[0] < global_data.n:
+            raise NodeDecodeError(f"not a node of this gwtree: {payload!r}")
+        return node[0]

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from ..errors import InputFormatError, NodeDecodeError
+from ..errors import InputFormatError
 from ..reverse_search import AdjacencyOracle
 from ..search_api import ApplicationDescriptor
 from .base import EnumerationApplication, parse_pairs
@@ -60,6 +60,8 @@ def parse_graph(data: bytes | str) -> Graph:
 
 
 def _connected(graph: Graph) -> bool:
+    if graph.m < graph.n - 1:  # before allocating anything of size n
+        return False
     if graph.n == 1:
         return True
     adj: list[list[int]] = [[] for _ in range(graph.n + 1)]
@@ -124,8 +126,10 @@ class SpantreeOracle(AdjacencyOracle):
             adj[v].append((u, idx))
         return adj
 
-    def is_spanning_tree(self, tree: Tree) -> bool:
-        if len(tree) != self.n_tree or len(set(tree)) != self.n_tree:
+    def is_vertex(self, tree: Tree) -> bool:
+        """True when ``tree`` lists, in increasing order, the edge indices
+        of a spanning tree."""
+        if len(tree) != self.n_tree or list(tree) != sorted(set(tree)):
             return False
         if any(not 0 <= idx < self.graph.m for idx in tree):
             return False
@@ -228,15 +232,3 @@ class SpantreeApplication(EnumerationApplication):
 
     def format_vertex(self, global_data: SpantreeOracle, vertex: Tree) -> str:
         return " ".join(str(idx + 1) for idx in vertex)  # 1-based like the input
-
-    def encode_node(self, vertex: Tree) -> bytes:
-        return " ".join(str(idx) for idx in vertex).encode("ascii")
-
-    def decode_node(self, payload: bytes, global_data: SpantreeOracle) -> Tree:
-        try:
-            tree = tuple(int(tok) for tok in payload.decode("ascii").split())
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise NodeDecodeError(f"bad tree payload: {exc}") from exc
-        if tuple(sorted(tree)) != tree or not global_data.is_spanning_tree(tree):
-            raise NodeDecodeError("payload is not a spanning tree of this graph")
-        return tree

@@ -104,7 +104,8 @@ class TopsortsOracle(AdjacencyOracle):
     def root(self) -> Perm:
         return self._root
 
-    def is_extension(self, perm: Perm) -> bool:
+    def is_vertex(self, perm: Perm) -> bool:
+        """True when ``perm`` is a linear extension of the poset."""
         if sorted(perm) != list(range(1, self.n + 1)):
             return False
         placed = 0
@@ -192,18 +193,3 @@ class TopsortsApplication(EnumerationApplication):
     def init(self, input_bytes: bytes) -> tuple[TopsortsOracle, bytes]:
         oracle = TopsortsOracle(parse_poset(input_bytes))
         return oracle, self.encode_node(oracle.root())
-
-    def format_vertex(self, global_data: TopsortsOracle, vertex: Perm) -> str:
-        return " ".join(str(e) for e in vertex)
-
-    def encode_node(self, vertex: Perm) -> bytes:
-        return " ".join(str(e) for e in vertex).encode("ascii")
-
-    def decode_node(self, payload: bytes, global_data: TopsortsOracle) -> Perm:
-        try:
-            perm = tuple(int(tok) for tok in payload.decode("ascii").split())
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise NodeDecodeError(f"bad permutation payload: {exc}") from exc
-        if not global_data.is_extension(perm):
-            raise NodeDecodeError("payload is not a linear extension of this poset")
-        return perm

@@ -48,7 +48,6 @@ class SchedulerConfig:
     lmax: float = 3.0
     # None: the application's default kind (``run`` resolves it)
     budget_kind: str | None = None
-    count_only: bool = False
     checkpoint_path: str | Path | None = None
     restart_path: str | Path | None = None
     # Stop handing out jobs after collecting this many results, checkpoint,

@@ -37,6 +37,7 @@ class CliOptions:
     app: str
     input_path: str
     prune: str
+    count_only: bool
     hist_path: str | None
     freq_path: str | None
     restarts: bool
@@ -96,7 +97,7 @@ def _build_parser() -> _Parser:
     runp.add_argument("-vsids", action="store_true", help="sat: activity-based branching")
     runp.add_argument(
         "-stopafter", type=int, default=None,
-        help="checkpoint and stop after this many jobs (migration)",
+        help="checkpoint and stop after this many jobs (migration; needs -checkpoint)",
     )
 
     gwp = sub.add_parser("gwtree", help="job-list growth experiment (CSV)")
@@ -118,8 +119,9 @@ def _build_parser() -> _Parser:
 def parse_cli(argv: Sequence[str]) -> CliOptions:
     """Parse a ``run`` command line into options and a validated engine config.
 
-    Out-of-range values are usage errors.  Whether the app accepts the budget
-    kind is checked by ``run``, before any worker starts.
+    Out-of-range values are usage errors, and so is ``-stopafter`` without
+    ``-checkpoint``.  Whether the app accepts the budget kind is checked by
+    ``run``, before any worker starts.
     """
     ns = _build_parser().parse_args(["run", *argv] if argv and argv[0] not in ("run",) else argv)
     if ns.command != "run":
@@ -135,17 +137,20 @@ def parse_cli(argv: Sequence[str]) -> CliOptions:
             lmin=ns.lmin,
             lmax=ns.lmax,
             budget_kind=ns.budgetkind,
-            count_only=ns.countonly,
             checkpoint_path=ns.checkpoint,
             restart_path=ns.restart,
             stop_after_jobs=ns.stopafter,
         )
     except ValueError as exc:
         raise _CliError(f"btsearch: {exc}", USAGE_ERROR) from None
+    if ns.stopafter is not None and ns.checkpoint is None:
+        # without a checkpoint the jobs left at the stop would be lost
+        raise _CliError("btsearch: -stopafter needs -checkpoint", USAGE_ERROR)
     return CliOptions(
         app=ns.app,
         input_path=ns.input,
         prune=ns.prune,
+        count_only=ns.countonly,
         hist_path=ns.hist,
         freq_path=ns.freq,
         restarts=ns.restarts,
@@ -161,7 +166,7 @@ def _cmd_run(opts: CliOptions) -> int:
         print(f"btsearch: cannot read input: {exc}", file=sys.stderr)
         return INPUT_ERROR
     if opts.app in _ENUM_APPS:
-        app = build_application(opts.app, prune=opts.prune, count_only=opts.config.count_only)
+        app = build_application(opts.app, prune=opts.prune, count_only=opts.count_only)
     else:
         app = build_application(opts.app, restarts=opts.restarts, vsids=opts.vsids)
     try:

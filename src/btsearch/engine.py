@@ -30,7 +30,7 @@ from typing import IO, Sequence
 
 from .budget import Budget, SchedulerConfig, select_budget
 from .checkpoint import checkpoint_read, checkpoint_write
-from .errors import EngineError, WorkerCrashError
+from .errors import CheckpointError, EngineError, NodeDecodeError, WorkerCrashError
 from .search_api import Application
 
 logger = logging.getLogger("btsearch")
@@ -292,11 +292,13 @@ def run(
     """Execute a full parallel run of ``app`` on ``input_bytes``.
 
     Resolves the budget kind against ``app.descriptor`` (ValueError on a kind
-    the app does not accept) and parses the input, both before any worker
-    starts.  Then seeds the job list with the application root or a restart
-    checkpoint and drives the master loop until every job is done, a worker
-    signals a global answer, or ``stop_after_jobs`` triggers a checkpointed
-    early stop.  Output lines stream to ``out`` via the consumer.
+    the app does not accept), parses the input and decodes every job of a
+    restart checkpoint (CheckpointError on one that does not decode), all
+    before any worker starts.  Then seeds the job list with the application
+    root or the restored jobs and drives the master loop until every job is
+    done, a worker signals a global answer, or ``stop_after_jobs`` triggers
+    a checkpointed early stop.  Output lines stream to ``out`` via the
+    consumer; a count-only app (``app.count_only``) gets one total line.
     """
     config = replace(config, budget_kind=app.descriptor.resolve_budget_kind(config.budget_kind))
     if out is None:
@@ -308,6 +310,11 @@ def run(
     master = Master(config)
     if config.restart_path is not None:
         jobs, tokens = checkpoint_read(config.restart_path, expected_app=app.descriptor.name)
+        for number, job in enumerate(jobs, start=1):
+            try:
+                app.decode_node(job, global_data)
+            except NodeDecodeError as exc:
+                raise CheckpointError(f"{config.restart_path}: job {number}: {exc}") from exc
         master.joblist.extend(jobs)
         master.store.merge(tokens)
     else:
@@ -413,10 +420,10 @@ def run(
         if draining:
             write_checkpoint_now()
         elif not master.halting:
-            final_lines = app.finalize(global_data, master.store.tokens, master.halting)
+            final_lines = app.finalize(global_data)
             if final_lines:
                 consumer_inbox.put(OutputMsg(tuple(final_lines), verdict=False))
-        if config.count_only:
+        if app.count_only:
             consumer_inbox.put(OutputMsg((str(master.report.total_output_count),)))
     finally:
         for inbox in master.inboxes:

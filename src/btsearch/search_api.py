@@ -69,6 +69,9 @@ class Application(ABC):
     """
 
     descriptor: ApplicationDescriptor
+    # The run's one count-only switch: ``search`` then returns only a count
+    # of its lines, and the engine prints the run's total as one line.
+    count_only = False
 
     @abstractmethod
     def init(self, input_bytes: bytes) -> tuple[Any, bytes]:
@@ -91,13 +94,10 @@ class Application(ABC):
         """
 
     @abstractmethod
-    def encode_node(self, vertex: Any) -> bytes:
-        """Serialize an application vertex into a job payload."""
-
-    @abstractmethod
     def decode_node(self, payload: bytes, global_data: Any) -> Any:
-        """Inverse of :meth:`encode_node`; raises NodeDecodeError on garbage."""
+        """The vertex a payload from ``init``/``search`` encodes; NodeDecodeError
+        on other bytes.  The engine also checks each restored job with it."""
 
-    def finalize(self, global_data: Any, shared: Sequence[bytes], halted: bool) -> list[str]:
-        """Lines to emit after a completed run (default: none)."""
+    def finalize(self, global_data: Any) -> list[str]:
+        """Lines to emit after a run that ended with no halt and no early stop."""
         return []

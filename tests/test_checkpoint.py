@@ -50,7 +50,7 @@ class TestRoundTrip:
         path.write_text(OLDER_RELEASE_CHECKPOINT)
         cfg = SchedulerConfig(
             num_workers=2, base_max_depth=None, base_max_nodes=4, scale=1,
-            lmin=math.inf, lmax=math.inf, count_only=True, restart_path=path,
+            lmin=math.inf, lmax=math.inf, restart_path=path,
         )
         out = io.StringIO()
         report = run(build_application("topsorts", count_only=True), b"4 0\n", cfg, out)

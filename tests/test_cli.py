@@ -1,3 +1,4 @@
+import base64
 import subprocess
 import sys
 
@@ -22,7 +23,7 @@ class TestParseCli:
         assert (config.lmin, config.lmax) == (1.0, 3.0)
         assert opts.prune == "off"
         assert TopsortsApplication.descriptor.resolve_budget_kind(config.budget_kind) == "nodes"
-        assert not config.count_only
+        assert not opts.count_only
 
     def test_explicit_budget_flags(self):
         opts = parse_cli(["run", "topsorts", "in.txt", "-scale", "200", "-maxnodes", "10000"])
@@ -116,6 +117,18 @@ class TestMain:
         assert captured.out == ""
         assert "boom" in captured.err
 
+    def test_restart_with_an_undecodable_job_exits_2(self, tmp_path, capsys):
+        inp = tmp_path / "poset.txt"
+        inp.write_text("3 0\n")
+        bad = tmp_path / "bad.ckpt"
+        bad.write_text("mts-checkpoint 1 topsorts\nN " + base64.b64encode(b"garbage").decode() + "\n")
+        code = main(["run", "topsorts", str(inp), "-restart", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert str(bad) in line and "job 1" in line
+
     def test_run_writes_frequency_and_histogram_files(self, tmp_path, capsys):
         inp = tmp_path / "poset.txt"
         inp.write_text("4 0\n")
@@ -196,6 +209,7 @@ class TestConsoleEntry:
             ["-lmax", "0"],
             ["-np", "0"],
             ["-budgetkind", "hours"],
+            ["-stopafter", "3"],  # without -checkpoint
         ],
     )
     def test_out_of_range_settings_exit_1_without_traceback(self, tmp_path, flags):

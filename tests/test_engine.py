@@ -324,16 +324,24 @@ class TestRun:
         # many jobs, stopped part-way: still one line, the master's total
         out = io.StringIO()
         app = build_application("topsorts", count_only=True)
-        cfg = static_config(None, 3, num_workers=2, count_only=True, stop_after_jobs=4)
+        cfg = static_config(None, 3, num_workers=2, stop_after_jobs=4)
         report = run(app, b"4 0\n", cfg, out)
         assert not report.completed
         assert 0 < report.total_output_count < 24
         assert out.getvalue() == f"{report.total_output_count}\n"
 
+    def test_count_only_app_prints_only_the_total_under_a_default_config(self):
+        # count-only is the app's setting alone: no extension lines, one total
+        out = io.StringIO()
+        app = build_application("topsorts", count_only=True)
+        report = run(app, b"3 0\n", SchedulerConfig(num_workers=2), out)
+        assert out.getvalue() == "6\n"
+        assert report.total_output_count == 6
+
     def test_count_only_consumer_emits_total(self):
         out = io.StringIO()
         app = build_application("topsorts", count_only=True)
-        report = run(app, b"4 0\n", static_config(None, 7, count_only=True), out)
+        report = run(app, b"4 0\n", static_config(None, 7), out)
         assert out.getvalue().strip() == "24"
         assert report.total_output_count == 24
 

@@ -5,7 +5,8 @@ small Galton-Watson-style trees.  Each bundled oracle's ``children()``
 override must agree with the default derived from ``adjacent``/``parent``
 on every vertex, and a budgeted job loop must partition the objects that
 the independent oracles in ``oracles.py`` count.  Every application's
-``decode_node`` must reject arbitrary bytes with ``NodeDecodeError``.
+``decode_node`` must reject arbitrary bytes with ``NodeDecodeError`` and
+must give back every vertex (or sat assumption) its payload encodes.
 """
 
 from collections import deque
@@ -17,7 +18,10 @@ from hypothesis import strategies as st
 
 from btsearch.apps import APPLICATION_NAMES, build_application
 
-from btsearch.apps.gwtree import GWTreeOracle, subtree_sizes
+from btsearch.apps.base import encode_ints
+from btsearch.apps.gwtree import GWTreeApplication, GWTreeOracle, subtree_sizes
+from btsearch.apps.sat.app import SatApplication
+from btsearch.apps.sat.dimacs import CnfFormula
 from btsearch.apps.spantree import Graph, SpantreeApplication, SpantreeOracle, format_graph
 from btsearch.apps.topsorts import Poset, TopsortsApplication, TopsortsOracle, format_poset
 from btsearch.budget import Budget
@@ -47,6 +51,20 @@ def connected_graphs(draw, max_n=7, max_extra=4):
         edges |= draw(st.sets(st.sampled_from(others), max_size=max_extra))
     # edge order sets the oracle's indices, so shuffle it
     return Graph(n=n, edges=tuple(draw(st.permutations(sorted(edges)))))
+
+
+@st.composite
+def gw_oracles(draw, max_size=80):
+    xi = random_offspring_sequence(draw(st.randoms(use_true_random=False)), max_size)
+    return GWTreeOracle(subtree_sizes(np.array(xi, dtype=np.int64)))
+
+
+@st.composite
+def sat_assumptions(draw, max_vars=12):
+    """A formula's variable count and a consistent assumption over it."""
+    n = draw(st.integers(1, max_vars))
+    variables = draw(st.lists(st.integers(1, n), unique=True))
+    return n, tuple(v * draw(st.sampled_from((1, -1))) for v in variables)
 
 
 budgets = st.builds(
@@ -90,10 +108,9 @@ def test_topsorts_children_match_default(poset):
 
 
 @PROPERTY_SETTINGS
-@given(st.randoms(use_true_random=False))
-def test_gwtree_children_match_default(rng):
-    xi = np.array(random_offspring_sequence(rng, 80), dtype=np.int64)
-    assert assert_children_match_default(GWTreeOracle(subtree_sizes(xi))) == xi.shape[0]
+@given(gw_oracles())
+def test_gwtree_children_match_default(oracle):
+    assert assert_children_match_default(oracle) == oracle.n
 
 
 @PROPERTY_SETTINGS
@@ -131,3 +148,25 @@ def test_decode_node_rejects_garbage_with_node_decode_error(name, payload):
         app.decode_node(payload, global_data)
     except NodeDecodeError:
         pass
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(
+        posets().map(lambda p: (TopsortsApplication(), TopsortsOracle(p))),
+        connected_graphs().map(lambda g: (SpantreeApplication(), SpantreeOracle(g))),
+        gw_oracles().map(lambda o: (GWTreeApplication(), o)),
+        sat_assumptions().map(lambda a: (SatApplication(), a)),
+    )
+)
+def test_every_payload_decodes_to_the_vertex_it_encodes(case):
+    app, data = case
+    if isinstance(app, SatApplication):
+        num_vars, assumption = data
+        formula = CnfFormula(num_vars=num_vars, clauses=())
+        assert app.decode_node(encode_ints(assumption), formula) == assumption
+        return
+    vertices = [data.root()]
+    reverse_search(data, data.root(), sink=lambda v, flagged: vertices.append(v))
+    for v in vertices:
+        assert app.decode_node(app.encode_node(v), data) == v

@@ -7,6 +7,7 @@ import pytest
 from btsearch.budget import Budget, SchedulerConfig
 from btsearch.engine import run
 from btsearch.errors import NodeDecodeError
+from btsearch.apps.base import encode_ints
 from btsearch.apps.sat.app import SatApplication
 from btsearch.apps.sat.dimacs import parse_dimacs, verify_model
 
@@ -127,7 +128,7 @@ class TestNodePayloads:
         gd, root = app.init(b"p cnf 3 1\n1 2 3 0\n")
         assert root == b""
         assert app.decode_node(root, gd) == ()
-        assert app.decode_node(app.encode_node((1, -3)), gd) == (1, -3)
+        assert app.decode_node(encode_ints((1, -3)), gd) == (1, -3)
 
     def test_decode_rejects_garbage(self):
         app = SatApplication()

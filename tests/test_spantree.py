@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -58,6 +59,17 @@ class TestParse:
         with pytest.raises(InputFormatError):
             parse_graph(b"3 3\n1 2\n2 3\n")
 
+    def test_too_few_edges_rejected_before_allocating_for_n(self):
+        # fewer than n - 1 edges cannot connect n vertices: say so from the header
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputFormatError, match="graph is not connected"):
+                parse_graph(b"2000000 0\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
 
 class TestOracle:
     def test_root_is_lexicographically_least_tree(self):
@@ -70,7 +82,7 @@ class TestOracle:
         oracle = SpantreeOracle(graph)
         rootset = set(oracle.root())
         tree = (2, 3, 5)  # edges (1,4),(2,3),(3,4)
-        assert oracle.is_spanning_tree(tree)
+        assert oracle.is_vertex(tree)
         steps = 0
         current = tree
         while current != oracle.root():
@@ -97,7 +109,7 @@ class TestOracle:
         reverse_search(oracle, oracle.root(), sink=lambda v, f: seen.append(v))
         trees = seen + [oracle.root()]
         assert len(trees) == len(set(trees)) == expected
-        assert all(oracle.is_spanning_tree(t) for t in trees)
+        assert all(oracle.is_vertex(t) for t in trees)
 
 
 class TestApplication:

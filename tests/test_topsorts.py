@@ -89,7 +89,7 @@ class TestOracle:
                     continue
                 parent, j = oracle.parent(perm)
                 assert oracle.adjacent(parent, j) == perm
-                assert oracle.is_extension(parent)
+                assert oracle.is_vertex(parent)
 
     def test_total_order_has_single_vertex_tree(self):
         oracle = TopsortsOracle(total_order(4))
@@ -127,7 +127,7 @@ class TestApplication:
         run(TopsortsApplication(), format_poset(poset).encode(), static_config(None, 3), out)
         oracle = TopsortsOracle(poset)
         for line in out.getvalue().splitlines():
-            assert oracle.is_extension(tuple(int(t) for t in line.split()))
+            assert oracle.is_vertex(tuple(int(t) for t in line.split()))
 
     def test_node_round_trip(self):
         app = TopsortsApplication()

@@ -1,7 +1,7 @@
 """Budgeted SAT solving pluggable into the engine."""
 
 from .dimacs import CnfFormula, parse_dimacs, verify_model
-from .solver import CdclSolver, SolveOutcome, solve_budgeted, unit_propagate
+from .solver import CdclSolver, SolveOutcome, solve_budgeted
 
 __all__ = [
     "CnfFormula",
@@ -10,5 +10,4 @@ __all__ = [
     "CdclSolver",
     "SolveOutcome",
     "solve_budgeted",
-    "unit_propagate",
 ]

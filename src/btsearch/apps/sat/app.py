@@ -54,7 +54,7 @@ class SatApplication(Application):
         shared: Sequence[bytes],
     ) -> SearchResult:
         assumption = self.decode_node(payload, global_data)
-        units = [self._decode_unit(tok, global_data) for tok in shared]
+        units = [self.decode_token(tok, global_data) for tok in shared]
         outcome = solve_budgeted(
             global_data,
             assumption,
@@ -102,8 +102,8 @@ class SatApplication(Application):
             shared_delta=delta,
         )
 
-    @staticmethod
-    def _decode_unit(token: bytes, global_data: CnfFormula) -> int:
+    def decode_token(self, token: bytes, global_data: CnfFormula) -> int:
+        """The learnt unit literal ``token`` encodes."""
         unit = decode_ints(token, "shared unit")
         if len(unit) != 1 or unit[0] == 0 or abs(unit[0]) > global_data.num_vars:
             raise NodeDecodeError(f"shared unit {token!r} is not one literal in range")

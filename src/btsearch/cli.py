@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 input error, 3 internal abort.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -179,6 +180,7 @@ def _cmd_run(opts: CliOptions) -> int:
         return INPUT_ERROR
     except BtsearchError as exc:
         print(f"btsearch: aborted: {exc}", file=sys.stderr)
+        _drop_unwritable_stdout()
         return INTERNAL_ERROR
     if opts.freq_path:
         write_frequency_file(report.frequencies, opts.freq_path)
@@ -191,6 +193,20 @@ def _cmd_run(opts: CliOptions) -> int:
         file=sys.stderr,
     )
     return 0
+
+
+def _drop_unwritable_stdout() -> None:
+    """Point stdout at the null device if it can no longer be written.
+
+    Otherwise the interpreter's flush at exit fails again on a closed pipe,
+    prints a second error and exits 120.
+    """
+    try:
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _cmd_gwtree(ns: argparse.Namespace) -> int:

@@ -11,6 +11,8 @@ The master's view of the workers is a deque of idle worker ids and a map
 from each busy worker to its job, so assigning, collecting and the done
 test never scan the workers.  The master also owns the output count: in
 count-only mode it sends the consumer the run's total as a single line.
+A consumer that cannot write the output reports it on the same result
+queue, and the master aborts the run.
 
 Shared data is master-mediated: workers send opaque token deltas with each
 result, the master merges them (set semantics, global sequence order) and
@@ -65,6 +67,11 @@ class ResultMsg:
 @dataclass(frozen=True)
 class CrashMsg:
     worker_id: int
+    error: str
+
+
+@dataclass(frozen=True)
+class WriteErrorMsg:
     error: str
 
 
@@ -185,24 +192,29 @@ def worker_loop(
         to_master.put(CrashMsg(worker_id=worker_id, error=f"{type(exc).__name__}: {exc}"))
 
 
-def consumer_loop(inbox: "queue.Queue", out: IO[str]) -> None:
+def consumer_loop(inbox: "queue.Queue", out: IO[str], to_master: "queue.Queue") -> None:
     """Write output lines verbatim in arrival order until terminate.
 
-    Verdict-tagged messages are deduplicated to the first one seen.
+    Verdict-tagged messages are deduplicated to the first one seen.  A
+    failed write or flush (``OSError``) is sent to the master as a
+    ``WriteErrorMsg`` and ends the loop: no later line is written.
     """
     verdict_seen = False
-    while True:
-        msg = inbox.get()
-        if isinstance(msg, TerminateMsg):
-            break
-        if isinstance(msg, OutputMsg):
-            if msg.verdict:
-                if verdict_seen:
-                    continue
-                verdict_seen = True
-            for line in msg.lines:
-                out.write(line + "\n")
-    out.flush()
+    try:
+        while True:
+            msg = inbox.get()
+            if isinstance(msg, TerminateMsg):
+                break
+            if isinstance(msg, OutputMsg):
+                if msg.verdict:
+                    if verdict_seen:
+                        continue
+                    verdict_seen = True
+                for line in msg.lines:
+                    out.write(line + "\n")
+        out.flush()
+    except OSError as exc:
+        to_master.put(WriteErrorMsg(f"cannot write the output ({type(exc).__name__}: {exc})"))
 
 
 # --------------------------------------------------------------------------
@@ -292,13 +304,14 @@ def run(
     """Execute a full parallel run of ``app`` on ``input_bytes``.
 
     Resolves the budget kind against ``app.descriptor`` (ValueError on a kind
-    the app does not accept), parses the input and decodes every job of a
-    restart checkpoint (CheckpointError on one that does not decode), all
-    before any worker starts.  Then seeds the job list with the application
-    root or the restored jobs and drives the master loop until every job is
-    done, a worker signals a global answer, or ``stop_after_jobs`` triggers
-    a checkpointed early stop.  Output lines stream to ``out`` via the
-    consumer; a count-only app (``app.count_only``) gets one total line.
+    the app does not accept), parses the input and decodes every job and
+    shared token of a restart checkpoint (CheckpointError on one that does
+    not decode), all before any worker starts.  Then seeds the job list
+    with the application root or the restored jobs and drives the master
+    loop until every job is done, a worker signals a global answer, or
+    ``stop_after_jobs`` triggers a checkpointed early stop.  Output lines
+    stream to ``out`` via the consumer; a count-only app (``app.count_only``)
+    gets one total line.  A failed write to ``out`` raises EngineError.
     """
     config = replace(config, budget_kind=app.descriptor.resolve_budget_kind(config.budget_kind))
     if out is None:
@@ -310,11 +323,13 @@ def run(
     master = Master(config)
     if config.restart_path is not None:
         jobs, tokens = checkpoint_read(config.restart_path, expected_app=app.descriptor.name)
-        for number, job in enumerate(jobs, start=1):
-            try:
-                app.decode_node(job, global_data)
-            except NodeDecodeError as exc:
-                raise CheckpointError(f"{config.restart_path}: job {number}: {exc}") from exc
+        checks = (("job", app.decode_node, jobs), ("shared token", app.decode_token, tokens))
+        for what, decode, items in checks:
+            for number, item in enumerate(items, start=1):
+                try:
+                    decode(item, global_data)
+                except NodeDecodeError as exc:
+                    raise CheckpointError(f"{config.restart_path}: {what} {number}: {exc}") from exc
         master.joblist.extend(jobs)
         master.store.merge(tokens)
     else:
@@ -323,7 +338,7 @@ def run(
     consumer_inbox: queue.Queue = queue.Queue()
     consumer = threading.Thread(
         target=consumer_loop,
-        args=(consumer_inbox, out),
+        args=(consumer_inbox, out, master.results),
         name="btsearch-consumer",
         daemon=True,
     )
@@ -380,6 +395,8 @@ def run(
                         f"worker {msg.worker_id} crashed ({msg.error}); "
                         "its job is lost and the run was aborted"
                     )
+                if isinstance(msg, WriteErrorMsg):
+                    raise EngineError(msg.error)
                 master.collect_result(msg)
                 progressed = True
 
@@ -432,4 +449,9 @@ def run(
         for worker in workers:
             worker.join(timeout=30.0)
         consumer.join(timeout=30.0)
+    # the consumer writes the last lines after the loop ends
+    while not master.results.empty():
+        msg = master.results.get_nowait()
+        if isinstance(msg, WriteErrorMsg):
+            raise EngineError(msg.error)
     return master.report

@@ -98,6 +98,12 @@ class Application(ABC):
         """The vertex a payload from ``init``/``search`` encodes; NodeDecodeError
         on other bytes.  The engine also checks each restored job with it."""
 
+    def decode_token(self, token: bytes, global_data: Any) -> Any:
+        """The value a shared token from ``search`` encodes; NodeDecodeError on
+        other bytes.  The engine checks each restored token with it.  The
+        default accepts any bytes, for apps that share nothing."""
+        return token
+
     def finalize(self, global_data: Any) -> list[str]:
         """Lines to emit after a run that ended with no halt and no early stop."""
         return []

@@ -13,6 +13,7 @@ import itertools
 import random
 from collections import deque
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -172,6 +173,45 @@ def brute_force_implied(formula: CnfFormula, lit: int) -> bool:
     )
     sat, _ = brute_force_sat(augmented)
     return not sat
+
+
+def unit_propagate(
+    clauses: Sequence[Sequence[int]],
+    assignment: Sequence[int] = (),
+) -> tuple[list[int], tuple[int, ...] | None]:
+    """Plain unit propagation to fixpoint, independent of the solver.
+
+    Returns the extended assignment (input order preserved, derived
+    literals appended) and the first falsified clause, or None.
+    """
+    assigned: dict[int, bool] = {}
+    order: list[int] = []
+    for lit in assignment:
+        assigned[abs(lit)] = lit > 0
+        order.append(lit)
+    changed = True
+    while changed:
+        changed = False
+        for clause in clauses:
+            unassigned = []
+            satisfied = False
+            for lit in clause:
+                val = assigned.get(abs(lit))
+                if val is None:
+                    unassigned.append(lit)
+                elif (lit > 0) == val:
+                    satisfied = True
+                    break
+            if satisfied:
+                continue
+            if not unassigned:
+                return order, tuple(clause)
+            if len(unassigned) == 1:
+                lit = unassigned[0]
+                assigned[abs(lit)] = lit > 0
+                order.append(lit)
+                changed = True
+    return order, None
 
 
 def pigeonhole_cnf(pigeons: int, holes: int) -> CnfFormula:

@@ -129,6 +129,23 @@ class TestMain:
         (line,) = captured.err.splitlines()
         assert str(bad) in line and "job 1" in line
 
+    def test_restart_with_an_undecodable_shared_token_exits_2(self, tmp_path, capsys):
+        inp = tmp_path / "php.cnf"
+        inp.write_text(cnf_text(pigeonhole_cnf(3, 2)))
+        bad = tmp_path / "bad.ckpt"
+        bad.write_text(
+            "mts-checkpoint 1 sat\n"
+            f"S {base64.b64encode(b'-1').decode()}\n"
+            f"S {base64.b64encode(b'garbage').decode()}\n"
+            f"N {base64.b64encode(b'1').decode()}\n"
+        )
+        code = main(["run", "sat", str(inp), "-restart", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert str(bad) in line and "shared token 2" in line
+
     def test_run_writes_frequency_and_histogram_files(self, tmp_path, capsys):
         inp = tmp_path / "poset.txt"
         inp.write_text("4 0\n")
@@ -225,6 +242,23 @@ class TestConsoleEntry:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("flags", [["-np", "1"], ["-np", "2"], ["-countonly"]])
+    def test_closed_stdout_exits_3_with_one_line(self, tmp_path, flags):
+        inp = tmp_path / "g.txt"
+        inp.write_text("catalan 20 40 7\n")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "btsearch.cli", "run", "gwtree", str(inp), *flags],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        proc.stdout.close()  # as `| head -1` does once it has its line
+        _, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 3
+        assert "Traceback" not in stderr
+        (line,) = stderr.splitlines()
+        assert line.startswith("btsearch: aborted: cannot write the output (BrokenPipeError")
 
     def test_importing_the_cli_does_not_load_numpy(self):
         # only the gwtree subcommand needs numpy; every run pays its import

@@ -239,7 +239,9 @@ class TestConsumerLoop:
             inbox.put(m)
         inbox.put(TerminateMsg())
         out = io.StringIO()
-        consumer_loop(inbox, out)
+        to_master = queue.Queue()
+        consumer_loop(inbox, out, to_master)
+        assert to_master.empty()
         return out.getvalue()
 
     def test_messages_written_verbatim_in_order(self):
@@ -254,6 +256,19 @@ class TestConsumerLoop:
             [OutputMsg(("s ONE",), verdict=True), OutputMsg(("s TWO",), verdict=True)]
         )
         assert got == "s ONE\n"
+
+
+class FailingOutput(io.StringIO):
+    """An output stream whose writes fail once ``limit`` lines are written."""
+
+    def __init__(self, limit):
+        super().__init__()
+        self.limit = limit
+
+    def write(self, text):
+        if self.getvalue().count("\n") >= self.limit:
+            raise OSError(28, "No space left on device")
+        return super().write(text)
 
 
 class TestRun:
@@ -293,6 +308,17 @@ class TestRun:
         with pytest.raises(WorkerCrashError, match="worker init failed"):
             run(WorkerInitCrashApp(), b"", SchedulerConfig(num_workers=2))
         assert time.monotonic() - start < 5.0
+        leaked = [t.name for t in threading.enumerate() if t.name.startswith("btsearch-")]
+        assert leaked == []
+
+    @pytest.mark.parametrize(
+        ("count_only", "limit"),
+        [(False, 0), (False, 5), (True, 0)],  # the total is written after the loop
+    )
+    def test_a_failed_output_write_aborts_the_run(self, count_only, limit):
+        app = build_application("topsorts", count_only=count_only)
+        with pytest.raises(EngineError, match="cannot write the output .OSError: .Errno 28"):
+            run(app, b"4 0\n", static_config(None, 3), FailingOutput(limit))
         leaked = [t.name for t in threading.enumerate() if t.name.startswith("btsearch-")]
         assert leaked == []
 

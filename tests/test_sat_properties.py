@@ -1,0 +1,112 @@
+"""Property tests of the CDCL solver over random small CNFs.
+
+The differential test runs ``reference_cdcl`` (the solver before its
+propagation fast path) and ``btsearch.apps.sat.solver`` on the same random
+formula, assumption, shared units, budget and options, and requires every
+outcome field to be identical: the fast path must do the same search.  The
+brute-force test checks the solver's verdict, models and learnt units
+against exhaustive enumeration in ``oracles.py``.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_cdcl
+from btsearch.apps.sat import solver
+from btsearch.apps.sat.dimacs import CnfFormula, verify_model
+from btsearch.budget import Budget
+
+from oracles import brute_force_implied, brute_force_sat
+
+OUTCOME_FIELDS = (
+    "status",
+    "model",
+    "splits",
+    "learnt_units",
+    "decisions",
+    "conflicts",
+    "global_unsat",
+)
+
+
+def random_cnf(rng: random.Random, num_vars: int, ratio: float, units: int) -> CnfFormula:
+    """Mostly 3-literal clauses (some of width 2 or 4), plus ``units`` unit clauses."""
+    clauses = []
+    for _ in range(round(ratio * num_vars)):
+        width = min(num_vars, rng.choice((2, 3, 3, 3, 3, 4)))
+        clauses.append(
+            tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, num_vars + 1), width))
+        )
+    for _ in range(units):
+        clauses.append((rng.choice((1, -1)) * rng.randint(1, num_vars),))
+    rng.shuffle(clauses)
+    return CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
+
+
+def random_assumption(rng: random.Random, num_vars: int, size: int) -> tuple[int, ...]:
+    chosen = rng.sample(range(1, num_vars + 1), min(size, num_vars))
+    return tuple(v if rng.random() < 0.5 else -v for v in chosen)
+
+
+@st.composite
+def solver_cases(draw, max_vars):
+    # a seeded generator: drawing each literal from hypothesis is far slower
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    num_vars = draw(st.integers(1, max_vars))
+    units = draw(st.sampled_from((0, 0, 1, 3)))
+    cnf = random_cnf(rng, num_vars, draw(st.floats(0.0, 6.0)), units)
+    assumption = random_assumption(rng, num_vars, draw(st.integers(0, 6)))
+    return cnf, assumption, rng
+
+
+def fields(outcome) -> tuple:
+    # SolveOutcomes of two modules are different classes and never compare equal
+    return tuple(getattr(outcome, name) for name in OUTCOME_FIELDS)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    case=solver_cases(max_vars=40),
+    shared=st.integers(0, 3),
+    limit=st.sampled_from((1, 2, 3, 5, 20, None)),
+    kind=st.sampled_from(("decisions", "conflicts")),
+    restarts=st.booleans(),
+    vsids=st.booleans(),
+    restart_base=st.sampled_from((2, 100)),
+)
+def test_fast_path_outcomes_equal_the_reference_solver(
+    case, shared, limit, kind, restarts, vsids, restart_base
+):
+    cnf, assumption, rng = case
+    shared_units = [rng.choice((1, -1)) * rng.randint(1, cnf.num_vars) for _ in range(shared)]
+    budget = Budget(None, limit, kind)
+    outcomes = [
+        module.CdclSolver(
+            cnf,
+            extra_units=shared_units,
+            restarts=restarts,
+            vsids=vsids,
+            restart_base=restart_base,
+        ).solve(assumption, budget)
+        for module in (reference_cdcl, solver)
+    ]
+    assert fields(outcomes[1]) == fields(outcomes[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=solver_cases(max_vars=12), restarts=st.booleans(), vsids=st.booleans())
+def test_verdicts_models_and_learnt_units_match_brute_force(case, restarts, vsids):
+    cnf, assumption, _rng = case
+    outcome = solver.solve_budgeted(cnf, assumption, restarts=restarts, vsids=vsids)
+    assumed = CnfFormula(cnf.num_vars, cnf.clauses + tuple((lit,) for lit in assumption))
+    expected_sat, _model = brute_force_sat(assumed)
+    assert outcome.status == ("sat" if expected_sat else "unsat")
+    if expected_sat:
+        assert verify_model(assumed, outcome.model)
+    if outcome.global_unsat:
+        assert not brute_force_sat(cnf)[0]
+    for unit in outcome.learnt_units:
+        # implied by the formula alone, whatever the assumption
+        assert brute_force_implied(cnf, unit), unit

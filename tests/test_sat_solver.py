@@ -4,10 +4,16 @@ import random
 import pytest
 
 from btsearch.apps.sat.dimacs import CnfFormula, verify_model
-from btsearch.apps.sat.solver import CdclSolver, solve_budgeted, unit_propagate
+from btsearch.apps.sat.solver import CdclSolver, solve_budgeted
 from btsearch.budget import Budget
 
-from oracles import brute_force_implied, brute_force_sat, pigeonhole_cnf, random_3cnf
+from oracles import (
+    brute_force_implied,
+    brute_force_sat,
+    pigeonhole_cnf,
+    random_3cnf,
+    unit_propagate,
+)
 
 
 def formula(num_vars, *clauses):

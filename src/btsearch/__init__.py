@@ -28,7 +28,7 @@ from .reverse_search import (
     reverse_search,
     tree_children,
 )
-from .search_api import Application, ApplicationDescriptor, SearchResult
+from .search_api import Application, SearchResult
 
 __version__ = "0.1.0"
 
@@ -58,7 +58,6 @@ __all__ = [
     "reverse_search",
     "tree_children",
     "Application",
-    "ApplicationDescriptor",
     "SearchResult",
     "__version__",
 ]

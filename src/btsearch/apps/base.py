@@ -95,9 +95,9 @@ class EnumerationApplication(Application):
 
     def decode_node(self, payload: bytes, global_data: Any) -> Any:
         # not through oracle_for(): a wrapping oracle need not forward is_vertex
-        vertex = decode_ints(payload, f"{self.descriptor.name} vertex")
+        vertex = decode_ints(payload, f"{self.name} vertex")
         if not global_data.is_vertex(vertex):
-            raise NodeDecodeError(f"payload is not a vertex of this {self.descriptor.name} input")
+            raise NodeDecodeError(f"payload is not a vertex of this {self.name} input")
         return vertex
 
     # Application contract --------------------------------------------------

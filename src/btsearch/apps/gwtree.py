@@ -25,7 +25,6 @@ import numpy as np
 
 from ..errors import InputFormatError, NodeDecodeError
 from ..reverse_search import AdjacencyOracle
-from ..search_api import ApplicationDescriptor
 from .base import EnumerationApplication, decode_ints, encode_ints
 
 LAW_NAMES = ("catalan", "fullbinary", "geometric", "poisson", "binomial", "uniform")
@@ -365,7 +364,7 @@ class GWTreeApplication(EnumerationApplication):
     """Engine plug-in: input ``law size_lo size_hi seed [k]`` samples one tree
     deterministically, then enumerates its nodes under the usual budgets."""
 
-    descriptor = ApplicationDescriptor(name="gwtree")
+    name = "gwtree"
 
     def init(self, input_bytes: bytes) -> tuple[GWTreeOracle, bytes]:
         text = input_bytes.decode("ascii", errors="replace")

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from ...budget import Budget
 from ...errors import BtsearchError, NodeDecodeError
-from ...search_api import Application, ApplicationDescriptor, SearchResult
+from ...search_api import Application, SearchResult
 from ..base import decode_ints, encode_ints
 from .dimacs import CnfFormula, parse_dimacs, verify_model
 from .solver import SolveOutcome, solve_budgeted
@@ -22,10 +22,8 @@ from .solver import SolveOutcome, solve_budgeted
 class SatApplication(Application):
     """DIMACS CNF in; ``s SATISFIABLE``/``s UNSATISFIABLE`` verdict out."""
 
-    descriptor = ApplicationDescriptor(
-        name="sat",
-        budget_kinds=("decisions", "conflicts"),
-    )
+    name = "sat"
+    budget_kinds = ("decisions", "conflicts")
 
     def __init__(self, restarts: bool = False, vsids: bool = False) -> None:
         self.restarts = restarts

@@ -20,7 +20,6 @@ from typing import Iterable, Iterator
 
 from ..errors import InputFormatError
 from ..reverse_search import AdjacencyOracle
-from ..search_api import ApplicationDescriptor
 from .base import EnumerationApplication, parse_pairs
 
 Tree = tuple[int, ...]  # sorted 0-based edge indices
@@ -224,7 +223,7 @@ def count_spanning_trees(graph: Graph, config=None) -> int:
 
 
 class SpantreeApplication(EnumerationApplication):
-    descriptor = ApplicationDescriptor(name="spantree")
+    name = "spantree"
 
     def init(self, input_bytes: bytes) -> tuple[SpantreeOracle, bytes]:
         oracle = SpantreeOracle(parse_graph(input_bytes))

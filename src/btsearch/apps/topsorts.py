@@ -12,12 +12,12 @@ extension has a unique finite path to it.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterator
 
 from ..errors import InputFormatError, NodeDecodeError
 from ..reverse_search import AdjacencyOracle
-from ..search_api import ApplicationDescriptor
 from .base import EnumerationApplication, parse_pairs
 
 Perm = tuple[int, ...]
@@ -44,27 +44,33 @@ def parse_poset(data: bytes | str) -> Poset:
     return poset
 
 
-def _closure(poset: Poset) -> list[int]:
-    """Bitmask transitive closure: succ[a] has bit b set when a precedes b.
+def _closure(poset: Poset) -> tuple[list[int], list[int], Perm]:
+    """Bitmask transitive closure and the greedy root, from one topological sort.
 
-    Raises InputFormatError if the relation digraph has a cycle.
+    Returns ``(succ, pred, order)``: ``succ[a]`` has bit b set when a
+    precedes b, ``pred[b]`` has bit a set then, and ``order`` is the
+    lexicographically smallest linear extension (Kahn's algorithm taking
+    the smallest available element each step).  Raises InputFormatError if
+    the relation digraph has a cycle.
     """
     n = poset.n
     succ = [0] * (n + 1)
+    pred = [0] * (n + 1)
     adj: list[list[int]] = [[] for _ in range(n + 1)]
     indeg = [0] * (n + 1)
     for a, b in poset.relations:
         adj[a].append(b)
         indeg[b] += 1
-    order = [v for v in range(1, n + 1) if indeg[v] == 0]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
+    heap = [v for v in range(1, n + 1) if indeg[v] == 0]  # sorted: already a heap
+    order = []
+    while heap:
+        v = heapq.heappop(heap)
+        order.append(v)
         for w in adj[v]:
+            pred[w] |= (1 << v) | pred[v]
             indeg[w] -= 1
             if indeg[w] == 0:
-                order.append(w)
+                heapq.heappush(heap, w)
     if len(order) != n:
         raise InputFormatError("relation digraph contains a cycle")
     for v in reversed(order):
@@ -72,7 +78,7 @@ def _closure(poset: Poset) -> list[int]:
         for w in adj[v]:
             mask |= (1 << w) | succ[w]
         succ[v] = mask
-    return succ
+    return succ, pred, tuple(order)
 
 
 class TopsortsOracle(AdjacencyOracle):
@@ -81,25 +87,7 @@ class TopsortsOracle(AdjacencyOracle):
     def __init__(self, poset: Poset) -> None:
         self.n = poset.n
         self.max_degree = poset.n - 1
-        self._succ = _closure(poset)
-        # pred[e]: bitmask of elements that must precede e
-        self._pred = [0] * (poset.n + 1)
-        for a in range(1, poset.n + 1):
-            for b in range(1, poset.n + 1):
-                if self._succ[a] >> b & 1:
-                    self._pred[b] |= 1 << a
-        self._root = self._greedy_root()
-
-    def _greedy_root(self) -> Perm:
-        placed = 0
-        out = []
-        remaining = set(range(1, self.n + 1))
-        for _ in range(self.n):
-            e = min(x for x in remaining if self._pred[x] & ~placed == 0)
-            out.append(e)
-            placed |= 1 << e
-            remaining.remove(e)
-        return tuple(out)
+        self._succ, self._pred, self._root = _closure(poset)
 
     def root(self) -> Perm:
         return self._root
@@ -188,7 +176,7 @@ def count_extensions(poset: Poset, config=None) -> int:
 
 
 class TopsortsApplication(EnumerationApplication):
-    descriptor = ApplicationDescriptor(name="topsorts")
+    name = "topsorts"
 
     def init(self, input_bytes: bytes) -> tuple[TopsortsOracle, bytes]:
         oracle = TopsortsOracle(parse_poset(input_bytes))

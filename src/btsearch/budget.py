@@ -46,7 +46,7 @@ class SchedulerConfig:
     scale: int = 40
     lmin: float = 1.0
     lmax: float = 3.0
-    # None: the application's default kind (``run`` resolves it)
+    # None: the application's default kind (``run`` resolves and checks it)
     budget_kind: str | None = None
     checkpoint_path: str | Path | None = None
     restart_path: str | Path | None = None
@@ -67,8 +67,6 @@ class SchedulerConfig:
             raise ValueError("lmin and lmax must be positive")
         if self.lmin > self.lmax:
             raise ValueError("lmin must not exceed lmax")
-        if self.budget_kind is not None and self.budget_kind not in BUDGET_KINDS:
-            raise ValueError(f"unknown budget kind {self.budget_kind!r}")
         if self.stop_after_jobs is not None and self.stop_after_jobs < 1:
             raise ValueError("stop_after_jobs must be >= 1 or None")
 

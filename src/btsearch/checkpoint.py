@@ -57,7 +57,7 @@ def checkpoint_read(
     """Reconstruct ``(job_payloads, shared_tokens)`` from a checkpoint file."""
     try:
         text = Path(path).read_text(encoding="ascii")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     lines = text.splitlines()
     if not lines:

@@ -230,7 +230,16 @@ def _cmd_gwtree(ns: argparse.Namespace) -> int:
             print(f"btsearch: cannot write {ns.out}: {exc}", file=sys.stderr)
             return INPUT_ERROR
     else:
-        write_experiment_csv(result, sys.stdout)
+        try:
+            write_experiment_csv(result, sys.stdout)
+            sys.stdout.flush()
+        except OSError as exc:
+            print(
+                f"btsearch: aborted: cannot write the output ({type(exc).__name__}: {exc})",
+                file=sys.stderr,
+            )
+            _drop_unwritable_stdout()
+            return INTERNAL_ERROR
     print(
         f"btsearch: mean ratio {result.mean_ratio:.6f}, predicted {result.predicted:.6f}",
         file=sys.stderr,

@@ -2,17 +2,27 @@
 
 One master, one consumer, and N workers run as isolated execution contexts
 (threads here) that share no mutable state: every interaction travels over
-FIFO channels as a small immutable message, and a job is just the payload
-bytes its application encoded.  Workers block on their own inbox and all
-put their results on one shared queue; the master polls that queue
-non-blockingly, growing the job list from returned unexplored payloads and
-shrinking it by assignment until the list is empty and no job is in flight.
-The master's view of the workers is a deque of idle worker ids and a map
-from each busy worker to its job, so assigning, collecting and the done
-test never scan the workers.  The master also owns the output count: in
-count-only mode it sends the consumer the run's total as a single line.
-A consumer that cannot write the output reports it on the same result
-queue, and the master aborts the run.
+FIFO channels, and a job is just the payload bytes its application encoded.
+The protocol has three message types and two signals:
+
+- ``AssignMsg``, master to worker: a job, its budget and the shared tokens
+  the worker has not seen yet;
+- ``ResultMsg``, worker to master: the job's counts, its unexplored
+  payloads and its new shared tokens;
+- ``OutputMsg``, worker or master to consumer: lines to write;
+- ``None`` in any inbox tells its reader to stop;
+- a ``BtsearchError`` on the master's result queue is the error the master
+  raises: ``WorkerCrashError`` from a worker whose job or ``init`` failed,
+  ``EngineError`` from a consumer that cannot write the output.
+
+Workers block on their own inbox and all put their results on one shared
+queue; the master polls that queue non-blockingly, growing the job list
+from returned unexplored payloads and shrinking it by assignment until the
+list is empty and no job is in flight.  The master's view of the workers is
+a deque of idle worker ids and a map from each busy worker to its job, so
+assigning, collecting and the done test never scan the workers.  The
+master also owns the output count: in count-only mode it sends the
+consumer the run's total as a single line.
 
 Shared data is master-mediated: workers send opaque token deltas with each
 result, the master merges them (set semantics, global sequence order) and
@@ -32,7 +42,13 @@ from typing import IO, Sequence
 
 from .budget import Budget, SchedulerConfig, select_budget
 from .checkpoint import checkpoint_read, checkpoint_write
-from .errors import CheckpointError, EngineError, NodeDecodeError, WorkerCrashError
+from .errors import (
+    BtsearchError,
+    CheckpointError,
+    EngineError,
+    NodeDecodeError,
+    WorkerCrashError,
+)
 from .search_api import Application
 
 logger = logging.getLogger("btsearch")
@@ -65,25 +81,9 @@ class ResultMsg:
 
 
 @dataclass(frozen=True)
-class CrashMsg:
-    worker_id: int
-    error: str
-
-
-@dataclass(frozen=True)
-class WriteErrorMsg:
-    error: str
-
-
-@dataclass(frozen=True)
 class OutputMsg:
     lines: tuple[str, ...]
     verdict: bool = False
-
-
-@dataclass(frozen=True)
-class TerminateMsg:
-    pass
 
 
 # --------------------------------------------------------------------------
@@ -160,20 +160,15 @@ def worker_loop(
     to_master: "queue.Queue",
     to_consumer: "queue.Queue",
 ) -> None:
-    """Receive jobs, run the application search, ship results until terminate.
+    """Receive jobs, run the application search, ship results until ``None``.
 
-    Any exception is converted into a crash message so the master can abort
-    the run instead of waiting forever.
+    Any exception becomes a ``WorkerCrashError`` on the result queue, so the
+    master can abort the run instead of waiting forever.
     """
     try:
         global_data, _root = app.init(input_bytes)
         local_shared: list[bytes] = []
-        while True:
-            msg = inbox.get()
-            if isinstance(msg, TerminateMsg):
-                return
-            if not isinstance(msg, AssignMsg):
-                raise EngineError(f"worker {worker_id}: unexpected message {type(msg).__name__}")
+        while (msg := inbox.get()) is not None:
             local_shared.extend(msg.shared)
             result = app.search(global_data, msg.payload, msg.budget, tuple(local_shared))
             if result.outputs:
@@ -188,33 +183,34 @@ def worker_loop(
                     halt=result.halt,
                 )
             )
-    except Exception as exc:  # noqa: BLE001 - converted into a crash report
-        to_master.put(CrashMsg(worker_id=worker_id, error=f"{type(exc).__name__}: {exc}"))
+    except Exception as exc:  # noqa: BLE001 - sent to the master, which raises it
+        crash = WorkerCrashError(
+            f"worker {worker_id} crashed ({type(exc).__name__}: {exc}); "
+            "its job is lost and the run was aborted"
+        )
+        crash.__cause__ = exc  # keeps the worker's traceback for library callers
+        to_master.put(crash)
 
 
 def consumer_loop(inbox: "queue.Queue", out: IO[str], to_master: "queue.Queue") -> None:
-    """Write output lines verbatim in arrival order until terminate.
+    """Write output lines verbatim in arrival order until ``None``.
 
     Verdict-tagged messages are deduplicated to the first one seen.  A
-    failed write or flush (``OSError``) is sent to the master as a
-    ``WriteErrorMsg`` and ends the loop: no later line is written.
+    failed write or flush (``OSError``) is sent to the master as an
+    ``EngineError`` and ends the loop: no later line is written.
     """
     verdict_seen = False
     try:
-        while True:
-            msg = inbox.get()
-            if isinstance(msg, TerminateMsg):
-                break
-            if isinstance(msg, OutputMsg):
-                if msg.verdict:
-                    if verdict_seen:
-                        continue
-                    verdict_seen = True
-                for line in msg.lines:
-                    out.write(line + "\n")
+        while (msg := inbox.get()) is not None:
+            if msg.verdict:
+                if verdict_seen:
+                    continue
+                verdict_seen = True
+            for line in msg.lines:
+                out.write(line + "\n")
         out.flush()
     except OSError as exc:
-        to_master.put(WriteErrorMsg(f"cannot write the output ({type(exc).__name__}: {exc})"))
+        to_master.put(EngineError(f"cannot write the output ({type(exc).__name__}: {exc})"))
 
 
 # --------------------------------------------------------------------------
@@ -240,7 +236,8 @@ class Master:
         self.inboxes: list[queue.Queue] = [queue.Queue() for _ in range(n)]
         self.idle: deque[int] = deque(range(n))
         self.in_flight: dict[int, bytes] = {}
-        # every worker's ResultMsg/CrashMsg, tagged with its worker_id
+        # every worker's ResultMsg (tagged with its worker_id) and the
+        # BtsearchError of a crashed worker or a failed consumer write
         self.results: queue.Queue = queue.Queue()
         self.report = RunReport()
         self.halting = False
@@ -303,8 +300,8 @@ def run(
 ) -> RunReport:
     """Execute a full parallel run of ``app`` on ``input_bytes``.
 
-    Resolves the budget kind against ``app.descriptor`` (ValueError on a kind
-    the app does not accept), parses the input and decodes every job and
+    Resolves the budget kind with ``app.resolve_budget_kind`` (ValueError on
+    a kind the app does not accept), parses the input and decodes every job and
     shared token of a restart checkpoint (CheckpointError on one that does
     not decode), all before any worker starts.  Then seeds the job list
     with the application root or the restored jobs and drives the master
@@ -313,7 +310,7 @@ def run(
     stream to ``out`` via the consumer; a count-only app (``app.count_only``)
     gets one total line.  A failed write to ``out`` raises EngineError.
     """
-    config = replace(config, budget_kind=app.descriptor.resolve_budget_kind(config.budget_kind))
+    config = replace(config, budget_kind=app.resolve_budget_kind(config.budget_kind))
     if out is None:
         import io
 
@@ -322,7 +319,7 @@ def run(
 
     master = Master(config)
     if config.restart_path is not None:
-        jobs, tokens = checkpoint_read(config.restart_path, expected_app=app.descriptor.name)
+        jobs, tokens = checkpoint_read(config.restart_path, expected_app=app.name)
         checks = (("job", app.decode_node, jobs), ("shared token", app.decode_token, tokens))
         for what, decode, items in checks:
             for number, item in enumerate(items, start=1):
@@ -358,7 +355,6 @@ def run(
     start_time = time.monotonic()
     last_sample = -1.0
     last_checkpoint = start_time
-    draining = False
 
     def sample_metrics(now: float) -> None:
         nonlocal last_sample
@@ -373,7 +369,7 @@ def run(
         try:
             checkpoint_write(
                 config.checkpoint_path,
-                app.descriptor.name,
+                app.name,
                 master.pending_jobs(),
                 master.store.tokens,
             )
@@ -390,29 +386,22 @@ def run(
                     msg = master.results.get_nowait()
                 except queue.Empty:
                     break
-                if isinstance(msg, CrashMsg):
-                    raise WorkerCrashError(
-                        f"worker {msg.worker_id} crashed ({msg.error}); "
-                        "its job is lost and the run was aborted"
-                    )
-                if isinstance(msg, WriteErrorMsg):
-                    raise EngineError(msg.error)
+                if isinstance(msg, BtsearchError):
+                    raise msg
                 master.collect_result(msg)
                 progressed = True
 
-            # A run whose last job is also its stop_after_jobs-th is complete.
-            if not master.joblist and not master.in_flight:
-                break
-            stop_requested = (
+            # Stop assigning on a halt or once stop_after_jobs results are in;
+            # leave when nothing is in flight and the run is stopping or done.
+            stopping = master.halting or (
                 config.stop_after_jobs is not None
                 and master.report.jobs_executed >= config.stop_after_jobs
             )
-            if (master.halting or stop_requested) and not master.in_flight:
-                draining = stop_requested and not master.halting
+            if not master.in_flight and (stopping or not master.joblist):
                 break
 
             # Hand out jobs FIFO to free workers under the current budget.
-            if not master.halting and not stop_requested:
+            if not stopping:
                 while master.idle and master.joblist:
                     master.assign_next()
                     progressed = True
@@ -432,9 +421,10 @@ def run(
         sample_metrics(now)
         master.report.wall_time = now - start_time
         master.report.halted = master.halting
-        master.report.completed = not draining
+        # a run whose last job is also its stop_after_jobs-th is complete
+        master.report.completed = master.halting or not master.joblist
         master.report.shared_tokens = master.store.tokens
-        if draining:
+        if not master.report.completed:
             write_checkpoint_now()
         elif not master.halting:
             final_lines = app.finalize(global_data)
@@ -444,14 +434,14 @@ def run(
             consumer_inbox.put(OutputMsg((str(master.report.total_output_count),)))
     finally:
         for inbox in master.inboxes:
-            inbox.put(TerminateMsg())
-        consumer_inbox.put(TerminateMsg())
+            inbox.put(None)
+        consumer_inbox.put(None)
         for worker in workers:
             worker.join(timeout=30.0)
         consumer.join(timeout=30.0)
     # the consumer writes the last lines after the loop ends
     while not master.results.empty():
         msg = master.results.get_nowait()
-        if isinstance(msg, WriteErrorMsg):
-            raise EngineError(msg.error)
+        if isinstance(msg, BtsearchError):
+            raise msg
     return master.report

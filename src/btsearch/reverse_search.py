@@ -146,11 +146,9 @@ def reverse_search(
     oracle: AdjacencyOracle,
     start: Vertex,
     sink: Sink | None = None,
-    hard_cap: int | None = None,
 ) -> int:
     """Exhaustive (unbudgeted) reverse search; returns the vertex count."""
-    result = budgeted_search(oracle, start, sink=sink, hard_cap=hard_cap)
-    return result.count
+    return budgeted_search(oracle, start, sink=sink).count
 
 
 def tree_children(oracle: AdjacencyOracle, vertex: Vertex) -> list[Vertex]:

@@ -15,31 +15,6 @@ from typing import Any, Sequence
 from .budget import Budget
 
 
-@dataclass(frozen=True)
-class ApplicationDescriptor:
-    """Stable identity and capabilities of an application.
-
-    ``budget_kinds`` lists the budget kinds the application accepts; the
-    first is its default.
-    """
-
-    name: str
-    budget_kinds: tuple[str, ...] = ("nodes",)
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("application name must be nonempty")
-
-    def resolve_budget_kind(self, kind: str | None) -> str:
-        """``kind``, or the default kind for ``None``; ValueError if not accepted."""
-        if kind is None:
-            return self.budget_kinds[0]
-        if kind not in self.budget_kinds:
-            accepted = ", ".join(self.budget_kinds)
-            raise ValueError(f"{self.name} accepts budget kinds {accepted}, not {kind!r}")
-        return kind
-
-
 @dataclass
 class SearchResult:
     """Outcome of one budgeted job.
@@ -68,7 +43,10 @@ class Application(ABC):
     workers only read it.
     """
 
-    descriptor: ApplicationDescriptor
+    # Identity in checkpoints, and the budget kinds the app accepts (the
+    # first is its default).
+    name: str
+    budget_kinds: tuple[str, ...] = ("nodes",)
     # The run's one count-only switch: ``search`` then returns only a count
     # of its lines, and the engine prints the run's total as one line.
     count_only = False
@@ -87,7 +65,7 @@ class Application(ABC):
     ) -> SearchResult:
         """Run one budgeted job from the vertex ``payload`` encodes.
 
-        ``budget.kind`` is always one of ``descriptor.budget_kinds``: the
+        ``budget.kind`` is always one of ``budget_kinds``: the
         engine rejects any other kind before a worker starts.  The job's
         outputs plus the subtrees of its unexplored payloads must
         cover the subtree rooted at that vertex exactly once.
@@ -107,3 +85,13 @@ class Application(ABC):
     def finalize(self, global_data: Any) -> list[str]:
         """Lines to emit after a run that ended with no halt and no early stop."""
         return []
+
+    @classmethod
+    def resolve_budget_kind(cls, kind: str | None) -> str:
+        """``kind``, or the default kind for ``None``; ValueError if not accepted."""
+        if kind is None:
+            return cls.budget_kinds[0]
+        if kind not in cls.budget_kinds:
+            accepted = ", ".join(cls.budget_kinds)
+            raise ValueError(f"{cls.name} accepts budget kinds {accepted}, not {kind!r}")
+        return kind

@@ -70,7 +70,6 @@ class TestValidation:
             {"base_max_nodes": 0},
             {"base_max_depth": 0},
             {"lmin": 0.0},
-            {"budget_kind": "hours"},
             {"stop_after_jobs": 0},
         ],
     )

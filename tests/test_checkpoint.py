@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from btsearch import SchedulerConfig, run
 from btsearch import checkpoint as checkpoint_module
@@ -132,3 +134,19 @@ class TestDiagnostics:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
             checkpoint_read(tmp_path / "absent.ckpt")
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.binary(max_size=64)
+    | st.binary(max_size=64).map(lambda body: b"mts-checkpoint 1 topsorts\n" + body)
+)
+@example(b"mts-checkpoint 1 topsorts\nN \xff\n")
+def test_any_bytes_read_back_or_raise_checkpoint_error(tmp_path, data):
+    path = tmp_path / "fuzz.ckpt"
+    path.write_bytes(data)
+    try:
+        jobs, tokens = checkpoint_read(path)
+    except CheckpointError:
+        return
+    assert all(isinstance(item, bytes) for item in jobs + tokens)

@@ -22,7 +22,7 @@ class TestParseCli:
         assert config.scale == 40
         assert (config.lmin, config.lmax) == (1.0, 3.0)
         assert opts.prune == "off"
-        assert TopsortsApplication.descriptor.resolve_budget_kind(config.budget_kind) == "nodes"
+        assert TopsortsApplication.resolve_budget_kind(config.budget_kind) == "nodes"
         assert not opts.count_only
 
     def test_explicit_budget_flags(self):
@@ -49,7 +49,7 @@ class TestParseCli:
 
     def test_sat_defaults_to_decision_budgeting(self):
         opts = parse_cli(["run", "sat", "f.cnf"])
-        kind = SatApplication.descriptor.resolve_budget_kind(opts.config.budget_kind)
+        kind = SatApplication.resolve_budget_kind(opts.config.budget_kind)
         assert kind == "decisions"
 
     def test_sat_rejects_node_budgeting_and_countonly(self, tmp_path, capsys):
@@ -145,6 +145,18 @@ class TestMain:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert str(bad) in line and "shared token 2" in line
+
+    def test_restart_from_a_non_ascii_checkpoint_exits_2(self, tmp_path, capsys):
+        inp = tmp_path / "poset.txt"
+        inp.write_text("3 0\n")
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(b"mts-checkpoint 1 topsorts\nN \xff\n")
+        code = main(["run", "topsorts", str(inp), "-restart", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert str(bad) in line
 
     def test_run_writes_frequency_and_histogram_files(self, tmp_path, capsys):
         inp = tmp_path / "poset.txt"
@@ -254,6 +266,21 @@ class TestConsoleEntry:
             text=True,
         )
         proc.stdout.close()  # as `| head -1` does once it has its line
+        _, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 3
+        assert "Traceback" not in stderr
+        (line,) = stderr.splitlines()
+        assert line.startswith("btsearch: aborted: cannot write the output (BrokenPipeError")
+
+    def test_gwtree_to_a_closed_stdout_exits_3_with_one_line(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "btsearch.cli", "gwtree", "-size", "200", "-budget", "10",
+             "-trials", "3", "-seed", "1"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        proc.stdout.close()
         _, stderr = proc.communicate(timeout=120)
         assert proc.returncode == 3
         assert "Traceback" not in stderr

@@ -14,13 +14,12 @@ from btsearch.engine import (
     OutputMsg,
     ResultMsg,
     SharedStore,
-    TerminateMsg,
     consumer_loop,
     run,
     worker_loop,
 )
 from btsearch.errors import EngineError, InputFormatError, WorkerCrashError
-from btsearch.search_api import Application, ApplicationDescriptor, SearchResult
+from btsearch.search_api import Application, SearchResult
 from btsearch.apps import build_application
 from btsearch.apps.topsorts import count_extensions
 
@@ -50,7 +49,7 @@ def poset_bytes(poset):
 class TreeApp(Application):
     """Fixed 15-vertex binary tree as an engine application (tests only)."""
 
-    descriptor = ApplicationDescriptor(name="tree15")
+    name = "tree15"
 
     def init(self, input_bytes):
         oracle = complete_binary_depth3()
@@ -83,7 +82,7 @@ class TreeApp(Application):
 
 
 class CrashingApp(TreeApp):
-    descriptor = ApplicationDescriptor(name="crash15")
+    name = "crash15"
 
     def search(self, global_data, payload, budget, shared):
         if payload == b"r":
@@ -94,7 +93,7 @@ class CrashingApp(TreeApp):
 class WorkerInitCrashApp(TreeApp):
     """``init`` succeeds for the master's call and raises in every worker."""
 
-    descriptor = ApplicationDescriptor(name="initcrash15")
+    name = "initcrash15"
 
     def __init__(self):
         self.calls = itertools.count()
@@ -213,12 +212,12 @@ class TestWorkerLoop:
         return results, outputs
 
     def test_terminate_first_exits_cleanly(self):
-        results, outputs = self.run_worker([TerminateMsg()])
+        results, outputs = self.run_worker([None])
         assert results == [] and outputs == []
 
     def test_job_within_budget_returns_no_unfinished(self):
         msg = AssignMsg(b"r", Budget(None, None), ())
-        results, _ = self.run_worker([msg, TerminateMsg()])
+        results, _ = self.run_worker([msg, None])
         assert len(results) == 1
         assert results[0].unexplored == ()
         assert results[0].visited == 14
@@ -227,7 +226,7 @@ class TestWorkerLoop:
         # 15-vertex subtree, node budget 5: the flagged over-budget vertex
         # plus one backtrack sibling are returned; both were counted.
         msg = AssignMsg(b"r", Budget(None, 5), ())
-        results, _ = self.run_worker([msg, TerminateMsg()])
+        results, _ = self.run_worker([msg, None])
         assert len(results[0].unexplored) == 2
         assert results[0].visited == 6
 
@@ -237,7 +236,7 @@ class TestConsumerLoop:
         inbox = queue.Queue()
         for m in messages:
             inbox.put(m)
-        inbox.put(TerminateMsg())
+        inbox.put(None)
         out = io.StringIO()
         to_master = queue.Queue()
         consumer_loop(inbox, out, to_master)

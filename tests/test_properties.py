@@ -6,9 +6,13 @@ override must agree with the default derived from ``adjacent``/``parent``
 on every vertex, and a budgeted job loop must partition the objects that
 the independent oracles in ``oracles.py`` count.  Every application's
 ``decode_node`` must reject arbitrary bytes with ``NodeDecodeError`` and
-must give back every vertex (or sat assumption) its payload encodes.
+must give back every vertex (or sat assumption) its payload encodes.  A
+static-budget ``engine.run`` must give the same output and frequency
+multisets at 1, 2 and 3 workers.
 """
 
+import io
+import math
 from collections import deque
 
 import numpy as np
@@ -24,7 +28,8 @@ from btsearch.apps.sat.app import SatApplication
 from btsearch.apps.sat.dimacs import CnfFormula
 from btsearch.apps.spantree import Graph, SpantreeApplication, SpantreeOracle, format_graph
 from btsearch.apps.topsorts import Poset, TopsortsApplication, TopsortsOracle, format_poset
-from btsearch.budget import Budget
+from btsearch.budget import Budget, SchedulerConfig
+from btsearch.engine import run
 from btsearch.errors import NodeDecodeError
 from btsearch.reverse_search import AdjacencyOracle, reverse_search
 
@@ -108,6 +113,12 @@ def test_topsorts_children_match_default(poset):
 
 
 @PROPERTY_SETTINGS
+@given(posets())
+def test_topsorts_root_is_the_smallest_extension(poset):
+    assert TopsortsOracle(poset).root() == min(brute_force_extensions(poset))
+
+
+@PROPERTY_SETTINGS
 @given(gw_oracles())
 def test_gwtree_children_match_default(oracle):
     assert assert_children_match_default(oracle) == oracle.n
@@ -170,3 +181,30 @@ def test_every_payload_decodes_to_the_vertex_it_encodes(case):
     reverse_search(data, data.root(), sink=lambda v, flagged: vertices.append(v))
     for v in vertices:
         assert app.decode_node(app.encode_node(v), data) == v
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.one_of(
+        posets().map(lambda p: ("topsorts", format_poset(p))),
+        connected_graphs().map(lambda g: ("spantree", format_graph(g))),
+    ),
+    st.none() | st.integers(1, 3),
+    st.integers(1, 6),
+)
+def test_static_budget_runs_are_invariant_to_the_worker_count(case, max_depth, max_nodes):
+    name, text = case
+    keys = []
+    for workers in (1, 2, 3):
+        config = SchedulerConfig(
+            num_workers=workers,
+            base_max_depth=max_depth,
+            base_max_nodes=max_nodes,
+            scale=1,
+            lmin=math.inf,
+            lmax=math.inf,
+        )
+        out = io.StringIO()
+        report = run(build_application(name, prune="off"), text.encode("ascii"), config, out)
+        keys.append((sorted(out.getvalue().splitlines()), sorted(report.frequencies)))
+    assert keys[0] == keys[1] == keys[2]

@@ -141,9 +141,9 @@ class TestNodePayloads:
             app.decode_node(b"xyz", gd)
 
     def test_search_rejects_node_budget_kind(self):
-        # the engine checks the kind against the descriptor before any search
+        # the engine checks the kind against the app's kinds before any search
         with pytest.raises(ValueError):
-            SatApplication.descriptor.resolve_budget_kind("nodes")
+            SatApplication.resolve_budget_kind("nodes")
         with pytest.raises(ValueError):
             run(SatApplication(), b"p cnf 1 1\n1 0\n", sat_config(5, "nodes"))
 

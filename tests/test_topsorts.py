@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import time
 
 import pytest
 
@@ -94,6 +95,14 @@ class TestOracle:
     def test_total_order_has_single_vertex_tree(self):
         oracle = TopsortsOracle(total_order(4))
         assert reverse_search(oracle, oracle.root()) == 0
+
+
+    def test_init_of_a_large_sparse_poset_is_fast(self):
+        # the closure and root take one topological pass, not n^2 steps
+        start = time.perf_counter()
+        oracle, _root = TopsortsApplication().init(b"20000 0\n")
+        assert time.perf_counter() - start < 1.0
+        assert oracle.root() == tuple(range(1, 20001))
 
 
 class TestApplication:

@@ -149,5 +149,4 @@ class EnumerationApplication(Application):
             output_count=tally,
             unexplored=[self.encode_node(v) for v in kept],
             visited=visited,
-            shared_delta=[],
         )

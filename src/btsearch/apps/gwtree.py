@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
-from typing import IO, Iterator
+from typing import IO, Iterator, NamedTuple
 
 import numpy as np
 
@@ -32,8 +31,7 @@ LAW_NAMES = ("catalan", "fullbinary", "geometric", "poisson", "binomial", "unifo
 _CATALAN_TABLE = np.array([0, 1, 1, 2], dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class OffspringLaw:
+class OffspringLaw(NamedTuple):
     """A critical offspring distribution (mean exactly 1, finite variance)."""
 
     name: str
@@ -186,14 +184,13 @@ def subtree_sizes(offspring: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class JobRunStats:
+class JobRunStats(NamedTuple):
     """Totals from processing one tree through the budgeted job loop."""
 
     tree_size: int
     unexplored_total: int
     jobs: int
-    counts: list[int] = field(default_factory=list)
+    counts: list[int]
 
 
 def run_budgeted_jobs(sizes: np.ndarray, budget: int | None) -> JobRunStats:
@@ -207,13 +204,14 @@ def run_budgeted_jobs(sizes: np.ndarray, budget: int | None) -> JobRunStats:
     """
     n = int(sizes.shape[0])
     jobs: deque[int] = deque([0])
-    stats = JobRunStats(tree_size=n, unexplored_total=0, jobs=0)
+    unexplored_total = done = 0
+    counts: list[int] = []
     while jobs:
         s = jobs.popleft()
-        stats.jobs += 1
+        done += 1
         remaining = int(sizes[s]) - 1
         if budget is None or remaining < budget:
-            stats.counts.append(remaining)
+            counts.append(remaining)
             continue
         x = s + budget
         levels: list[list[int]] = []
@@ -238,9 +236,9 @@ def run_budgeted_jobs(sizes: np.ndarray, budget: int | None) -> JobRunStats:
         for later in reversed(levels):
             flagged.extend(later)
         jobs.extend(flagged)
-        stats.unexplored_total += len(flagged)
-        stats.counts.append(budget + len(flagged) - 1)
-    return stats
+        unexplored_total += len(flagged)
+        counts.append(budget + len(flagged) - 1)
+    return JobRunStats(n, unexplored_total, done, counts)
 
 
 # --------------------------------------------------------------------------
@@ -248,8 +246,7 @@ def run_budgeted_jobs(sizes: np.ndarray, budget: int | None) -> JobRunStats:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GWExperiment:
+class GWExperiment(NamedTuple):
     """Trial plan for measuring the job-list growth law."""
 
     law: OffspringLaw
@@ -263,8 +260,7 @@ class GWExperiment:
         return max(1, self.target_size // 2), self.target_size + self.target_size // 2
 
 
-@dataclass(frozen=True)
-class TrialRow:
+class TrialRow(NamedTuple):
     trial: int
     size: int
     budget: int
@@ -273,8 +269,7 @@ class TrialRow:
     predicted: float
 
 
-@dataclass
-class GWExperimentResult:
+class GWExperimentResult(NamedTuple):
     experiment: GWExperiment
     rows: list[TrialRow]
 
@@ -331,17 +326,19 @@ class GWTreeOracle(AdjacencyOracle):
     """Child-index adjacency over a sampled tree; parent is the DFS parent."""
 
     def __init__(self, sizes: np.ndarray) -> None:
-        n = int(sizes.shape[0])
+        sizes = sizes.tolist()  # Python ints: one conversion, not one per step
+        n = len(sizes)
         self.n = n
         children: list[list[int]] = [[] for _ in range(n)]
         parent: list[tuple[int, int] | None] = [None] * n
         for node in range(n):
-            end = node + int(sizes[node])
+            end = node + sizes[node]
+            kids = children[node]
             c = node + 1
             while c < end:
-                children[node].append(c)
-                parent[c] = (node, len(children[node]))
-                c += int(sizes[c])
+                kids.append(c)
+                parent[c] = (node, len(kids))
+                c += sizes[c]
         self._children = children
         self._parent = parent
         self.max_degree = max((len(k) for k in children), default=0)
@@ -377,7 +374,10 @@ class GWTreeApplication(EnumerationApplication):
         except ValueError as exc:
             raise InputFormatError(f"bad gwtree input numbers: {exc}") from exc
         law = make_law(parts[0], k=k)
-        xi = sample_offspring_sequence(law, lo, hi, rng=seed)
+        try:
+            xi = sample_offspring_sequence(law, lo, hi, rng=seed)
+        except ValueError as exc:  # a bad size window or seed
+            raise InputFormatError(f"bad gwtree input: {exc}") from exc
         return GWTreeOracle(subtree_sizes(xi)), self.encode_node(0)
 
     def format_vertex(self, global_data: GWTreeOracle, vertex: int) -> str:

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from ...errors import InputFormatError
 
 
-@dataclass(frozen=True)
-class CnfFormula:
+class CnfFormula(NamedTuple):
     """CNF over variables 1..num_vars; a clause is a tuple of nonzero literals.
 
     Clauses never contain a literal together with its negation (tautologies

@@ -15,8 +15,7 @@ pairs in lexicographic order, positions taken in ascending edge index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from ..errors import InputFormatError
 from ..reverse_search import AdjacencyOracle
@@ -25,8 +24,7 @@ from .base import EnumerationApplication, parse_pairs
 Tree = tuple[int, ...]  # sorted 0-based edge indices
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Undirected connected graph; edge index = input order (0-based)."""
 
     n: int

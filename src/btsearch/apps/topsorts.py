@@ -13,18 +13,17 @@ extension has a unique finite path to it.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from ..errors import InputFormatError, NodeDecodeError
 from ..reverse_search import AdjacencyOracle
 from .base import EnumerationApplication, parse_pairs
 
 Perm = tuple[int, ...]
+Closure = tuple[list[int], list[int], Perm]
 
 
-@dataclass(frozen=True)
-class Poset:
+class Poset(NamedTuple):
     """Elements 1..n with precedence pairs (a before b), acyclic."""
 
     n: int
@@ -33,6 +32,11 @@ class Poset:
 
 def parse_poset(data: bytes | str) -> Poset:
     """Parse ``n m`` followed by m lines ``a b`` (1-based, a precedes b)."""
+    return _read_poset(data)[0]
+
+
+def _read_poset(data: bytes | str) -> tuple[Poset, Closure]:
+    """:func:`parse_poset` plus the poset's :func:`_closure`, which rejects cycles."""
     n, pairs = parse_pairs(data, "poset", "relation", "a b")
     relations = set()
     for lineno, a, b in pairs:
@@ -40,11 +44,10 @@ def parse_poset(data: bytes | str) -> Poset:
             raise InputFormatError(f"line {lineno}: relation {a} {b} out of range")
         relations.add((a, b))
     poset = Poset(n=n, relations=frozenset(relations))
-    _closure(poset)  # raises on cycles
-    return poset
+    return poset, _closure(poset)
 
 
-def _closure(poset: Poset) -> tuple[list[int], list[int], Perm]:
+def _closure(poset: Poset) -> Closure:
     """Bitmask transitive closure and the greedy root, from one topological sort.
 
     Returns ``(succ, pred, order)``: ``succ[a]`` has bit b set when a
@@ -84,10 +87,10 @@ def _closure(poset: Poset) -> tuple[list[int], list[int], Perm]:
 class TopsortsOracle(AdjacencyOracle):
     """Adjacent-transposition reverse search over linear extensions."""
 
-    def __init__(self, poset: Poset) -> None:
+    def __init__(self, poset: Poset, closure: Closure | None = None) -> None:
         self.n = poset.n
         self.max_degree = poset.n - 1
-        self._succ, self._pred, self._root = _closure(poset)
+        self._succ, self._pred, self._root = closure or _closure(poset)
 
     def root(self) -> Perm:
         return self._root
@@ -179,5 +182,5 @@ class TopsortsApplication(EnumerationApplication):
     name = "topsorts"
 
     def init(self, input_bytes: bytes) -> tuple[TopsortsOracle, bytes]:
-        oracle = TopsortsOracle(parse_poset(input_bytes))
+        oracle = TopsortsOracle(*_read_poset(input_bytes))
         return oracle, self.encode_node(oracle.root())

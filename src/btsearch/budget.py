@@ -7,21 +7,25 @@ limit carried in the same ``max_nodes`` slot.  ``None`` means unbounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, NamedTuple
 
 BUDGET_KINDS = ("nodes", "decisions", "conflicts")
 
 
-@dataclass(frozen=True)
-class Budget:
-    """Per-job work limit handed to a worker."""
-
+class _BudgetFields(NamedTuple):
     max_depth: int | None
     max_nodes: int | None
     kind: str = "nodes"
 
-    def __post_init__(self) -> None:
+
+class Budget(_BudgetFields):
+    """Per-job work limit handed to a worker; ValueError on a bad field."""
+
+    __slots__ = ()
+
+    def __init__(self, max_depth: int | None, max_nodes: int | None, kind: str = "nodes") -> None:
+        # runs after the NamedTuple ``__new__`` has set the fields
         if self.kind not in BUDGET_KINDS:
             raise ValueError(f"unknown budget kind {self.kind!r}")
         if self.max_depth is not None and self.max_depth < 1:
@@ -29,17 +33,11 @@ class Budget:
         if self.max_nodes is not None and self.max_nodes < 1:
             raise ValueError("max_nodes must be >= 1 or None")
 
+    # ``_replace`` builds through ``_make``: validate there too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-@dataclass
-class SchedulerConfig:
-    """Knobs for one engine run.
 
-    ``base_max_depth``/``base_max_nodes``/``scale``/``lmin``/``lmax`` drive the
-    dynamic budget policy; the remaining fields are run plumbing.  A *static*
-    budget (one that never changes with job-list length) is obtained with
-    ``scale=1`` plus either ``base_max_depth=None`` or ``lmin=lmax=inf``.
-    """
-
+class _ConfigFields(NamedTuple):
     num_workers: int = 4
     base_max_depth: int | None = 2
     base_max_nodes: int | None = 5000
@@ -54,7 +52,19 @@ class SchedulerConfig:
     # and return an incomplete report (lets the user migrate a run).
     stop_after_jobs: int | None = None
 
-    def __post_init__(self) -> None:
+
+class SchedulerConfig(_ConfigFields):
+    """Knobs for one engine run; ValueError on an out-of-range field.
+
+    ``base_max_depth``/``base_max_nodes``/``scale``/``lmin``/``lmax`` drive the
+    dynamic budget policy; the remaining fields are run plumbing.  A *static*
+    budget (one that never changes with job-list length) is obtained with
+    ``scale=1`` plus either ``base_max_depth=None`` or ``lmin=lmax=inf``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
         if self.num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         if self.base_max_depth is not None and self.base_max_depth < 1:
@@ -69,6 +79,8 @@ class SchedulerConfig:
             raise ValueError("lmin must not exceed lmax")
         if self.stop_after_jobs is not None and self.stop_after_jobs < 1:
             raise ValueError("stop_after_jobs must be >= 1 or None")
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def select_budget(joblist_len: int, config: SchedulerConfig) -> Budget:

@@ -14,14 +14,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .apps import APPLICATION_NAMES, build_application
 from .budget import BUDGET_KINDS, SchedulerConfig
 from .engine import run
-from .errors import BtsearchError, CheckpointError, InputFormatError, MetricsError
+from .errors import BtsearchError, BudgetKindError, CheckpointError, InputFormatError, MetricsError
 from .metrics import compute_efficiency, write_frequency_file, write_histogram_file
 
 USAGE_ERROR = 1
@@ -31,8 +30,7 @@ INTERNAL_ERROR = 3
 _ENUM_APPS = ("topsorts", "spantree", "gwtree")
 
 
-@dataclass
-class CliOptions:
+class CliOptions(NamedTuple):
     """Parsed options for a ``run`` invocation: the engine config plus CLI-only settings."""
 
     app: str
@@ -172,7 +170,7 @@ def _cmd_run(opts: CliOptions) -> int:
         app = build_application(opts.app, restarts=opts.restarts, vsids=opts.vsids)
     try:
         report = run(app, input_bytes, opts.config, out=sys.stdout)
-    except ValueError as exc:  # a budget kind the app does not accept
+    except BudgetKindError as exc:
         print(f"btsearch: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (InputFormatError, CheckpointError) as exc:
@@ -182,10 +180,11 @@ def _cmd_run(opts: CliOptions) -> int:
         print(f"btsearch: aborted: {exc}", file=sys.stderr)
         _drop_unwritable_stdout()
         return INTERNAL_ERROR
-    if opts.freq_path:
-        write_frequency_file(report.frequencies, opts.freq_path)
-    if opts.hist_path:
-        write_histogram_file(report.samples, opts.hist_path)
+    # the run's result stands even when an instrumentation file cannot be written
+    if opts.freq_path and not write_frequency_file(report.frequencies, opts.freq_path):
+        print(f"btsearch: cannot write frequency file {opts.freq_path}", file=sys.stderr)
+    if opts.hist_path and not write_histogram_file(report.samples, opts.hist_path):
+        print(f"btsearch: cannot write histogram file {opts.hist_path}", file=sys.stderr)
     print(
         f"btsearch: {report.jobs_executed} jobs, {report.total_output_count} outputs, "
         f"{report.wall_time:.3f}s"

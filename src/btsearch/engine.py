@@ -32,13 +32,11 @@ the next assignment.
 
 from __future__ import annotations
 
-import logging
 import queue
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import IO, Sequence
+from typing import IO, NamedTuple, Sequence
 
 from .budget import Budget, SchedulerConfig, select_budget
 from .checkpoint import checkpoint_read, checkpoint_write
@@ -51,8 +49,6 @@ from .errors import (
 )
 from .search_api import Application
 
-logger = logging.getLogger("btsearch")
-
 _IDLE_SLEEP_S = 0.0002
 _SAMPLE_INTERVAL_S = 0.1
 _CHECKPOINT_INTERVAL_S = 30.0
@@ -63,15 +59,13 @@ _CHECKPOINT_INTERVAL_S = 30.0
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AssignMsg:
+class AssignMsg(NamedTuple):
     payload: bytes
     budget: Budget
     shared: tuple[bytes, ...]
 
 
-@dataclass(frozen=True)
-class ResultMsg:
+class ResultMsg(NamedTuple):
     worker_id: int
     visited: int
     output_count: int
@@ -80,8 +74,7 @@ class ResultMsg:
     halt: bool
 
 
-@dataclass(frozen=True)
-class OutputMsg:
+class OutputMsg(NamedTuple):
     lines: tuple[str, ...]
     verdict: bool = False
 
@@ -131,20 +124,25 @@ class SharedStore:
 # --------------------------------------------------------------------------
 
 
-@dataclass
 class RunReport:
     """Totals and instrumentation for one engine run."""
 
-    total_output_count: int = 0
-    jobs_executed: int = 0
-    wall_time: float = 0.0
-    frequencies: list[int] = field(default_factory=list)
-    completed: bool = True
-    halted: bool = False
-    # (elapsed_seconds, busy_workers, joblist_len) sampled at >= 0.1 s ticks
-    samples: list[tuple[float, int, int]] = field(default_factory=list)
-    # final shared-store contents, for auditing what was relayed
-    shared_tokens: tuple[bytes, ...] = ()
+    __slots__ = (
+        "total_output_count", "jobs_executed", "wall_time", "frequencies",
+        "completed", "halted", "samples", "shared_tokens",
+    )
+
+    def __init__(self) -> None:
+        self.total_output_count = 0
+        self.jobs_executed = 0
+        self.wall_time = 0.0
+        self.frequencies: list[int] = []
+        self.completed = True
+        self.halted = False
+        # (elapsed_seconds, busy_workers, joblist_len) sampled at >= 0.1 s ticks
+        self.samples: list[tuple[float, int, int]] = []
+        # final shared-store contents, for auditing what was relayed
+        self.shared_tokens: tuple[bytes, ...] = ()
 
 
 # --------------------------------------------------------------------------
@@ -300,17 +298,18 @@ def run(
 ) -> RunReport:
     """Execute a full parallel run of ``app`` on ``input_bytes``.
 
-    Resolves the budget kind with ``app.resolve_budget_kind`` (ValueError on
-    a kind the app does not accept), parses the input and decodes every job and
+    Resolves the budget kind with ``app.resolve_budget_kind`` (BudgetKindError
+    on a kind the app does not accept), parses the input and decodes every job and
     shared token of a restart checkpoint (CheckpointError on one that does
     not decode), all before any worker starts.  Then seeds the job list
     with the application root or the restored jobs and drives the master
     loop until every job is done, a worker signals a global answer, or
     ``stop_after_jobs`` triggers a checkpointed early stop.  Output lines
     stream to ``out`` via the consumer; a count-only app (``app.count_only``)
-    gets one total line.  A failed write to ``out`` raises EngineError.
+    gets one total line.  A failed write to ``out`` or to the checkpoint
+    raises EngineError.
     """
-    config = replace(config, budget_kind=app.resolve_budget_kind(config.budget_kind))
+    config = config._replace(budget_kind=app.resolve_budget_kind(config.budget_kind))
     if out is None:
         import io
 
@@ -374,7 +373,7 @@ def run(
                 master.store.tokens,
             )
         except OSError as exc:
-            logger.warning("cannot write checkpoint %s: %s", config.checkpoint_path, exc)
+            raise EngineError(f"cannot write the checkpoint ({type(exc).__name__}: {exc})") from exc
 
     try:
         while True:

@@ -2,18 +2,13 @@
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import MetricsError
 
-logger = logging.getLogger("btsearch")
 
-
-@dataclass(frozen=True)
-class EfficiencyRecord:
+class EfficiencyRecord(NamedTuple):
     """Parallel efficiency of a run against its single-core baseline."""
 
     single_core_s: float
@@ -40,24 +35,22 @@ def compute_efficiency(single_core_s: float, cores: int, multicore_s: float) -> 
 def write_frequency_file(frequencies: Sequence[int], path: str | Path) -> bool:
     """One budget-units-consumed value per line, in job completion order.
 
-    Returns False (with a warning) when the path is unwritable; the run
-    result is unaffected.
+    Returns False when the path is unwritable; the run result is unaffected.
     """
     try:
         Path(path).write_text("".join(f"{v}\n" for v in frequencies), encoding="ascii")
         return True
-    except OSError as exc:
-        logger.warning("cannot write frequency file %s: %s", path, exc)
+    except OSError:
         return False
 
 
 def write_histogram_file(samples: Sequence[tuple[float, int, int]], path: str | Path) -> bool:
-    """CSV time series ``elapsed_seconds,busy_workers,joblist_len``."""
+    """CSV time series ``elapsed_seconds,busy_workers,joblist_len``; False
+    when the path is unwritable."""
     rows = ["elapsed_seconds,busy_workers,joblist_len"]
     rows += [f"{t:.3f},{busy},{jl}" for t, busy, jl in samples]
     try:
         Path(path).write_text("\n".join(rows) + "\n", encoding="ascii")
         return True
-    except OSError as exc:
-        logger.warning("cannot write histogram file %s: %s", path, exc)
+    except OSError:
         return False

@@ -27,8 +27,7 @@ therefore sums to the node count of a single unbudgeted traversal.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .errors import OracleConsistencyError
 
@@ -69,9 +68,9 @@ class AdjacencyOracle(ABC):
                 yield w
 
 
-@dataclass
-class TraversalResult:
-    """Count of forward steps and the unexplored subtree roots returned."""
+class TraversalResult(NamedTuple):
+    """Count of forward steps and the unexplored subtree roots returned
+    (the ``count`` field hides ``tuple.count``, which nothing calls)."""
 
     count: int
     unexplored: list[Vertex]

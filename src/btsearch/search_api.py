@@ -9,14 +9,13 @@ the owning application interprets them.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .budget import Budget
+from .errors import BudgetKindError
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     """Outcome of one budgeted job.
 
     ``visited`` is the number of budget units consumed (nodes for
@@ -27,11 +26,11 @@ class SearchResult:
     the master stops issuing jobs and drains.
     """
 
-    outputs: list[str] = field(default_factory=list)
+    outputs: Sequence[str] = ()
     output_count: int = 0
-    unexplored: list[bytes] = field(default_factory=list)
+    unexplored: Sequence[bytes] = ()
     visited: int = 0
-    shared_delta: list[bytes] = field(default_factory=list)
+    shared_delta: Sequence[bytes] = ()
     halt: bool = False
 
 
@@ -88,10 +87,11 @@ class Application(ABC):
 
     @classmethod
     def resolve_budget_kind(cls, kind: str | None) -> str:
-        """``kind``, or the default kind for ``None``; ValueError if not accepted."""
+        """``kind``, or the default kind for ``None``; BudgetKindError (a
+        ValueError) if not accepted."""
         if kind is None:
             return cls.budget_kinds[0]
         if kind not in cls.budget_kinds:
             accepted = ", ".join(cls.budget_kinds)
-            raise ValueError(f"{cls.name} accepts budget kinds {accepted}, not {kind!r}")
+            raise BudgetKindError(f"{cls.name} accepts budget kinds {accepted}, not {kind!r}")
         return kind

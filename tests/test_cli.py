@@ -171,6 +171,48 @@ class TestMain:
         assert all(int(v) >= 0 for v in freq_lines)
         assert hist.read_text().startswith("elapsed_seconds,busy_workers,joblist_len")
 
+    def test_unwritable_freq_and_hist_paths_print_one_line_each(self, tmp_path, capsys):
+        inp = tmp_path / "poset.txt"
+        inp.write_text("4 0\n")
+        freq = tmp_path / "missing" / "freq.txt"
+        hist = tmp_path / "missing" / "hist.csv"
+        code = main(
+            ["run", "topsorts", str(inp), "-countonly", "-freq", str(freq), "-hist", str(hist)]
+        )
+        captured = capsys.readouterr()
+        assert code == 0  # the run's own result stands
+        assert captured.out == "24\n"
+        assert captured.err.splitlines()[:2] == [
+            f"btsearch: cannot write frequency file {freq}",
+            f"btsearch: cannot write histogram file {hist}",
+        ]
+
+    def test_unwritable_checkpoint_exits_3_without_a_count(self, tmp_path, capsys):
+        inp = tmp_path / "p.txt"
+        inp.write_text("4 0\n")
+        ckpt = tmp_path / "nonexistent" / "dir" / "c.ckpt"
+        code = main(
+            [
+                "run", "topsorts", str(inp), "-np", "1", "-maxnodes", "2", "-maxd", "inf",
+                "-scale", "1", "-countonly", "-stopafter", "1", "-checkpoint", str(ckpt),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("btsearch: aborted: cannot write the checkpoint")
+
+    def test_gwtree_bad_size_window_is_input_error(self, tmp_path, capsys):
+        inp = tmp_path / "g.txt"
+        inp.write_text("catalan 40 20 7\n")
+        code = main(["run", "gwtree", str(inp), "-np", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert "size_lo <= size_hi" in line
+
     def test_run_sat_unsat(self, tmp_path, capsys):
         inp = tmp_path / "php.cnf"
         inp.write_text(cnf_text(pigeonhole_cnf(3, 2)))
@@ -288,12 +330,20 @@ class TestConsoleEntry:
         assert line.startswith("btsearch: aborted: cannot write the output (BrokenPipeError")
 
     def test_importing_the_cli_does_not_load_numpy(self):
-        # only the gwtree subcommand needs numpy; every run pays its import
+        # Every run pays for what these imports load on top of a bare
+        # interpreter: only the gwtree subcommand needs numpy, and
+        # dataclasses (with the inspect it loads) and logging alone cost
+        # about 30 ms of start-up.
+        script = (
+            "import sys; bare = set(sys.modules)\n"
+            "import btsearch.cli, btsearch.apps.spantree, btsearch.apps.topsorts\n"
+            "import btsearch.apps.sat.app\n"
+            "print(' '.join(sorted(set(sys.modules) - bare)))"
+        )
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, btsearch.cli; print('numpy' in sys.modules)"],
-            capture_output=True,
-            text=True,
-            timeout=120,
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        added = set(proc.stdout.split())
+        assert "btsearch.apps.sat.app" in added
+        assert added.isdisjoint({"numpy", "dataclasses", "inspect", "logging"})

@@ -406,13 +406,15 @@ class TestDeterminism:
 
 
 class TestStopAndResume:
-    def test_unwritable_checkpoint_path_warns_but_run_completes(self, tmp_path, caplog):
+    def test_unwritable_checkpoint_path_aborts_the_run(self, tmp_path):
+        # the unfinished jobs would be lost, so no partial count is printed
         bad = tmp_path / "missing_dir" / "state.ckpt"
         cfg = static_config(None, 5, num_workers=2, checkpoint_path=bad, stop_after_jobs=2)
-        report = run(build_application("topsorts"), b"4 0\n", cfg)
-        assert not report.completed  # stopped early; checkpoint failed but no crash
+        out = io.StringIO()
+        with pytest.raises(EngineError, match="cannot write the checkpoint"):
+            run(build_application("topsorts", count_only=True), b"4 0\n", cfg, out)
         assert not bad.exists()
-        assert any("cannot write checkpoint" in r.message for r in caplog.records)
+        assert out.getvalue() == ""
 
     def test_stop_after_the_last_job_completes_the_run(self, tmp_path):
         # pigeonhole(4 into 3) at conflict budget 3 takes exactly 3 jobs on one worker

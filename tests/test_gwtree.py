@@ -247,6 +247,31 @@ class TestEngineApplication:
         assert oracle.parent(2) == (1, 1)
         assert oracle.parent(3) == (0, 2)
 
+    def test_oracle_matches_a_brute_force_build(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            seq = random_offspring_sequence(rng, 60)
+            children = [[] for _ in seq]
+            waiting = []  # nodes with children still to come, innermost last
+            for node, k in enumerate(seq):
+                if waiting:
+                    p = waiting[-1]
+                    children[p].append(node)
+                    if len(children[p]) == seq[p]:
+                        waiting.pop()
+                if k:
+                    waiting.append(node)
+            parent = [None] * len(seq)
+            for p, kids in enumerate(children):
+                for j, c in enumerate(kids, start=1):
+                    parent[c] = (p, j)
+            oracle = GWTreeOracle(subtree_sizes(np.array(seq, dtype=np.int64)))
+            assert oracle._children == children
+            assert oracle._parent == parent
+            assert oracle.max_degree == max(seq)
+
     def test_bad_input_rejected(self):
         with pytest.raises(InputFormatError):
             GWTreeApplication().init(b"catalan 10")
+        with pytest.raises(InputFormatError, match="size_lo <= size_hi"):
+            GWTreeApplication().init(b"catalan 40 20 7")

@@ -104,6 +104,17 @@ class TestOracle:
         assert time.perf_counter() - start < 1.0
         assert oracle.root() == tuple(range(1, 20001))
 
+    def test_init_computes_the_closure_once(self, monkeypatch):
+        import btsearch.apps.topsorts as topsorts
+
+        calls = []
+        real = topsorts._closure
+        monkeypatch.setattr(topsorts, "_closure", lambda poset: calls.append(poset) or real(poset))
+        TopsortsApplication().init(b"3 1\n1 2\n")
+        assert len(calls) == 1
+        with pytest.raises(InputFormatError, match="cycle"):
+            parse_poset(b"3 3\n1 2\n2 3\n3 1\n")
+
 
 class TestApplication:
     def test_count_examples(self):

@@ -22,6 +22,7 @@ from .budget import BUDGET_KINDS, SchedulerConfig
 from .engine import run
 from .errors import BtsearchError, BudgetKindError, CheckpointError, InputFormatError, MetricsError
 from .metrics import compute_efficiency, write_frequency_file, write_histogram_file
+from .transport import ForkTransport, ThreadTransport
 
 USAGE_ERROR = 1
 INPUT_ERROR = 2
@@ -125,6 +126,11 @@ def parse_cli(argv: Sequence[str]) -> CliOptions:
     ns = _build_parser().parse_args(["run", *argv] if argv and argv[0] not in ("run",) else argv)
     if ns.command != "run":
         raise _CliError("parse_cli handles 'run' invocations", USAGE_ERROR)
+    return _run_options(ns)
+
+
+def _run_options(ns: argparse.Namespace) -> CliOptions:
+    """The options of a parsed ``run`` command line; see :func:`parse_cli`."""
     if ns.app == "sat" and ns.countonly:
         raise _CliError("sat streams its verdict; -countonly is not supported", USAGE_ERROR)
     try:
@@ -158,7 +164,7 @@ def parse_cli(argv: Sequence[str]) -> CliOptions:
     )
 
 
-def _cmd_run(opts: CliOptions) -> int:
+def _cmd_run(opts: CliOptions, transport: type) -> int:
     try:
         input_bytes = Path(opts.input_path).read_bytes()
     except OSError as exc:
@@ -169,7 +175,7 @@ def _cmd_run(opts: CliOptions) -> int:
     else:
         app = build_application(opts.app, restarts=opts.restarts, vsids=opts.vsids)
     try:
-        report = run(app, input_bytes, opts.config, out=sys.stdout)
+        report = run(app, input_bytes, opts.config, out=sys.stdout, transport=transport)
     except BudgetKindError as exc:
         print(f"btsearch: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -257,11 +263,17 @@ def _cmd_efficiency(ns: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command line; ``None`` means this program's own ``sys.argv``.
+
+    Only the program, which owns its process, forks its workers; a caller
+    that passes ``argv`` gets thread workers.
+    """
+    transport = ForkTransport if argv is None else ThreadTransport
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         ns = _build_parser().parse_args(argv)
         if ns.command == "run":
-            return _cmd_run(parse_cli(argv))
+            return _cmd_run(_run_options(ns), transport)
         if ns.command == "gwtree":
             return _cmd_gwtree(ns)
         return _cmd_efficiency(ns)

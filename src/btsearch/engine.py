@@ -1,28 +1,53 @@
 """Master/worker/consumer engine with budget-based load balancing.
 
-One master, one consumer, and N workers run as isolated execution contexts
-(threads here) that share no mutable state: every interaction travels over
-FIFO channels, and a job is just the payload bytes its application encoded.
+One master, one consumer, and N workers share no mutable state: every
+interaction is a message, and a job is just the payload bytes its
+application encoded.  The master and the consumer are threads of the
+calling process.  The workers sit behind a transport (``transport.py``)
+with four operations: start, send to worker i, receive with a timeout,
+and stop.  There are two:
+
+- ``ForkTransport``, for the ``btsearch`` program (``cli.main()`` reading
+  ``sys.argv``): one forked process per worker, one pipe each way,
+  length-prefixed ``pickle``.  The workers are forked after the master's
+  single ``app.init`` and before the consumer thread starts, so each
+  searches the inherited global data and none shares a GIL with another.
+- ``ThreadTransport``, the default of :func:`run` for library callers: one
+  thread per worker, ``queue.SimpleQueue`` channels.  Thread workers still
+  call ``app.init`` themselves.  Forking a process that is not btsearch's
+  own is unsafe, and a fork costs far more than a thread start.
+
 The protocol has three message types and two signals:
 
 - ``AssignMsg``, master to worker: a job, its budget and the shared tokens
   the worker has not seen yet;
-- ``ResultMsg``, worker to master: the job's counts, its unexplored
-  payloads and its new shared tokens;
-- ``OutputMsg``, worker or master to consumer: lines to write;
-- ``None`` in any inbox tells its reader to stop;
-- a ``BtsearchError`` on the master's result queue is the error the master
-  raises: ``WorkerCrashError`` from a worker whose job or ``init`` failed,
-  ``EngineError`` from a consumer that cannot write the output.
+- ``ResultMsg``, worker to master, the only message a worker sends for a
+  job: its counts, its unexplored payloads, its new shared tokens and its
+  output lines joined into one string;
+- ``OutputMsg``, master to consumer: text to write.  The master forwards a
+  job's lines when it collects the result, and of the halting results only
+  the first one's (the verdict is written once);
+- ``None`` in an inbox tells its reader to stop (under fork, end of file);
+- a ``BtsearchError`` from a worker is the error the master raises:
+  ``WorkerCrashError`` from a worker whose job or ``init`` failed.  A
+  worker process that dies without a message (SIGKILL, the OOM killer)
+  closes its result pipe, and that end of file raises ``WorkerCrashError``
+  in the master at once.  A consumer that cannot write leaves an
+  ``EngineError`` that the master raises after its next receive.
 
-Workers block on their own inbox and all put their results on one shared
-queue; the master polls that queue non-blockingly, growing the job list
-from returned unexplored payloads and shrinking it by assignment until the
-list is empty and no job is in flight.  The master's view of the workers is
-a deque of idle worker ids and a map from each busy worker to its job, so
-assigning, collecting and the done test never scan the workers.  The
-master also owns the output count: in count-only mode it sends the
-consumer the run's total as a single line.
+Assignments and results cross the transport as plain tuples of builtins
+(an ``AssignMsg`` with its budget's fields, a ``ResultMsg``'s fields):
+pickling a class reference costs about as much as the search of a small
+job.
+
+The master blocks in the transport's receive until a result arrives or the
+next ``-hist`` sample tick or checkpoint deadline passes.  It grows the job
+list from returned unexplored payloads and shrinks it by assignment, one
+assignment per freed worker, until the list is empty and no job is in
+flight.  Its view of the workers is a deque of idle worker ids and a map
+from each busy worker to its job, so assigning, collecting and the done
+test never scan the workers.  The master also owns the output count: in
+count-only mode it sends the consumer the run's total as a single line.
 
 Shared data is master-mediated: workers send opaque token deltas with each
 result, the master merges them (set semantics, global sequence order) and
@@ -32,11 +57,12 @@ the next assignment.
 
 from __future__ import annotations
 
+import math
 import queue
 import threading
 import time
 from collections import deque
-from typing import IO, NamedTuple, Sequence
+from typing import IO, Any, Callable, NamedTuple, Sequence
 
 from .budget import Budget, SchedulerConfig, select_budget
 from .checkpoint import checkpoint_read, checkpoint_write
@@ -48,8 +74,8 @@ from .errors import (
     WorkerCrashError,
 )
 from .search_api import Application
+from .transport import ThreadTransport
 
-_IDLE_SLEEP_S = 0.0002
 _SAMPLE_INTERVAL_S = 0.1
 _CHECKPOINT_INTERVAL_S = 30.0
 
@@ -72,11 +98,12 @@ class ResultMsg(NamedTuple):
     unexplored: tuple[bytes, ...]
     shared_delta: tuple[bytes, ...]
     halt: bool
+    # the job's output lines, each ended by a newline
+    lines: str = ""
 
 
 class OutputMsg(NamedTuple):
-    lines: tuple[str, ...]
-    verdict: bool = False
+    text: str
 
 
 # --------------------------------------------------------------------------
@@ -153,62 +180,56 @@ class RunReport:
 def worker_loop(
     worker_id: int,
     app: Application,
-    input_bytes: bytes,
-    inbox: "queue.Queue",
-    to_master: "queue.Queue",
-    to_consumer: "queue.Queue",
+    load: Callable[[], Any],
+    receive: Callable[[], AssignMsg | None],
+    send: Callable[[Any], None],
 ) -> None:
-    """Receive jobs, run the application search, ship results until ``None``.
+    """Receive jobs, run the application search, send results until ``None``.
 
-    Any exception becomes a ``WorkerCrashError`` on the result queue, so the
-    master can abort the run instead of waiting forever.
+    ``load()`` returns the global data the searches read.  Each job gets
+    one ``ResultMsg``, sent as a plain tuple, that carries its output lines
+    too.  Any exception becomes a ``WorkerCrashError`` sent to the master,
+    so the master can abort the run instead of waiting forever.
     """
     try:
-        global_data, _root = app.init(input_bytes)
+        global_data = load()
         local_shared: list[bytes] = []
-        while (msg := inbox.get()) is not None:
-            local_shared.extend(msg.shared)
-            result = app.search(global_data, msg.payload, msg.budget, tuple(local_shared))
-            if result.outputs:
-                to_consumer.put(OutputMsg(tuple(result.outputs), verdict=result.halt))
-            to_master.put(
-                ResultMsg(
-                    worker_id=worker_id,
-                    visited=result.visited,
-                    output_count=result.output_count,
-                    unexplored=tuple(result.unexplored),
-                    shared_delta=tuple(result.shared_delta),
-                    halt=result.halt,
-                )
-            )
+        while (msg := receive()) is not None:
+            payload, budget, shared = msg  # an AssignMsg, its budget maybe a plain tuple
+            local_shared.extend(shared)
+            result = app.search(global_data, payload, Budget(*budget), tuple(local_shared))
+            lines = "\n".join(result.outputs) + "\n" if result.outputs else ""
+            send((  # the fields of a ResultMsg
+                worker_id,
+                result.visited,
+                result.output_count,
+                tuple(result.unexplored),
+                tuple(result.shared_delta),
+                result.halt,
+                lines,
+            ))
     except Exception as exc:  # noqa: BLE001 - sent to the master, which raises it
         crash = WorkerCrashError(
             f"worker {worker_id} crashed ({type(exc).__name__}: {exc}); "
             "its job is lost and the run was aborted"
         )
-        crash.__cause__ = exc  # keeps the worker's traceback for library callers
-        to_master.put(crash)
+        crash.__cause__ = exc  # keeps the worker's traceback for thread workers
+        send(crash)
 
 
-def consumer_loop(inbox: "queue.Queue", out: IO[str], to_master: "queue.Queue") -> None:
-    """Write output lines verbatim in arrival order until ``None``.
+def consumer_loop(inbox: queue.SimpleQueue, out: IO[str], failed: list[EngineError]) -> None:
+    """Write output text verbatim in arrival order until ``None``.
 
-    Verdict-tagged messages are deduplicated to the first one seen.  A
-    failed write or flush (``OSError``) is sent to the master as an
-    ``EngineError`` and ends the loop: no later line is written.
+    A failed write or flush (``OSError``) is appended to ``failed`` as an
+    ``EngineError``, which the master raises, and ends the loop: no later
+    line is written.
     """
-    verdict_seen = False
     try:
         while (msg := inbox.get()) is not None:
-            if msg.verdict:
-                if verdict_seen:
-                    continue
-                verdict_seen = True
-            for line in msg.lines:
-                out.write(line + "\n")
+            out.write(msg.text)
         out.flush()
     except OSError as exc:
-        to_master.put(EngineError(f"cannot write the output ({type(exc).__name__}: {exc})"))
+        failed.append(EngineError(f"cannot write the output ({type(exc).__name__}: {exc})"))
 
 
 # --------------------------------------------------------------------------
@@ -219,11 +240,10 @@ def consumer_loop(inbox: "queue.Queue", out: IO[str], to_master: "queue.Queue") 
 class Master:
     """Job-list owner: assigns budgeted jobs, merges results and shared data.
 
-    Its worker state is one inbox per worker, the ``idle`` deque of worker
-    ids with no job, and ``in_flight``, which maps each busy worker id to
-    its job; every worker id is in exactly one of the two.  Kept separate
-    from the thread plumbing so assignment and collection can be exercised
-    directly.
+    Its worker state is the ``idle`` deque of worker ids with no job, and
+    ``in_flight``, which maps each busy worker id to its job; every worker
+    id is in exactly one of the two.  Kept separate from the transport so
+    assignment and collection can be exercised directly.
     """
 
     def __init__(self, config: SchedulerConfig) -> None:
@@ -231,49 +251,52 @@ class Master:
         n = config.num_workers
         self.joblist: deque[bytes] = deque()
         self.store = SharedStore(n)
-        self.inboxes: list[queue.Queue] = [queue.Queue() for _ in range(n)]
         self.idle: deque[int] = deque(range(n))
         self.in_flight: dict[int, bytes] = {}
-        # every worker's ResultMsg (tagged with its worker_id) and the
-        # BtsearchError of a crashed worker or a failed consumer write
-        self.results: queue.Queue = queue.Queue()
         self.report = RunReport()
         self.halting = False
 
-    def assign_next(self) -> AssignMsg:
-        """Send the head of the job list to the longest-idle worker.
+    def assign_next(self) -> tuple[int, AssignMsg]:
+        """Give the head of the job list to the longest-idle worker.
 
-        The budget is chosen from the job-list length before the pop.  The
-        message carries exactly the shared tokens newer than the worker's
-        high-water mark.
+        Returns that worker's id and the message to send it.  The budget is
+        chosen from the job-list length before the pop.  The message carries
+        exactly the shared tokens newer than the worker's high-water mark.
         """
         budget = select_budget(len(self.joblist), self.config)
         job = self.joblist.popleft()
         worker_id = self.idle.popleft()
         self.in_flight[worker_id] = job
-        msg = AssignMsg(payload=job, budget=budget, shared=self.store.delta_for(worker_id))
-        self.inboxes[worker_id].put(msg)
-        return msg
+        return worker_id, AssignMsg(payload=job, budget=budget, shared=self.store.delta_for(worker_id))
 
-    def collect_result(self, msg: ResultMsg) -> None:
-        """Merge one worker result into the job list, store, and report."""
-        worker_id = msg.worker_id
+    def collect_result(self, msg: Sequence[Any]) -> str:
+        """Merge one worker result (a ``ResultMsg`` or its plain tuple) into
+        the job list, store, and report.
+
+        Returns the text to forward to the consumer: the job's lines, or
+        nothing for a halting result after the first, whose verdict was
+        already forwarded.
+        """
+        worker_id, visited, output_count, unexplored, shared_delta, halt, lines = msg
         if worker_id not in self.in_flight:
             raise EngineError(f"result from idle worker {worker_id}")
-        if msg.visited < 0 or msg.output_count < 0:
+        if visited < 0 or output_count < 0:
             raise EngineError(f"worker {worker_id}: malformed result counts")
-        for payload in msg.unexplored:
+        for payload in unexplored:
             if not isinstance(payload, bytes):
                 raise EngineError(f"worker {worker_id}: malformed unexplored payload")
             self.joblist.append(payload)
-        self.store.merge(msg.shared_delta)
+        self.store.merge(shared_delta)
         del self.in_flight[worker_id]
         self.idle.append(worker_id)
         self.report.jobs_executed += 1
-        self.report.frequencies.append(msg.visited)
-        self.report.total_output_count += msg.output_count
-        if msg.halt:
-            self.halting = True
+        self.report.frequencies.append(visited)
+        self.report.total_output_count += output_count
+        if not halt:
+            return lines
+        first = not self.halting
+        self.halting = True
+        return lines if first else ""
 
     def pending_jobs(self) -> list[bytes]:
         """In-flight jobs plus the queued list: everything not yet finished.
@@ -295,19 +318,24 @@ def run(
     input_bytes: bytes,
     config: SchedulerConfig,
     out: IO[str] | None = None,
+    *,
+    transport: type = ThreadTransport,
 ) -> RunReport:
     """Execute a full parallel run of ``app`` on ``input_bytes``.
 
     Resolves the budget kind with ``app.resolve_budget_kind`` (BudgetKindError
     on a kind the app does not accept), parses the input and decodes every job and
     shared token of a restart checkpoint (CheckpointError on one that does
-    not decode), all before any worker starts.  Then seeds the job list
-    with the application root or the restored jobs and drives the master
-    loop until every job is done, a worker signals a global answer, or
-    ``stop_after_jobs`` triggers a checkpointed early stop.  Output lines
+    not decode), all before any worker starts.  Then starts the workers
+    with ``transport`` (``ThreadTransport`` or ``ForkTransport``), seeds the
+    job list with the application root or the restored jobs and drives the
+    master loop until every job is done, a worker signals a global answer,
+    or ``stop_after_jobs`` triggers a checkpointed early stop.  Output lines
     stream to ``out`` via the consumer; a count-only app (``app.count_only``)
-    gets one total line.  A failed write to ``out`` or to the checkpoint
-    raises EngineError.
+    gets one total line.  A failed write to ``out`` or to the checkpoint,
+    or a worker that cannot be started, raises EngineError; a worker that
+    fails or dies raises WorkerCrashError.  Every worker is stopped, and
+    every worker process reaped, on every way out.
     """
     config = config._replace(budget_kind=app.resolve_budget_kind(config.budget_kind))
     if out is None:
@@ -331,36 +359,27 @@ def run(
     else:
         master.joblist.append(root)
 
-    consumer_inbox: queue.Queue = queue.Queue()
+    if transport is ThreadTransport:
+        # Thread workers still parse the input themselves: the benchmark's
+        # traced self-test counts these calls (np + 1 per run).
+        def load() -> Any:
+            return app.init(input_bytes)[0]
+    else:
+        def load() -> Any:
+            return global_data
+
+    def work(worker_id: int, receive: Callable, send: Callable) -> None:
+        worker_loop(worker_id, app, load, receive, send)
+
+    workers = transport()
+    consumer_inbox: queue.SimpleQueue = queue.SimpleQueue()
+    consumer_failed: list[EngineError] = []
     consumer = threading.Thread(
         target=consumer_loop,
-        args=(consumer_inbox, out, master.results),
+        args=(consumer_inbox, out, consumer_failed),
         name="btsearch-consumer",
         daemon=True,
     )
-    consumer.start()
-    workers = [
-        threading.Thread(
-            target=worker_loop,
-            args=(worker_id, app, input_bytes, inbox, master.results, consumer_inbox),
-            name=f"btsearch-worker-{worker_id}",
-            daemon=True,
-        )
-        for worker_id, inbox in enumerate(master.inboxes)
-    ]
-    for worker in workers:
-        worker.start()
-
-    start_time = time.monotonic()
-    last_sample = -1.0
-    last_checkpoint = start_time
-
-    def sample_metrics(now: float) -> None:
-        nonlocal last_sample
-        elapsed = now - start_time
-        if elapsed - last_sample >= _SAMPLE_INTERVAL_S or last_sample < 0:
-            master.report.samples.append((elapsed, len(master.in_flight), len(master.joblist)))
-            last_sample = elapsed
 
     def write_checkpoint_now() -> None:
         if config.checkpoint_path is None:
@@ -376,19 +395,22 @@ def run(
             raise EngineError(f"cannot write the checkpoint ({type(exc).__name__}: {exc})") from exc
 
     try:
+        workers.start(config.num_workers, work)  # forks before any thread of ours starts
+        consumer.start()
+        start_time = time.monotonic()
+        next_sample = start_time
+        next_checkpoint = (
+            start_time + _CHECKPOINT_INTERVAL_S if config.checkpoint_path is not None else math.inf
+        )
         while True:
-            progressed = False
-            # Collect any finished results (a crash can arrive even before
-            # the first assignment).
-            while True:
-                try:
-                    msg = master.results.get_nowait()
-                except queue.Empty:
-                    break
-                if isinstance(msg, BtsearchError):
-                    raise msg
-                master.collect_result(msg)
-                progressed = True
+            now = time.monotonic()
+            if now >= next_sample:
+                elapsed = now - start_time
+                master.report.samples.append((elapsed, len(master.in_flight), len(master.joblist)))
+                next_sample = now + _SAMPLE_INTERVAL_S
+            if now >= next_checkpoint:
+                write_checkpoint_now()
+                next_checkpoint = now + _CHECKPOINT_INTERVAL_S
 
             # Stop assigning on a halt or once stop_after_jobs results are in;
             # leave when nothing is in flight and the run is stopping or done.
@@ -396,28 +418,23 @@ def run(
                 config.stop_after_jobs is not None
                 and master.report.jobs_executed >= config.stop_after_jobs
             )
-            if not master.in_flight and (stopping or not master.joblist):
-                break
-
-            # Hand out jobs FIFO to free workers under the current budget.
             if not stopping:
                 while master.idle and master.joblist:
-                    master.assign_next()
-                    progressed = True
+                    worker_id, assign = master.assign_next()
+                    workers.send(worker_id, (assign.payload, tuple(assign.budget), assign.shared))
+            if not master.in_flight:
+                break
 
-            now = time.monotonic()
-            sample_metrics(now)
-            if (
-                config.checkpoint_path is not None
-                and now - last_checkpoint >= _CHECKPOINT_INTERVAL_S
-            ):
-                write_checkpoint_now()
-                last_checkpoint = now
-            if not progressed:
-                time.sleep(_IDLE_SLEEP_S)
+            msg = workers.receive(min(next_sample, next_checkpoint) - now)
+            if consumer_failed:
+                raise consumer_failed[0]
+            if isinstance(msg, BtsearchError):
+                raise msg
+            if msg is not None:
+                text = master.collect_result(msg)
+                if text:
+                    consumer_inbox.put(OutputMsg(text))
 
-        now = time.monotonic()
-        sample_metrics(now)
         master.report.wall_time = now - start_time
         master.report.halted = master.halting
         # a run whose last job is also its stop_after_jobs-th is complete
@@ -428,19 +445,15 @@ def run(
         elif not master.halting:
             final_lines = app.finalize(global_data)
             if final_lines:
-                consumer_inbox.put(OutputMsg(tuple(final_lines), verdict=False))
+                consumer_inbox.put(OutputMsg("\n".join(final_lines) + "\n"))
         if app.count_only:
-            consumer_inbox.put(OutputMsg((str(master.report.total_output_count),)))
+            consumer_inbox.put(OutputMsg(f"{master.report.total_output_count}\n"))
     finally:
-        for inbox in master.inboxes:
-            inbox.put(None)
-        consumer_inbox.put(None)
-        for worker in workers:
-            worker.join(timeout=30.0)
-        consumer.join(timeout=30.0)
+        workers.stop()
+        if consumer.is_alive():
+            consumer_inbox.put(None)
+            consumer.join(timeout=30.0)
     # the consumer writes the last lines after the loop ends
-    while not master.results.empty():
-        msg = master.results.get_nowait()
-        if isinstance(msg, BtsearchError):
-            raise msg
+    if consumer_failed:
+        raise consumer_failed[0]
     return master.report

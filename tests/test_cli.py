@@ -333,7 +333,9 @@ class TestConsoleEntry:
         # Every run pays for what these imports load on top of a bare
         # interpreter: only the gwtree subcommand needs numpy, and
         # dataclasses (with the inspect it loads) and logging alone cost
-        # about 30 ms of start-up.
+        # about 30 ms of start-up.  The forked workers use raw pipes:
+        # multiprocessing.connection alone added about 21 ms (90.5 to
+        # 111.6 ms, medians of 25 runs of `import btsearch.cli`).
         script = (
             "import sys; bare = set(sys.modules)\n"
             "import btsearch.cli, btsearch.apps.spantree, btsearch.apps.topsorts\n"
@@ -346,4 +348,7 @@ class TestConsoleEntry:
         assert proc.returncode == 0, proc.stderr
         added = set(proc.stdout.split())
         assert "btsearch.apps.sat.app" in added
-        assert added.isdisjoint({"numpy", "dataclasses", "inspect", "logging"})
+        assert added.isdisjoint(
+            {"numpy", "dataclasses", "inspect", "logging", "multiprocessing", "subprocess",
+             "concurrent"}
+        )

@@ -1,12 +1,17 @@
+import errno
 import io
 import itertools
 import math
+import os
 import queue
+import signal
+import sys
 import threading
 import time
 
 import pytest
 
+from btsearch import cli
 from btsearch.budget import Budget, SchedulerConfig
 from btsearch.engine import (
     AssignMsg,
@@ -20,6 +25,7 @@ from btsearch.engine import (
 )
 from btsearch.errors import EngineError, InputFormatError, WorkerCrashError
 from btsearch.search_api import Application, SearchResult
+from btsearch.transport import ForkTransport, ThreadTransport
 from btsearch.apps import build_application
 from btsearch.apps.topsorts import count_extensions
 
@@ -129,9 +135,7 @@ class TestMasterOperations:
 
     def test_assign_with_empty_store_carries_nothing(self):
         master = self.make_master(b"x")
-        msg = master.assign_next()
-        assert msg == AssignMsg(b"x", Budget(None, 10), ())
-        assert master.inboxes[0].get_nowait() is msg
+        assert master.assign_next() == (0, AssignMsg(b"x", Budget(None, 10), ()))
         assert master.in_flight == {0: b"x"}
         assert list(master.idle) == [1]
         assert not master.joblist
@@ -141,17 +145,17 @@ class TestMasterOperations:
         master.store.merge([b"s1", b"s2", b"s3", b"s4", b"s5"])
         # simulate a worker that has already seen the first three
         master.store._marks[0] = 3
-        msg = master.assign_next()
+        _worker_id, msg = master.assign_next()
         assert msg.shared == (b"s4", b"s5")
         assert master.store.delta_for(0) == ()
 
     def test_consecutive_assigns_carry_nothing_new(self):
         master = self.make_master(b"x", b"y", num_workers=1)
         master.store.merge([b"s1"])
-        first = master.assign_next()
+        _worker_id, first = master.assign_next()
         assert first.shared == (b"s1",)
         master.collect_result(ResultMsg(0, 1, 0, (), (), False))
-        second = master.assign_next()
+        _worker_id, second = master.assign_next()
         assert second.shared == ()
 
     def test_collect_with_no_unfinished_leaves_joblist_alone(self):
@@ -189,6 +193,17 @@ class TestMasterOperations:
             master.collect_result(ResultMsg(0, 1, 0, (), (), False))
         assert master.report.jobs_executed == 1
 
+    def test_verdicts_deduplicated_to_first(self):
+        # the master forwards every job's lines, but only the first verdict
+        master = self.make_master(b"x", b"y", b"z")
+        master.assign_next()
+        master.assign_next()
+        assert master.collect_result(ResultMsg(0, 1, 0, (b"z",), (), False, "A\n")) == "A\n"
+        assert master.collect_result(ResultMsg(1, 1, 1, (), (), True, "s ONE\n")) == "s ONE\n"
+        master.assign_next()
+        assert master.collect_result(ResultMsg(0, 1, 1, (), (), True, "s TWO\n")) == ""
+        assert master.halting and master.report.total_output_count == 2
+
     def test_pending_jobs_cover_in_flight_and_queued(self):
         master = self.make_master(b"flying", b"queued", num_workers=1)
         master.assign_next()
@@ -199,62 +214,50 @@ class TestMasterOperations:
 
 class TestWorkerLoop:
     def run_worker(self, messages):
-        inbox, to_master, to_consumer = queue.Queue(), queue.Queue(), queue.Queue()
-        for msg in messages:
-            inbox.put(msg)
-        worker_loop(0, TreeApp(), b"", inbox, to_master, to_consumer)
+        app = TreeApp()
         results = []
-        while not to_master.empty():
-            results.append(to_master.get())
-        outputs = []
-        while not to_consumer.empty():
-            outputs.append(to_consumer.get())
-        return results, outputs
+        worker_loop(0, app, lambda: app.init(b"")[0], iter(messages).__next__, results.append)
+        return [ResultMsg._make(result) for result in results]
 
     def test_terminate_first_exits_cleanly(self):
-        results, outputs = self.run_worker([None])
-        assert results == [] and outputs == []
+        assert self.run_worker([None]) == []
 
     def test_job_within_budget_returns_no_unfinished(self):
         msg = AssignMsg(b"r", Budget(None, None), ())
-        results, _ = self.run_worker([msg, None])
-        assert len(results) == 1
-        assert results[0].unexplored == ()
-        assert results[0].visited == 14
+        (result,) = self.run_worker([msg, None])
+        assert result.unexplored == ()
+        assert result.visited == 14
+        # one message per job: its lines travel with its result
+        lines = result.lines.splitlines()
+        assert len(lines) == len(set(lines)) == result.output_count == 14
 
     def test_budget_five_leaves_unfinished_work(self):
         # 15-vertex subtree, node budget 5: the flagged over-budget vertex
         # plus one backtrack sibling are returned; both were counted.
         msg = AssignMsg(b"r", Budget(None, 5), ())
-        results, _ = self.run_worker([msg, None])
+        results = self.run_worker([msg, None])
         assert len(results[0].unexplored) == 2
         assert results[0].visited == 6
 
 
 class TestConsumerLoop:
     def drain(self, messages):
-        inbox = queue.Queue()
+        inbox = queue.SimpleQueue()
         for m in messages:
             inbox.put(m)
         inbox.put(None)
         out = io.StringIO()
-        to_master = queue.Queue()
-        consumer_loop(inbox, out, to_master)
-        assert to_master.empty()
+        failed = []
+        consumer_loop(inbox, out, failed)
+        assert failed == []
         return out.getvalue()
 
     def test_messages_written_verbatim_in_order(self):
-        got = self.drain([OutputMsg(("A",)), OutputMsg(("B",)), OutputMsg(("C",))])
-        assert got == "A\nB\nC\n"
+        got = self.drain([OutputMsg("A\n"), OutputMsg("B\nC\n"), OutputMsg("D\n")])
+        assert got == "A\nB\nC\nD\n"
 
     def test_no_messages_no_output(self):
         assert self.drain([]) == ""
-
-    def test_verdicts_deduplicated_to_first(self):
-        got = self.drain(
-            [OutputMsg(("s ONE",), verdict=True), OutputMsg(("s TWO",), verdict=True)]
-        )
-        assert got == "s ONE\n"
 
 
 class FailingOutput(io.StringIO):
@@ -263,9 +266,11 @@ class FailingOutput(io.StringIO):
     def __init__(self, limit):
         super().__init__()
         self.limit = limit
+        self.failed_writes = 0
 
     def write(self, text):
         if self.getvalue().count("\n") >= self.limit:
+            self.failed_writes += 1
             raise OSError(28, "No space left on device")
         return super().write(text)
 
@@ -316,8 +321,11 @@ class TestRun:
     )
     def test_a_failed_output_write_aborts_the_run(self, count_only, limit):
         app = build_application("topsorts", count_only=count_only)
-        with pytest.raises(EngineError, match="cannot write the output .OSError: .Errno 28"):
-            run(app, b"4 0\n", static_config(None, 3), FailingOutput(limit))
+        for transport in (ThreadTransport, ForkTransport):
+            out = FailingOutput(limit)
+            with pytest.raises(EngineError, match="cannot write the output .OSError: .Errno 28"):
+                run(app, b"4 0\n", static_config(None, 3), out, transport=transport)
+            assert out.failed_writes == 1  # nothing is written after the failure
         leaked = [t.name for t in threading.enumerate() if t.name.startswith("btsearch-")]
         assert leaked == []
 
@@ -448,3 +456,196 @@ class TestStopAndResume:
         assert partial + report2.total_output_count == 24
         combined = out.getvalue().splitlines() + out2.getvalue().splitlines()
         assert len(combined) == len(set(combined)) == 24
+
+
+# --------------------------------------------------------------------------
+# Forked worker processes
+# --------------------------------------------------------------------------
+
+
+@pytest.fixture
+def forked_pids(monkeypatch):
+    """The pid of every worker ``os.fork`` starts during the test."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_reaped(pids):
+    assert pids
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)  # a zombie would still accept the signal
+
+
+def multisets(name, data, config, transport):
+    out = io.StringIO()
+    report = run(build_application(name), data, config, out, transport=transport)
+    return sorted(out.getvalue().splitlines()), sorted(report.frequencies)
+
+
+class SleepingApp(TreeApp):
+    """Writes its worker's pid to ``pid_dir / "pid"``, then sleeps in ``search``."""
+
+    name = "sleep15"
+
+    def __init__(self, pid_dir):
+        self.pid_dir = pid_dir
+
+    def search(self, global_data, payload, budget, shared):
+        partial = self.pid_dir / f"{os.getpid()}.tmp"
+        partial.write_text(str(os.getpid()))
+        os.replace(partial, self.pid_dir / "pid")
+        time.sleep(60)
+        return super().search(global_data, payload, budget, shared)
+
+
+def start_killer(pid_dir, killed):
+    """A thread that SIGKILLs the worker pid ``SleepingApp`` writes; records (pid, time)."""
+
+    def kill():
+        pid_file = pid_dir / "pid"
+        deadline = time.monotonic() + 30
+        while not pid_file.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        pid = int(pid_file.read_text())
+        os.kill(pid, signal.SIGKILL)
+        killed.append((pid, time.monotonic()))
+
+    thread = threading.Thread(target=kill, daemon=True)
+    thread.start()
+    return thread
+
+
+class InterruptedForkTransport(ForkTransport):
+    def receive(self, timeout):
+        raise KeyboardInterrupt
+
+
+class TestForkTransport:
+    """The transport of the ``btsearch`` program; no test starts more than three workers."""
+
+    @pytest.mark.parametrize(
+        ("name", "data", "max_depth", "max_nodes"),
+        [
+            ("topsorts", poset_bytes(bipartite_poset(4, 4)), None, 50),  # criterion 3
+            ("topsorts", poset_bytes(bipartite_poset(3, 2)), 2, 3),
+            ("spantree", b"4 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n", None, 3),
+            ("spantree", b"4 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n", 1, 5),
+        ],
+    )
+    def test_static_budget_runs_match_the_thread_transport(
+        self, name, data, max_depth, max_nodes, forked_pids
+    ):
+        baseline = multisets(name, data, static_config(max_depth, max_nodes, 1), ThreadTransport)
+        assert baseline[0]
+        for workers in (1, 3):
+            config = static_config(max_depth, max_nodes, workers)
+            assert multisets(name, data, config, ForkTransport) == baseline
+        assert_reaped(forked_pids)
+
+    def test_criterion_8_checkpoint_restart_reaches_the_full_count(self, tmp_path, forked_pids):
+        k44 = poset_bytes(bipartite_poset(4, 4))
+        cp = tmp_path / "k44.ckpt"
+        outs = [io.StringIO(), io.StringIO()]
+        configs = [
+            static_config(None, 40, 2, checkpoint_path=cp, stop_after_jobs=4),
+            static_config(None, 40, 3, restart_path=cp),
+        ]
+        reports = [
+            run(build_application("topsorts"), k44, config, out, transport=ForkTransport)
+            for config, out in zip(configs, outs)
+        ]
+        assert [r.completed for r in reports] == [False, True]
+        lines = outs[0].getvalue().splitlines() + outs[1].getvalue().splitlines()
+        assert len(lines) == len(set(lines)) == sum(r.total_output_count for r in reports) == 576
+        assert_reaped(forked_pids)
+
+    def test_a_halting_run_writes_one_verdict(self, forked_pids):
+        cnf = cnf_text(pigeonhole_cnf(3, 3)).encode()
+        out = io.StringIO()
+        config = static_config(None, 1, 3, budget_kind="conflicts")
+        report = run(build_application("sat"), cnf, config, out, transport=ForkTransport)
+        assert report.halted
+        verdict, model = out.getvalue().splitlines()
+        assert verdict == "s SATISFIABLE" and model.startswith("v ")
+        assert_reaped(forked_pids)
+
+    def test_a_search_that_raises_aborts_with_its_text(self, forked_pids):
+        with pytest.raises(WorkerCrashError, match="RuntimeError: boom"):
+            run(CrashingApp(), b"", SchedulerConfig(num_workers=2), transport=ForkTransport)
+        assert len(forked_pids) == 2
+        assert_reaped(forked_pids)
+
+    def test_a_killed_worker_aborts_the_run_within_a_second(self, tmp_path, forked_pids):
+        killed = []
+        killer = start_killer(tmp_path, killed)
+        with pytest.raises(WorkerCrashError, match="died without a result"):
+            run(SleepingApp(tmp_path), b"", SchedulerConfig(num_workers=2), transport=ForkTransport)
+        raised_at = time.monotonic()
+        killer.join(timeout=5)
+        ((pid, killed_at),) = killed
+        assert raised_at - killed_at < 1.0
+        assert pid in forked_pids
+        assert_reaped(forked_pids)
+
+    def test_a_killed_worker_exits_3_through_the_cli(
+        self, tmp_path, monkeypatch, capsys, forked_pids
+    ):
+        monkeypatch.setattr(cli, "build_application", lambda name, **kw: SleepingApp(tmp_path))
+        inp = tmp_path / "in.txt"
+        inp.write_text("ignored\n")
+        monkeypatch.setattr(sys, "argv", ["btsearch", "run", "topsorts", str(inp), "-np", "2"])
+        killed = []
+        killer = start_killer(tmp_path, killed)
+        assert cli.main() == 3
+        raised_at = time.monotonic()
+        killer.join(timeout=5)
+        ((_pid, killed_at),) = killed
+        assert raised_at - killed_at < 1.0
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("btsearch: aborted: worker ")
+        assert captured.out == ""
+        assert_reaped(forked_pids)
+
+    def test_a_failed_fork_exits_3_and_reaps_the_first_worker(self, tmp_path, monkeypatch, capsys):
+        real_fork = os.fork
+        pids = []
+
+        def fork():
+            if pids:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            pid = real_fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        inp = tmp_path / "p.txt"
+        inp.write_text("4 0\n")
+        monkeypatch.setattr(sys, "argv", ["btsearch", "run", "topsorts", str(inp), "-np", "2"])
+        assert cli.main() == 3
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("btsearch: aborted: cannot start worker 1 (BlockingIOError")
+        assert captured.out == ""
+        assert_reaped(pids)
+
+    def test_keyboard_interrupt_reaps_every_worker_at_once(self, tmp_path, forked_pids):
+        # the interrupt arrives while a worker sleeps in its job
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run(SleepingApp(tmp_path), b"", SchedulerConfig(num_workers=3),
+                transport=InterruptedForkTransport)
+        assert time.monotonic() - start < 5.0
+        assert len(forked_pids) == 3
+        assert_reaped(forked_pids)

@@ -8,7 +8,8 @@ the independent oracles in ``oracles.py`` count.  Every application's
 ``decode_node`` must reject arbitrary bytes with ``NodeDecodeError`` and
 must give back every vertex (or sat assumption) its payload encodes.  A
 static-budget ``engine.run`` must give the same output and frequency
-multisets at 1, 2 and 3 workers.
+multisets at 1, 2 and 3 workers.  The sat, spantree and topsorts input
+parsers must reject arbitrary bytes with ``InputFormatError`` alone.
 """
 
 import io
@@ -30,7 +31,7 @@ from btsearch.apps.spantree import Graph, SpantreeApplication, SpantreeOracle, f
 from btsearch.apps.topsorts import Poset, TopsortsApplication, TopsortsOracle, format_poset
 from btsearch.budget import Budget, SchedulerConfig
 from btsearch.engine import run
-from btsearch.errors import NodeDecodeError
+from btsearch.errors import InputFormatError, NodeDecodeError
 from btsearch.reverse_search import AdjacencyOracle, reverse_search
 
 from oracles import brute_force_extensions, matrix_tree_count, random_offspring_sequence
@@ -209,3 +210,26 @@ def test_static_budget_runs_are_invariant_to_the_worker_count(case, max_depth, m
         report = run(build_application(name, prune="off"), text.encode("ascii"), config, out)
         keys.append((sorted(out.getvalue().splitlines()), sorted(report.frequencies)))
     assert keys[0] == keys[1] == keys[2]
+
+
+# Words that the DIMACS, graph and poset readers give a meaning to, plus
+# numbers at and past their edges, joined into lines of text.
+_WORDS = st.sampled_from(
+    ["p", "cnf", "c", "%", "#", "0", "-0", "+1", "1_0", "-1", "x", "\x00", "\xff",
+     "100001", "99999999999999999999", "9" * 5000]
+) | st.integers(-3, 9).map(str)
+_LINES = st.lists(st.lists(_WORDS, max_size=5).map(" ".join), max_size=6).map("\n".join)
+
+
+@settings(max_examples=300, deadline=None)
+@example("topsorts", b"99999999999999999999 0")  # an O(n) allocation raised OverflowError
+@given(
+    st.sampled_from(["sat", "spantree", "topsorts"]),
+    st.binary(max_size=64) | _LINES.map(lambda text: text.encode("latin-1")),
+)
+def test_input_parsers_raise_only_input_format_error(name, data):
+    # any other exception escapes ``btsearch run`` as a traceback instead of exit 2
+    try:
+        build_application(name).init(data)
+    except InputFormatError:
+        pass

@@ -25,8 +25,9 @@ The protocol has three message types and two signals:
   job: its counts, its unexplored payloads, its new shared tokens and its
   output lines joined into one string;
 - ``OutputMsg``, master to consumer: text to write.  The master forwards a
-  job's lines when it collects the result, and of the halting results only
-  the first one's (the verdict is written once);
+  job's lines when it collects the result.  A halting result is the run's
+  answer: the master stops at once and abandons the jobs still in flight,
+  so the verdict is written once;
 - ``None`` in an inbox tells its reader to stop (under fork, end of file);
 - a ``BtsearchError`` from a worker is the error the master raises:
   ``WorkerCrashError`` from a worker whose job or ``init`` failed.  A
@@ -273,9 +274,7 @@ class Master:
         """Merge one worker result (a ``ResultMsg`` or its plain tuple) into
         the job list, store, and report.
 
-        Returns the text to forward to the consumer: the job's lines, or
-        nothing for a halting result after the first, whose verdict was
-        already forwarded.
+        Returns the text to forward to the consumer: the job's lines.
         """
         worker_id, visited, output_count, unexplored, shared_delta, halt, lines = msg
         if worker_id not in self.in_flight:
@@ -292,11 +291,9 @@ class Master:
         self.report.jobs_executed += 1
         self.report.frequencies.append(visited)
         self.report.total_output_count += output_count
-        if not halt:
-            return lines
-        first = not self.halting
-        self.halting = True
-        return lines if first else ""
+        if halt:
+            self.halting = True
+        return lines
 
     def pending_jobs(self) -> list[bytes]:
         """In-flight jobs plus the queued list: everything not yet finished.
@@ -412,9 +409,11 @@ def run(
                 write_checkpoint_now()
                 next_checkpoint = now + _CHECKPOINT_INTERVAL_S
 
-            # Stop assigning on a halt or once stop_after_jobs results are in;
-            # leave when nothing is in flight and the run is stopping or done.
-            stopping = master.halting or (
+            if master.halting:
+                break  # the jobs still in flight cannot change the answer
+            # Stop assigning once stop_after_jobs results are in; leave when
+            # nothing is in flight and the run is stopping or done.
+            stopping = (
                 config.stop_after_jobs is not None
                 and master.report.jobs_executed >= config.stop_after_jobs
             )

@@ -23,7 +23,7 @@ class SearchResult(NamedTuple):
     records.  In count-only mode ``outputs`` stays empty and ``output_count``
     carries the tally.  Each ``unexplored`` entry is the payload of the root
     of an unexplored subtree.  ``halt`` signals a global answer (e.g. a SAT model):
-    the master stops issuing jobs and drains.
+    the run ends at once, and jobs still in flight are abandoned uncounted.
     """
 
     outputs: Sequence[str] = ()

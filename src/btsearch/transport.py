@@ -23,6 +23,7 @@ closes its result pipe, so the master's ``receive`` raises
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import queue
@@ -138,25 +139,32 @@ class ForkTransport:
         # the writer's CPU, so left alone the workers tend to share one CPU.
         spread = num_workers > 1 and hasattr(os, "sched_setaffinity")
         cpus = sorted(os.sched_getaffinity(0)) if spread else []
-        for worker_id in range(num_workers):
-            try:
-                inbox_read, inbox_write = self._pipe()
-                result_read, result_write = self._pipe()
-                pid = os.fork()
-            except OSError as exc:
-                raise EngineError(
-                    f"cannot start worker {worker_id} ({type(exc).__name__}: {exc})"
-                ) from exc
-            if pid == 0:
-                cpu = cpus[worker_id % len(cpus)] if cpus else None
-                self._child(worker_id, work, inbox_read, result_write, cpu)
-            self._pids.append(pid)
-            for fd in (inbox_read, result_write):
-                os.close(fd)
-                self._fds.discard(fd)
-            self._inboxes.append(inbox_write)
-            self._workers[result_read] = worker_id
-            self._poll.register(result_read, select.POLLIN)
+        # The children's collections skip what exists at the fork: a
+        # collection writes to every object it visits, and so would copy
+        # every inherited page.
+        gc.freeze()
+        try:
+            for worker_id in range(num_workers):
+                try:
+                    inbox_read, inbox_write = self._pipe()
+                    result_read, result_write = self._pipe()
+                    pid = os.fork()
+                except OSError as exc:
+                    raise EngineError(
+                        f"cannot start worker {worker_id} ({type(exc).__name__}: {exc})"
+                    ) from exc
+                if pid == 0:
+                    cpu = cpus[worker_id % len(cpus)] if cpus else None
+                    self._child(worker_id, work, inbox_read, result_write, cpu)
+                self._pids.append(pid)
+                for fd in (inbox_read, result_write):
+                    os.close(fd)
+                    self._fds.discard(fd)
+                self._inboxes.append(inbox_write)
+                self._workers[result_read] = worker_id
+                self._poll.register(result_read, select.POLLIN)
+        finally:
+            gc.unfreeze()
 
     def _child(
         self, worker_id: int, work: Work, inbox: int, results: int, cpu: int | None

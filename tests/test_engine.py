@@ -193,17 +193,6 @@ class TestMasterOperations:
             master.collect_result(ResultMsg(0, 1, 0, (), (), False))
         assert master.report.jobs_executed == 1
 
-    def test_verdicts_deduplicated_to_first(self):
-        # the master forwards every job's lines, but only the first verdict
-        master = self.make_master(b"x", b"y", b"z")
-        master.assign_next()
-        master.assign_next()
-        assert master.collect_result(ResultMsg(0, 1, 0, (b"z",), (), False, "A\n")) == "A\n"
-        assert master.collect_result(ResultMsg(1, 1, 1, (), (), True, "s ONE\n")) == "s ONE\n"
-        master.assign_next()
-        assert master.collect_result(ResultMsg(0, 1, 1, (), (), True, "s TWO\n")) == ""
-        assert master.halting and master.report.total_output_count == 2
-
     def test_pending_jobs_cover_in_flight_and_queued(self):
         master = self.make_master(b"flying", b"queued", num_workers=1)
         master.assign_next()
@@ -492,6 +481,19 @@ def multisets(name, data, config, transport):
     return sorted(out.getvalue().splitlines()), sorted(report.frequencies)
 
 
+class HaltingApp(TreeApp):
+    """The root splits in two: job ``a`` sleeps, job ``b`` halts with a verdict."""
+
+    name = "halt15"
+
+    def search(self, global_data, payload, budget, shared):
+        if payload == b"r":
+            return SearchResult(unexplored=[b"a", b"b"], visited=1)
+        if payload == b"a":
+            time.sleep(60)
+        return SearchResult(outputs=["s FOUND"], output_count=1, visited=1, halt=True)
+
+
 class SleepingApp(TreeApp):
     """Writes its worker's pid to ``pid_dir / "pid"``, then sleeps in ``search``."""
 
@@ -571,12 +573,23 @@ class TestForkTransport:
 
     def test_a_halting_run_writes_one_verdict(self, forked_pids):
         cnf = cnf_text(pigeonhole_cnf(3, 3)).encode()
-        out = io.StringIO()
         config = static_config(None, 1, 3, budget_kind="conflicts")
-        report = run(build_application("sat"), cnf, config, out, transport=ForkTransport)
-        assert report.halted
-        verdict, model = out.getvalue().splitlines()
-        assert verdict == "s SATISFIABLE" and model.startswith("v ")
+        for transport in (ThreadTransport, ForkTransport):
+            out = io.StringIO()
+            report = run(build_application("sat"), cnf, config, out, transport=transport)
+            assert report.halted
+            verdict, model = out.getvalue().splitlines()
+            assert verdict == "s SATISFIABLE" and model.startswith("v ")
+        assert_reaped(forked_pids)
+
+    def test_a_halt_abandons_the_jobs_in_flight(self, forked_pids):
+        out = io.StringIO()
+        start = time.monotonic()
+        report = run(HaltingApp(), b"", SchedulerConfig(num_workers=2), out, transport=ForkTransport)
+        assert time.monotonic() - start < 5.0  # the sleeping job was not waited for
+        assert report.halted and report.completed
+        assert report.jobs_executed == 2  # the root and the halting job
+        assert out.getvalue() == "s FOUND\n"
         assert_reaped(forked_pids)
 
     def test_a_search_that_raises_aborts_with_its_text(self, forked_pids):

@@ -212,8 +212,10 @@ class ForkTransport:
             os.close(fd)
         self._fds.clear()
         # idle workers would exit on end of file, busy ones only after their
-        # job: kill both, so that no exit path waits for a job
+        # job: kill both, so that no exit path waits for a job, and reap them
+        # after all are killed, so that they exit side by side
         for pid in self._pids:
             os.kill(pid, _SIGKILL)
+        for pid in self._pids:
             os.waitpid(pid, 0)
         self._pids.clear()

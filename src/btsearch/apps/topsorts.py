@@ -22,10 +22,6 @@ from .base import EnumerationApplication, parse_pairs
 Perm = tuple[int, ...]
 Closure = tuple[list[int], list[int], Perm]
 
-# The closure keeps two n-bit masks per element: a chain of 20,000 elements
-# takes about 50 MB, and a larger header alone would cost O(n) memory.
-MAX_ELEMENTS = 20_000
-
 
 class Poset(NamedTuple):
     """Elements 1..n with precedence pairs (a before b), acyclic."""
@@ -42,15 +38,16 @@ def parse_poset(data: bytes | str) -> Poset:
 def _read_poset(data: bytes | str) -> tuple[Poset, Closure]:
     """:func:`parse_poset` plus the poset's :func:`_closure`, which rejects cycles."""
     n, pairs = parse_pairs(data, "poset", "relation", "a b")
-    if n > MAX_ELEMENTS:
-        raise InputFormatError(f"poset has {n} elements; at most {MAX_ELEMENTS} are supported")
     relations = set()
     for lineno, a, b in pairs:
         if not (1 <= a <= n and 1 <= b <= n) or a == b:
             raise InputFormatError(f"line {lineno}: relation {a} {b} out of range")
         relations.add((a, b))
     poset = Poset(n=n, relations=frozenset(relations))
-    return poset, _closure(poset)
+    try:
+        return poset, _closure(poset)
+    except (OverflowError, MemoryError) as exc:  # the closure's lists have n + 1 entries
+        raise InputFormatError(f"poset has {n} elements; too many to allocate") from exc
 
 
 def _closure(poset: Poset) -> Closure:

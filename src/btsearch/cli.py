@@ -15,7 +15,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import NamedTuple, NoReturn, Sequence
+from typing import NamedTuple, Sequence
 
 from .apps import APPLICATION_NAMES, build_application
 from .budget import BUDGET_KINDS, SchedulerConfig
@@ -282,22 +282,5 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code
 
 
-def program() -> NoReturn:
-    """The ``btsearch`` program: :func:`main` on ``sys.argv``, then a quick exit.
-
-    The interpreter's teardown is skipped: with numpy loaded it takes about
-    25 ms.  The run has already reaped its workers and written its files;
-    stdout and stderr are flushed here, and a flush that fails leaves the
-    exit to the interpreter, which reports it.
-    """
-    code = main()
-    try:
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except OSError:
-        raise SystemExit(code) from None
-    os._exit(code)
-
-
 if __name__ == "__main__":  # pragma: no cover
-    program()
+    raise SystemExit(main())

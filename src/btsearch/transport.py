@@ -134,11 +134,15 @@ class ForkTransport:
         # unwritten output in these buffers would otherwise be copied to each child
         sys.stdout.flush()
         sys.stderr.flush()
-        # With more than one worker, worker i keeps to the i-th CPU this
-        # process may use (round robin).  A pipe write wakes its reader on
-        # the writer's CPU, so left alone the workers tend to share one CPU.
-        spread = num_workers > 1 and hasattr(os, "sched_setaffinity")
-        cpus = sorted(os.sched_getaffinity(0)) if spread else []
+        # With one worker per CPU this process may use, worker i keeps to
+        # the i-th CPU.  A pipe write wakes its reader on the writer's CPU,
+        # so left alone the workers tend to share one CPU.  Other worker
+        # counts are left to the scheduler: a run with fewer workers than
+        # CPUs would otherwise stack its workers on the same CPUs as every
+        # other such run.
+        cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+        if num_workers < 2 or num_workers != len(cpus):
+            cpus = []
         # The children's collections skip what exists at the fork: a
         # collection writes to every object it visits, and so would copy
         # every inherited page.
@@ -154,7 +158,7 @@ class ForkTransport:
                         f"cannot start worker {worker_id} ({type(exc).__name__}: {exc})"
                     ) from exc
                 if pid == 0:
-                    cpu = cpus[worker_id % len(cpus)] if cpus else None
+                    cpu = cpus[worker_id] if cpus else None
                     self._child(worker_id, work, inbox_read, result_write, cpu)
                 self._pids.append(pid)
                 for fd in (inbox_read, result_write):

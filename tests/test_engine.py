@@ -554,6 +554,27 @@ class TestForkTransport:
             assert multisets(name, data, config, ForkTransport) == baseline
         assert_reaped(forked_pids)
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
+    def test_workers_keep_to_one_cpu_each_only_with_one_worker_per_cpu(self, forked_pids):
+        def report_cpus(worker_id, receive, send):
+            send((worker_id, sorted(os.sched_getaffinity(0))))
+            receive()  # stay alive until stopped, so no result pipe reads end of file
+
+        cpus = sorted(os.sched_getaffinity(0))
+        for num_workers in {1, 3, len(cpus) if len(cpus) <= 3 else 1}:
+            transport = ForkTransport()
+            try:
+                transport.start(num_workers, report_cpus)
+                seen = dict(transport.receive(5.0) for _ in range(num_workers))
+            finally:
+                transport.stop()
+            if 2 <= num_workers == len(cpus):
+                expected = {i: [cpu] for i, cpu in enumerate(cpus)}
+            else:
+                expected = dict.fromkeys(range(num_workers), cpus)
+            assert seen == expected, num_workers
+        assert_reaped(forked_pids)
+
     def test_criterion_8_checkpoint_restart_reaches_the_full_count(self, tmp_path, forked_pids):
         k44 = poset_bytes(bipartite_poset(4, 4))
         cp = tmp_path / "k44.ckpt"

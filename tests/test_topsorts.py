@@ -104,6 +104,17 @@ class TestOracle:
         assert time.perf_counter() - start < 1.0
         assert oracle.root() == tuple(range(1, 20001))
 
+    def test_a_long_chain_has_its_one_extension(self):
+        n = 20_500
+        chain = "".join(f"{a} {a + 1}\n" for a in range(1, n))
+        oracle, _root = TopsortsApplication().init(f"{n} {n - 1}\n{chain}".encode())
+        assert oracle.root() == tuple(range(1, n + 1))
+        assert oracle.adjacent(oracle.root(), n // 2) is None  # no swap is legal
+
+    def test_a_header_too_large_to_allocate_is_an_input_error(self):
+        with pytest.raises(InputFormatError, match="too many to allocate"):
+            TopsortsApplication().init(b"99999999999999999999 0\n")
+
     def test_init_computes_the_closure_once(self, monkeypatch):
         import btsearch.apps.topsorts as topsorts
 

@@ -1,8 +1,9 @@
 """btsearch: parallel budgeted tree search.
 
-A master/worker/consumer engine splits a tree-search computation into
-budgeted jobs, balancing load by growing and shrinking the job list, with
-master-mediated sharing of application data and checkpoint/restart.
+A master/worker engine splits a tree-search computation into budgeted
+jobs, balancing load by growing and shrinking the job list, with
+master-mediated sharing of application data and checkpoint/restart.  The
+master is also the only writer of the output.
 Bundled applications: topological sorts, spanning trees, Galton-Watson
 tree experiments, and a budgeted SAT solver.
 """

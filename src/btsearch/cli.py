@@ -235,16 +235,8 @@ def _cmd_gwtree(ns: argparse.Namespace) -> int:
             print(f"btsearch: cannot write {ns.out}: {exc}", file=sys.stderr)
             return INPUT_ERROR
     else:
-        try:
-            write_experiment_csv(result, sys.stdout)
-            sys.stdout.flush()
-        except OSError as exc:
-            print(
-                f"btsearch: aborted: cannot write the output ({type(exc).__name__}: {exc})",
-                file=sys.stderr,
-            )
-            _drop_unwritable_stdout()
-            return INTERNAL_ERROR
+        write_experiment_csv(result, sys.stdout)
+        sys.stdout.flush()  # before the summary line; main reports a failed write
     print(
         f"btsearch: mean ratio {result.mean_ratio:.6f}, predicted {result.predicted:.6f}",
         file=sys.stderr,
@@ -273,13 +265,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         ns = _build_parser().parse_args(argv)
         if ns.command == "run":
-            return _cmd_run(_run_options(ns), transport)
-        if ns.command == "gwtree":
-            return _cmd_gwtree(ns)
-        return _cmd_efficiency(ns)
+            return _cmd_run(_run_options(ns), transport)  # reports its own failed writes
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
+    try:
+        code = _cmd_gwtree(ns) if ns.command == "gwtree" else _cmd_efficiency(ns)
+        sys.stdout.flush()  # a buffered write fails only here
+    except OSError as exc:
+        print(
+            f"btsearch: aborted: cannot write the output ({type(exc).__name__}: {exc})",
+            file=sys.stderr,
+        )
+        _drop_unwritable_stdout()
+        return INTERNAL_ERROR
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,40 +1,35 @@
-"""Master/worker/consumer engine with budget-based load balancing.
+"""Master/worker engine with budget-based load balancing.
 
-One master, one consumer, and N workers share no mutable state: every
-interaction is a message, and a job is just the payload bytes its
-application encoded.  The master and the consumer are threads of the
-calling process.  The workers sit behind a transport (``transport.py``)
-with four operations: start, send to worker i, receive with a timeout,
-and stop.  There are two:
+One master and N workers share no mutable state: every interaction is a
+message, and a job is just the payload bytes its application encoded.  The
+master is the calling thread, and it is the only writer of the output.
+The workers sit behind a transport (``transport.py``) with four
+operations: start, send to worker i, receive with a timeout, and stop.
+There are two:
 
 - ``ForkTransport``, for the ``btsearch`` program (``cli.main()`` reading
   ``sys.argv``): one forked process per worker, one pipe each way,
   length-prefixed ``pickle``.  The workers are forked after the master's
-  single ``app.init`` and before the consumer thread starts, so each
-  searches the inherited global data and none shares a GIL with another.
+  single ``app.init``, so each searches the inherited global data and none
+  shares a GIL with another; the master's process runs a single thread.
 - ``ThreadTransport``, the default of :func:`run` for library callers: one
   thread per worker, ``queue.SimpleQueue`` channels.  Thread workers still
   call ``app.init`` themselves.  Forking a process that is not btsearch's
   own is unsafe, and a fork costs far more than a thread start.
 
-The protocol has three message types and two signals:
+The protocol has two message types and two signals:
 
 - ``AssignMsg``, master to worker: a job, its budget and the shared tokens
   the worker has not seen yet;
 - ``ResultMsg``, worker to master, the only message a worker sends for a
   job: its counts, its unexplored payloads, its new shared tokens and its
   output lines joined into one string;
-- ``OutputMsg``, master to consumer: text to write.  The master forwards a
-  job's lines when it collects the result.  A halting result is the run's
-  answer: the master stops at once and abandons the jobs still in flight,
-  so the verdict is written once;
 - ``None`` in an inbox tells its reader to stop (under fork, end of file);
 - a ``BtsearchError`` from a worker is the error the master raises:
   ``WorkerCrashError`` from a worker whose job or ``init`` failed.  A
   worker process that dies without a message (SIGKILL, the OOM killer)
   closes its result pipe, and that end of file raises ``WorkerCrashError``
-  in the master at once.  A consumer that cannot write leaves an
-  ``EngineError`` that the master raises after its next receive.
+  in the master at once.
 
 Assignments and results cross the transport as plain tuples of builtins
 (an ``AssignMsg`` with its budget's fields, a ``ResultMsg``'s fields):
@@ -47,8 +42,18 @@ list from returned unexplored payloads and shrinks it by assignment, one
 assignment per freed worker, until the list is empty and no job is in
 flight.  Its view of the workers is a deque of idle worker ids and a map
 from each busy worker to its job, so assigning, collecting and the done
-test never scan the workers.  The master also owns the output count: in
-count-only mode it sends the consumer the run's total as a single line.
+test never scan the workers.
+
+The master writes a job's lines when it has collected the result and sent
+that round's assignments, so no worker waits on a write.  A halting result
+is the run's answer: the master writes its lines and stops at once,
+abandoning the jobs still in flight, so the verdict is written once.  The
+master also owns the output count: in count-only mode it writes the run's
+total as a single line.  It flushes ``out`` once, at the end; a failed
+write or flush raises ``EngineError`` at once.  A slow reader of ``out``
+therefore holds the master back rather than filling a queue, and
+``RunReport.wall_time``, which ends with the master loop, includes the
+time that the loop's writes block.
 
 Shared data is master-mediated: workers send opaque token deltas with each
 result, the master merges them (set semantics, global sequence order) and
@@ -59,8 +64,6 @@ the next assignment.
 from __future__ import annotations
 
 import math
-import queue
-import threading
 import time
 from collections import deque
 from typing import IO, Any, Callable, NamedTuple, Sequence
@@ -101,10 +104,6 @@ class ResultMsg(NamedTuple):
     halt: bool
     # the job's output lines, each ended by a newline
     lines: str = ""
-
-
-class OutputMsg(NamedTuple):
-    text: str
 
 
 # --------------------------------------------------------------------------
@@ -174,7 +173,7 @@ class RunReport:
 
 
 # --------------------------------------------------------------------------
-# Worker and consumer loops
+# Worker loop
 # --------------------------------------------------------------------------
 
 
@@ -218,21 +217,6 @@ def worker_loop(
         send(crash)
 
 
-def consumer_loop(inbox: queue.SimpleQueue, out: IO[str], failed: list[EngineError]) -> None:
-    """Write output text verbatim in arrival order until ``None``.
-
-    A failed write or flush (``OSError``) is appended to ``failed`` as an
-    ``EngineError``, which the master raises, and ends the loop: no later
-    line is written.
-    """
-    try:
-        while (msg := inbox.get()) is not None:
-            out.write(msg.text)
-        out.flush()
-    except OSError as exc:
-        failed.append(EngineError(f"cannot write the output ({type(exc).__name__}: {exc})"))
-
-
 # --------------------------------------------------------------------------
 # Master
 # --------------------------------------------------------------------------
@@ -274,7 +258,7 @@ class Master:
         """Merge one worker result (a ``ResultMsg`` or its plain tuple) into
         the job list, store, and report.
 
-        Returns the text to forward to the consumer: the job's lines.
+        Returns the text for the master to write: the job's lines.
         """
         worker_id, visited, output_count, unexplored, shared_delta, halt, lines = msg
         if worker_id not in self.in_flight:
@@ -327,9 +311,10 @@ def run(
     with ``transport`` (``ThreadTransport`` or ``ForkTransport``), seeds the
     job list with the application root or the restored jobs and drives the
     master loop until every job is done, a worker signals a global answer,
-    or ``stop_after_jobs`` triggers a checkpointed early stop.  Output lines
-    stream to ``out`` via the consumer; a count-only app (``app.count_only``)
-    gets one total line.  A failed write to ``out`` or to the checkpoint,
+    or ``stop_after_jobs`` triggers a checkpointed early stop.  This thread
+    writes the output lines to ``out`` as results come in and flushes it at
+    the end; a count-only app (``app.count_only``) gets one total line.  A
+    failed write or flush of ``out``, a failed checkpoint write,
     or a worker that cannot be started, raises EngineError; a worker that
     fails or dies raises WorkerCrashError.  Every worker is stopped, and
     every worker process reaped, on every way out.
@@ -369,14 +354,6 @@ def run(
         worker_loop(worker_id, app, load, receive, send)
 
     workers = transport()
-    consumer_inbox: queue.SimpleQueue = queue.SimpleQueue()
-    consumer_failed: list[EngineError] = []
-    consumer = threading.Thread(
-        target=consumer_loop,
-        args=(consumer_inbox, out, consumer_failed),
-        name="btsearch-consumer",
-        daemon=True,
-    )
 
     def write_checkpoint_now() -> None:
         if config.checkpoint_path is None:
@@ -392,13 +369,13 @@ def run(
             raise EngineError(f"cannot write the checkpoint ({type(exc).__name__}: {exc})") from exc
 
     try:
-        workers.start(config.num_workers, work)  # forks before any thread of ours starts
-        consumer.start()
+        workers.start(config.num_workers, work)
         start_time = time.monotonic()
         next_sample = start_time
         next_checkpoint = (
             start_time + _CHECKPOINT_INTERVAL_S if config.checkpoint_path is not None else math.inf
         )
+        text = ""  # the lines of the last result collected, not yet written
         while True:
             now = time.monotonic()
             if now >= next_sample:
@@ -421,20 +398,19 @@ def run(
                 while master.idle and master.joblist:
                     worker_id, assign = master.assign_next()
                     workers.send(worker_id, (assign.payload, tuple(assign.budget), assign.shared))
+            if text:  # written once the freed worker has its next job
+                _write(out, text)
+                text = ""
             if not master.in_flight:
                 break
 
             msg = workers.receive(min(next_sample, next_checkpoint) - now)
-            if consumer_failed:
-                raise consumer_failed[0]
             if isinstance(msg, BtsearchError):
                 raise msg
             if msg is not None:
                 text = master.collect_result(msg)
-                if text:
-                    consumer_inbox.put(OutputMsg(text))
 
-        master.report.wall_time = now - start_time
+        master.report.wall_time = time.monotonic() - start_time
         master.report.halted = master.halting
         # a run whose last job is also its stop_after_jobs-th is complete
         master.report.completed = master.halting or not master.joblist
@@ -444,15 +420,22 @@ def run(
         elif not master.halting:
             final_lines = app.finalize(global_data)
             if final_lines:
-                consumer_inbox.put(OutputMsg("\n".join(final_lines) + "\n"))
+                text += "\n".join(final_lines) + "\n"
         if app.count_only:
-            consumer_inbox.put(OutputMsg(f"{master.report.total_output_count}\n"))
+            text += f"{master.report.total_output_count}\n"
+        _write(out, text, flush=True)  # a halting result's or finalize's lines, then any total
     finally:
         workers.stop()
-        if consumer.is_alive():
-            consumer_inbox.put(None)
-            consumer.join(timeout=30.0)
-    # the consumer writes the last lines after the loop ends
-    if consumer_failed:
-        raise consumer_failed[0]
     return master.report
+
+
+def _write(out: IO[str], text: str, flush: bool = False) -> None:
+    """Write ``text`` to ``out`` and maybe flush it; an ``OSError`` becomes
+    ``EngineError``."""
+    try:
+        if text:
+            out.write(text)
+        if flush:
+            out.flush()
+    except OSError as exc:
+        raise EngineError(f"cannot write the output ({type(exc).__name__}: {exc})") from exc

@@ -314,10 +314,17 @@ class TestConsoleEntry:
         (line,) = stderr.splitlines()
         assert line.startswith("btsearch: aborted: cannot write the output (BrokenPipeError")
 
-    def test_gwtree_to_a_closed_stdout_exits_3_with_one_line(self):
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["gwtree", "-size", "200", "-budget", "10", "-trials", "3", "-seed", "1"],
+            ["efficiency", "10", "2", "6"],
+        ],
+        ids=["gwtree", "efficiency"],
+    )
+    def test_gwtree_to_a_closed_stdout_exits_3_with_one_line(self, args):
         proc = subprocess.Popen(
-            [sys.executable, "-m", "btsearch.cli", "gwtree", "-size", "200", "-budget", "10",
-             "-trials", "3", "-seed", "1"],
+            [sys.executable, "-m", "btsearch.cli", *args],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,

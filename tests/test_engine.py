@@ -3,7 +3,6 @@ import io
 import itertools
 import math
 import os
-import queue
 import signal
 import sys
 import threading
@@ -16,10 +15,8 @@ from btsearch.budget import Budget, SchedulerConfig
 from btsearch.engine import (
     AssignMsg,
     Master,
-    OutputMsg,
     ResultMsg,
     SharedStore,
-    consumer_loop,
     run,
     worker_loop,
 )
@@ -229,39 +226,49 @@ class TestWorkerLoop:
         assert results[0].visited == 6
 
 
-class TestConsumerLoop:
-    def drain(self, messages):
-        inbox = queue.SimpleQueue()
-        for m in messages:
-            inbox.put(m)
-        inbox.put(None)
-        out = io.StringIO()
-        failed = []
-        consumer_loop(inbox, out, failed)
-        assert failed == []
-        return out.getvalue()
-
-    def test_messages_written_verbatim_in_order(self):
-        got = self.drain([OutputMsg("A\n"), OutputMsg("B\nC\n"), OutputMsg("D\n")])
-        assert got == "A\nB\nC\nD\n"
-
-    def test_no_messages_no_output(self):
-        assert self.drain([]) == ""
-
-
 class FailingOutput(io.StringIO):
-    """An output stream whose writes fail once ``limit`` lines are written."""
+    """An output stream whose writes fail once ``limit`` lines are written.
+
+    With ``limit=None`` every write succeeds and ``flush`` fails instead.
+    ``failed_writes`` counts the failed calls; once one has failed, every
+    later write or flush fails too.
+    """
 
     def __init__(self, limit):
         super().__init__()
         self.limit = limit
         self.failed_writes = 0
 
+    def fail(self):
+        self.failed_writes += 1
+        raise OSError(28, "No space left on device")
+
     def write(self, text):
-        if self.getvalue().count("\n") >= self.limit:
-            self.failed_writes += 1
-            raise OSError(28, "No space left on device")
+        if self.failed_writes or (
+            self.limit is not None and self.getvalue().count("\n") >= self.limit
+        ):
+            self.fail()
         return super().write(text)
+
+    def flush(self):
+        if self.failed_writes or self.limit is None:
+            self.fail()
+
+
+class ThreadRecordingOutput(io.StringIO):
+    """An output stream that records, for each write and flush, the calling
+    thread's id and the number of threads alive."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def write(self, text):
+        self.calls.append((threading.get_ident(), threading.active_count()))
+        return super().write(text)
+
+    def flush(self):
+        self.calls.append((threading.get_ident(), threading.active_count()))
 
 
 class TestRun:
@@ -306,7 +313,8 @@ class TestRun:
 
     @pytest.mark.parametrize(
         ("count_only", "limit"),
-        [(False, 0), (False, 5), (True, 0)],  # the total is written after the loop
+        # the total is written after the loop; None: the final flush fails
+        [(False, 0), (False, 5), (True, 0), (False, None), (True, None)],
     )
     def test_a_failed_output_write_aborts_the_run(self, count_only, limit):
         app = build_application("topsorts", count_only=count_only)
@@ -317,6 +325,28 @@ class TestRun:
             assert out.failed_writes == 1  # nothing is written after the failure
         leaked = [t.name for t in threading.enumerate() if t.name.startswith("btsearch-")]
         assert leaked == []
+
+    @pytest.mark.parametrize("transport", [ThreadTransport, ForkTransport], ids=["thread", "fork"])
+    @pytest.mark.parametrize(
+        ("name", "options", "data"),
+        [
+            ("topsorts", {}, b"4 0\n"),
+            ("topsorts", {"count_only": True}, b"4 0\n"),
+            ("sat", {}, b"p cnf 2 1\n1 2 0\n"),  # a halting result
+        ],
+        ids=["lines", "count-only", "halting"],
+    )
+    def test_only_the_calling_thread_writes_the_output(self, transport, name, options, data):
+        # A writer thread of its own would outlive a run whose reader is
+        # slow, and what it had not written would be lost at exit.
+        out = ThreadRecordingOutput()
+        report = run(build_application(name, **options), data, static_config(None, 3), out,
+                     transport=transport)
+        assert report.completed and out.getvalue()
+        threads = {ident for ident, _alive in out.calls}
+        assert threads == {threading.get_ident()}
+        if transport is ForkTransport:
+            assert {alive for _ident, alive in out.calls} == {1}
 
     @pytest.mark.parametrize(
         ("name", "kind", "data"),

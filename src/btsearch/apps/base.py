@@ -119,10 +119,12 @@ class EnumerationApplication(Application):
                 nonlocal tally
                 tally += 1
         else:
+            format_vertex = self.format_vertex  # looked up once per job
+
             def sink(vertex: Any, flagged: bool) -> None:
                 nonlocal tally
                 tally += 1
-                outputs.append(self.format_vertex(global_data, vertex))
+                outputs.append(format_vertex(global_data, vertex))
 
         # The traversal never emits a job's start vertex: every other job's
         # start was already output (flagged) by the job that split it off.

@@ -8,12 +8,21 @@ element), and the local search moves a permutation toward the root by
 bubbling the first greedily-misplaced element one step left.  That step is
 always legal and strictly shrinks the distance to the root, so every
 extension has a unique finite path to it.
+
+The greedy choice depends only on the set of elements already placed.
+While a permutation agrees with the root, that set is a prefix of the
+root, so the greedy choice at position t is ``root[t]``: the first
+greedily-misplaced position is the first one where the permutation and
+the root differ.  ``parent`` and ``children`` therefore compare a vertex
+with the root once and cost O(n) per vertex; each child test is one bit
+of the transitive closure.  Output lines are joined from a table of the
+element names that the oracle builds once.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from ..errors import InputFormatError, NodeDecodeError
 from ..reverse_search import AdjacencyOracle
@@ -94,6 +103,8 @@ class TopsortsOracle(AdjacencyOracle):
         self.n = poset.n
         self.max_degree = poset.n - 1
         self._succ, self._pred, self._root = closure or _closure(poset)
+        # names[e] is the text of element e in an output line
+        self.names = tuple(map(str, range(poset.n + 1)))
 
     def root(self) -> Perm:
         return self._root
@@ -126,42 +137,41 @@ class TopsortsOracle(AdjacencyOracle):
         p = misplaced[1]
         return perm[: p - 1] + (perm[p], perm[p - 1]) + perm[p + 1 :], p
 
-    def children(self, perm: Perm) -> Iterator[Perm]:
-        # parent() swaps the first greedily-misplaced element one step left.
-        # Swapping inside the greedy prefix (length L) creates that misplaced
-        # element at the swap, so every legal swap j <= L is undone by
-        # parent(); beyond it, only moving the element the greedy order wants
-        # at L (at position p) one step further right is.
+    def children(self, perm: Perm) -> list[Perm]:
+        # parent() swaps the first misplaced element one step left.  Swapping
+        # inside the root prefix (length t) creates that misplaced element at
+        # the swap, so every legal swap j <= t is undone by parent(); beyond
+        # it, only moving the element the root wants at t (at position p) one
+        # step further right is.
+        succ = self._succ
+        n = self.n
         misplaced = self._misplaced(perm)
-        length = self.n if misplaced is None else misplaced[0]
-        for j in range(1, min(length, self.n - 1) + 1):
-            w = self.adjacent(perm, j)
-            if w is not None:
-                yield w
-        if misplaced is not None and misplaced[1] + 1 <= self.n - 1:
-            w = self.adjacent(perm, misplaced[1] + 1)
-            if w is not None:
-                yield w
+        t = n - 1 if misplaced is None else misplaced[0]
+        kids = []
+        for j in range(1, t + 1):
+            a = perm[j - 1]
+            b = perm[j]
+            if not succ[a] >> b & 1:
+                kids.append(perm[: j - 1] + (b, a) + perm[j + 1 :])
+        if misplaced is not None:
+            p = misplaced[1]
+            if p + 1 < n:
+                a = perm[p]
+                b = perm[p + 1]
+                if not succ[a] >> b & 1:
+                    kids.append(perm[:p] + (b, a) + perm[p + 2 :])
+        return kids
 
     def _misplaced(self, perm: Perm) -> tuple[int, int] | None:
-        """``(t, p)``: the first position t where ``perm`` leaves the greedy
-        order, and the position p > t of the element the greedy order wants
-        there; None when ``perm`` follows the greedy order throughout."""
-        placed = 0
-        for t, x in enumerate(perm):
-            g = self._greedy_next(placed)
-            if g != x:
-                return t, perm.index(g, t)
-            placed |= 1 << x
+        """``(t, p)``: the first position t where ``perm`` leaves the root,
+        and the position p > t of the element the root has there; None when
+        ``perm`` follows the root throughout."""
+        t = 0
+        for x, r in zip(perm, self._root):
+            if x != r:
+                return t, perm.index(r, t)
+            t += 1
         return None
-
-    def _greedy_next(self, placed: int) -> int:
-        for e in range(1, self.n + 1):
-            if placed & (1 << e):
-                continue
-            if self._pred[e] & ~placed == 0:
-                return e
-        raise NodeDecodeError("no greedy continuation; corrupted permutation")
 
 
 def format_poset(poset: Poset) -> str:
@@ -187,3 +197,7 @@ class TopsortsApplication(EnumerationApplication):
     def init(self, input_bytes: bytes) -> tuple[TopsortsOracle, bytes]:
         oracle = TopsortsOracle(*_read_poset(input_bytes))
         return oracle, self.encode_node(oracle.root())
+
+    def format_vertex(self, oracle: TopsortsOracle, perm: Perm) -> str:
+        names = oracle.names
+        return " ".join([names[e] for e in perm])

@@ -9,7 +9,7 @@ There are two:
 
 - ``ForkTransport``, for the ``btsearch`` program (``cli.main()`` reading
   ``sys.argv``): one forked process per worker, one pipe each way,
-  length-prefixed ``pickle``.  The workers are forked after the master's
+  length-prefixed ``marshal``.  The workers are forked after the master's
   single ``app.init``, so each searches the inherited global data and none
   shares a GIL with another; the master's process runs a single thread.
 - ``ThreadTransport``, the default of :func:`run` for library callers: one
@@ -26,15 +26,16 @@ The protocol has two message types and two signals:
   output lines joined into one string;
 - ``None`` in an inbox tells its reader to stop (under fork, end of file);
 - a ``BtsearchError`` from a worker is the error the master raises:
-  ``WorkerCrashError`` from a worker whose job or ``init`` failed.  A
-  worker process that dies without a message (SIGKILL, the OOM killer)
-  closes its result pipe, and that end of file raises ``WorkerCrashError``
-  in the master at once.
+  ``WorkerCrashError`` from a worker whose job or ``init`` failed (under
+  fork it crosses as its text, and the transport rebuilds it).  A worker
+  process that dies without a message (SIGKILL, the OOM killer) closes
+  its result pipe, and that end of file raises ``WorkerCrashError`` in
+  the master at once.
 
 Assignments and results cross the transport as plain tuples of builtins
-(an ``AssignMsg`` with its budget's fields, a ``ResultMsg``'s fields):
-pickling a class reference costs about as much as the search of a small
-job.
+(an ``AssignMsg`` with its budget's fields, a ``ResultMsg``'s fields),
+which ``marshal`` encodes; it encodes no class instance, and a class
+reference would cost about as much to send as the search of a small job.
 
 The master blocks in the transport's receive until a result arrives or the
 next ``-hist`` sample tick or checkpoint deadline passes.  It grows the job

@@ -27,7 +27,7 @@ therefore sums to the node count of a single unbudgeted traversal.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .errors import OracleConsistencyError
 
@@ -56,11 +56,12 @@ class AdjacencyOracle(ABC):
     @abstractmethod
     def parent(self, vertex: Vertex) -> tuple[Vertex, int] | None: ...
 
-    def children(self, vertex: Vertex) -> Iterator[Vertex]:
+    def children(self, vertex: Vertex) -> Iterable[Vertex]:
         """Tree children of ``vertex``, in increasing oracle index ``j``.
 
         The default tests every neighbour with :meth:`parent`.  An override
-        must yield exactly the same vertices in the same order.
+        (a generator or a list) must give exactly the same vertices in the
+        same order.
         """
         for j in range(1, self.max_degree + 1):
             w = self.adjacent(vertex, j)

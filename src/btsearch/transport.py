@@ -15,17 +15,19 @@ Both transports give the engine the same four operations:
 ``ThreadTransport`` runs the workers as threads of this process, with one
 ``queue.SimpleQueue`` per worker and one shared result queue.
 ``ForkTransport`` forks one process per worker, with one pipe each way per
-worker and length-prefixed ``pickle`` messages; the master waits on every
-result pipe at once with ``select.poll``.  A worker process that dies
-closes its result pipe, so the master's ``receive`` raises
+worker and length-prefixed ``marshal`` messages; the master waits on every
+result pipe at once with ``select.poll``.  ``marshal`` is loaded with the
+interpreter and takes only builtins: the messages are plain tuples, and a
+``WorkerCrashError`` a worker sends crosses as its text.  A worker process
+that dies closes its result pipe, so the master's ``receive`` raises
 ``WorkerCrashError`` at once.
 """
 
 from __future__ import annotations
 
 import gc
+import marshal
 import os
-import pickle
 import queue
 import select
 import sys
@@ -37,7 +39,7 @@ from .errors import EngineError, WorkerCrashError
 
 Work = Callable[[int, Callable[[], Any], Callable[[Any], None]], None]
 
-_HEADER_BYTES = 8  # little-endian length of the pickled message that follows
+_HEADER_BYTES = 8  # little-endian length of the marshalled message that follows
 _SIGKILL = 9  # signal.SIGKILL; importing the signal module costs about 1 ms per run
 
 
@@ -79,7 +81,7 @@ class ThreadTransport:
 
 
 def _write_msg(fd: int, msg: Any) -> None:
-    body = pickle.dumps(msg, pickle.HIGHEST_PROTOCOL)
+    body = marshal.dumps(msg)
     data = memoryview(len(body).to_bytes(_HEADER_BYTES, "little") + body)
     while data:
         data = data[os.write(fd, data):]
@@ -103,7 +105,7 @@ def _read_msg(fd: int) -> Any:
     if header is None:
         return None
     body = _read_exact(fd, int.from_bytes(header, "little"))
-    return None if body is None else pickle.loads(body)
+    return None if body is None else marshal.loads(body)
 
 
 class ForkTransport:
@@ -114,7 +116,7 @@ class ForkTransport:
     every pipe end but its own two, so its inbox reads end of file once the
     master is gone, and it never touches the inherited stdio: it leaves
     through ``os._exit``.  Only bytes that this master's own children wrote
-    are ever unpickled.
+    are ever unmarshalled.
     """
 
     def __init__(self) -> None:
@@ -182,7 +184,12 @@ class ForkTransport:
                     os.sched_setaffinity(0, (cpu,))
                 except OSError:
                     pass  # a placement hint: the worker runs wherever it may
-            work(worker_id, lambda: _read_msg(inbox), lambda msg: _write_msg(results, msg))
+
+            def send(msg: Any) -> None:
+                # an exception is no builtin: a crash crosses as its text
+                _write_msg(results, str(msg) if isinstance(msg, WorkerCrashError) else msg)
+
+            work(worker_id, lambda: _read_msg(inbox), send)
             code = 0
         finally:
             os._exit(code)  # never returns into the master's code, never flushes stdio
@@ -203,7 +210,7 @@ class ForkTransport:
         msg = _read_msg(fd)
         if msg is None:
             raise self._crash(self._workers[fd])
-        return msg
+        return WorkerCrashError(msg) if isinstance(msg, str) else msg
 
     @staticmethod
     def _crash(worker_id: int) -> WorkerCrashError:

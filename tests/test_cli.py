@@ -342,7 +342,8 @@ class TestConsoleEntry:
         # dataclasses (with the inspect it loads) and logging alone cost
         # about 30 ms of start-up.  The forked workers use raw pipes:
         # multiprocessing.connection alone added about 21 ms (90.5 to
-        # 111.6 ms, medians of 25 runs of `import btsearch.cli`).
+        # 111.6 ms, medians of 25 runs of `import btsearch.cli`), and their
+        # messages are marshalled: pickle cost about 2.5 ms of imports.
         script = (
             "import sys; bare = set(sys.modules)\n"
             "import btsearch.cli, btsearch.apps.spantree, btsearch.apps.topsorts\n"
@@ -357,5 +358,5 @@ class TestConsoleEntry:
         assert "btsearch.apps.sat.app" in added
         assert added.isdisjoint(
             {"numpy", "dataclasses", "inspect", "logging", "multiprocessing", "subprocess",
-             "concurrent"}
+             "concurrent", "pickle"}
         )

@@ -649,6 +649,17 @@ class TestForkTransport:
         assert len(forked_pids) == 2
         assert_reaped(forked_pids)
 
+    def test_a_crash_reads_the_same_under_both_transports(self, forked_pids):
+        crashes = []
+        for transport in (ThreadTransport, ForkTransport):
+            with pytest.raises(WorkerCrashError) as info:
+                run(CrashingApp(), b"", SchedulerConfig(num_workers=1), transport=transport)
+            crashes.append(info.value)
+        thread, fork = crashes
+        assert str(fork) == str(thread)
+        assert isinstance(thread.__cause__, RuntimeError)  # a thread keeps the traceback
+        assert_reaped(forked_pids)
+
     def test_a_killed_worker_aborts_the_run_within_a_second(self, tmp_path, forked_pids):
         killed = []
         killer = start_killer(tmp_path, killed)

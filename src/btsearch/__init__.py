@@ -27,7 +27,6 @@ from .reverse_search import (
     budgeted_search,
     prune_filter,
     reverse_search,
-    tree_children,
 )
 from .search_api import Application, SearchResult
 
@@ -57,7 +56,6 @@ __all__ = [
     "budgeted_search",
     "prune_filter",
     "reverse_search",
-    "tree_children",
     "Application",
     "SearchResult",
     "__version__",

@@ -11,7 +11,7 @@ def build_application(name: str, **options: Any) -> Application:
     """Construct a bundled application by name.
 
     Options are application-specific (``prune`` and ``count_only`` for the
-    enumeration apps; ``restarts`` and ``vsids`` for sat).
+    enumeration apps; ``restarts``, ``vsids`` and its budget kind for sat).
     """
     if name == "topsorts":
         from .topsorts import TopsortsApplication

@@ -128,7 +128,9 @@ class EnumerationApplication(Application):
 
         # The traversal never emits a job's start vertex: every other job's
         # start was already output (flagged) by the job that split it off.
-        # The global root has no such parent job, so emit it here, uncounted.
+        # The global root has no such parent job, so emit it here: ``sink``
+        # adds it to the output count, but ``visited`` (the frequency) leaves
+        # it out, as the traversal never steps onto it.
         if start == oracle.root():
             sink(start, False)
 

@@ -1,10 +1,12 @@
 """Engine adapter: budgeted SAT as a tree-search application.
 
 A job payload is an ordered list of assumed decision literals (propagations
-are re-derived by the worker).  Budget exhaustion returns the backtrack-path
-splits as new jobs; learnt unit clauses travel as shared tokens.  The first
-model found halts the run; a completed run with no model means the whole
-assumption space was refuted, so the finalize hook emits the UNSAT verdict.
+are re-derived by the worker).  The app's ``budget_kind`` says what a unit
+of ``budget.max_nodes`` counts: free decisions or conflicts.  Budget
+exhaustion returns the backtrack-path splits as new jobs; learnt unit
+clauses travel as shared tokens.  The first model found halts the run; a
+completed run with no model means the whole assumption space was refuted,
+so the finalize hook emits the UNSAT verdict.
 """
 
 from __future__ import annotations
@@ -16,18 +18,26 @@ from ...errors import BtsearchError, NodeDecodeError
 from ...search_api import Application, SearchResult
 from ..base import decode_ints, encode_ints
 from .dimacs import CnfFormula, parse_dimacs, verify_model
-from .solver import SolveOutcome, solve_budgeted
+from .solver import solve_budgeted
 
 
 class SatApplication(Application):
     """DIMACS CNF in; ``s SATISFIABLE``/``s UNSATISFIABLE`` verdict out."""
 
     name = "sat"
+    # the units ``budget.max_nodes`` may count; the first is the default
     budget_kinds = ("decisions", "conflicts")
 
-    def __init__(self, restarts: bool = False, vsids: bool = False) -> None:
+    def __init__(
+        self, restarts: bool = False, vsids: bool = False, budget_kind: str = "decisions"
+    ) -> None:
+        """ValueError on a budget kind not in ``budget_kinds``."""
+        if budget_kind not in self.budget_kinds:
+            accepted = ", ".join(self.budget_kinds)
+            raise ValueError(f"{self.name} accepts budget kinds {accepted}, not {budget_kind!r}")
         self.restarts = restarts
         self.vsids = vsids
+        self.budget_kind = budget_kind
 
     def init(self, input_bytes: bytes) -> tuple[CnfFormula, bytes]:
         return parse_dimacs(input_bytes), b""  # the empty assumption
@@ -56,20 +66,13 @@ class SatApplication(Application):
         outcome = solve_budgeted(
             global_data,
             assumption,
-            budget,
+            budget.max_nodes,
+            self.budget_kind,
             shared_units=units,
             restarts=self.restarts,
             vsids=self.vsids,
         )
-        return self._package(global_data, budget, outcome)
-
-    def _package(
-        self,
-        global_data: CnfFormula,
-        budget: Budget,
-        outcome: SolveOutcome,
-    ) -> SearchResult:
-        visited = outcome.budget_spent(budget.kind)
+        visited = outcome.budget_spent(self.budget_kind)
         delta = [encode_ints((u,)) for u in outcome.learnt_units]
         if outcome.status == "sat":
             assert outcome.model is not None

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from ...budget import Budget
 from ...errors import InputFormatError
 from .dimacs import CnfFormula
 
@@ -298,17 +297,17 @@ class CdclSolver:
 
     # -- main loop ---------------------------------------------------------------
 
-    def solve(self, assumptions: Sequence[int] = (), budget: Budget | None = None) -> SolveOutcome:
-        """Solve under ``assumptions`` within ``budget``.
+    def solve(
+        self, assumptions: Sequence[int] = (), limit: int | None = None, kind: str = "decisions"
+    ) -> SolveOutcome:
+        """Solve under ``assumptions`` within ``limit`` units of ``kind``.
 
-        ``budget.max_nodes`` caps the conflicts when ``budget.kind`` is
-        ``"conflicts"`` and the decisions otherwise; ``max_depth`` is not
-        used.  No budget, or ``max_nodes=None``, solves to completion.
+        ``limit`` caps the conflicts when ``kind`` is ``"conflicts"`` and
+        the decisions otherwise.  ``limit=None`` solves to completion.
         Consistency of the assumption list is the caller's contract (job
         payloads are validated on decode).
         """
-        limit = None if budget is None else budget.max_nodes
-        by_conflicts = budget is not None and budget.kind == "conflicts"
+        by_conflicts = kind == "conflicts"
         base = tuple(assumptions)
         num_assumed = len(base)
         decisions = 0
@@ -389,7 +388,8 @@ class CdclSolver:
 def solve_budgeted(
     formula: CnfFormula,
     assumption: Sequence[int] = (),
-    budget: Budget | None = None,
+    limit: int | None = None,
+    kind: str = "decisions",
     shared_units: Sequence[int] = (),
     restarts: bool = False,
     vsids: bool = False,
@@ -402,4 +402,4 @@ def solve_budgeted(
     if any(-u in unit_set for u in unit_set):
         return SolveOutcome(status="unsat", global_unsat=True)
     solver = CdclSolver(formula, extra_units=shared_units, restarts=restarts, vsids=vsids)
-    return solver.solve(assumption, budget)
+    return solver.solve(assumption, limit, kind)

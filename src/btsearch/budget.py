@@ -1,8 +1,9 @@
 """Scheduler configuration and the dynamic budget policy.
 
 A budget bounds the work one worker may spend on a single job: a depth
-limit, a node limit, or (for SAT-style applications) a decision/conflict
-limit carried in the same ``max_nodes`` slot.  ``None`` means unbounded.
+limit and a limit on ``max_nodes`` units.  What a unit is belongs to the
+application (a node for the enumeration apps; a decision or a conflict,
+as the sat app is set up).  ``None`` means unbounded.
 """
 
 from __future__ import annotations
@@ -10,13 +11,10 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, NamedTuple
 
-BUDGET_KINDS = ("nodes", "decisions", "conflicts")
-
 
 class _BudgetFields(NamedTuple):
     max_depth: int | None
     max_nodes: int | None
-    kind: str = "nodes"
 
 
 class Budget(_BudgetFields):
@@ -24,10 +22,8 @@ class Budget(_BudgetFields):
 
     __slots__ = ()
 
-    def __init__(self, max_depth: int | None, max_nodes: int | None, kind: str = "nodes") -> None:
+    def __init__(self, max_depth: int | None, max_nodes: int | None) -> None:
         # runs after the NamedTuple ``__new__`` has set the fields
-        if self.kind not in BUDGET_KINDS:
-            raise ValueError(f"unknown budget kind {self.kind!r}")
         if self.max_depth is not None and self.max_depth < 1:
             raise ValueError("max_depth must be >= 1 or None")
         if self.max_nodes is not None and self.max_nodes < 1:
@@ -44,8 +40,6 @@ class _ConfigFields(NamedTuple):
     scale: int = 40
     lmin: float = 1.0
     lmax: float = 3.0
-    # None: the application's default kind (``run`` resolves and checks it)
-    budget_kind: str | None = None
     checkpoint_path: str | Path | None = None
     restart_path: str | Path | None = None
     # Stop handing out jobs after collecting this many results, checkpoint,
@@ -102,4 +96,4 @@ def select_budget(joblist_len: int, config: SchedulerConfig) -> Budget:
         )
     else:
         max_nodes = config.base_max_nodes
-    return Budget(max_depth=max_depth, max_nodes=max_nodes, kind=config.budget_kind or "nodes")
+    return Budget(max_depth=max_depth, max_nodes=max_nodes)

@@ -18,9 +18,9 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .apps import APPLICATION_NAMES, build_application
-from .budget import BUDGET_KINDS, SchedulerConfig
+from .budget import SchedulerConfig
 from .engine import run
-from .errors import BtsearchError, BudgetKindError, CheckpointError, InputFormatError, MetricsError
+from .errors import BtsearchError, CheckpointError, InputFormatError, MetricsError
 from .metrics import compute_efficiency, write_frequency_file, write_histogram_file
 from .transport import ForkTransport, ThreadTransport
 
@@ -42,6 +42,8 @@ class CliOptions(NamedTuple):
     freq_path: str | None
     restarts: bool
     vsids: bool
+    # sat's unit of -maxnodes; None is the app's default
+    budget_kind: str | None
     config: SchedulerConfig
 
 
@@ -91,7 +93,8 @@ def _build_parser() -> _Parser:
     runp.add_argument(
         "-budgetkind",
         default=None,
-        help=f"unit of -maxnodes: {', '.join(BUDGET_KINDS)} (default: the app's own)",
+        help="unit of -maxnodes: nodes for the enumeration apps; decisions (default) "
+        "or conflicts for sat",
     )
     runp.add_argument("-restarts", action="store_true", help="sat: enable solver restarts")
     runp.add_argument("-vsids", action="store_true", help="sat: activity-based branching")
@@ -119,9 +122,10 @@ def _build_parser() -> _Parser:
 def parse_cli(argv: Sequence[str]) -> CliOptions:
     """Parse a ``run`` command line into options and a validated engine config.
 
-    Out-of-range values are usage errors, and so is ``-stopafter`` without
-    ``-checkpoint``.  Whether the app accepts the budget kind is checked by
-    ``run``, before any worker starts.
+    Out-of-range values are usage errors, and so are ``-stopafter`` without
+    ``-checkpoint`` and a flag of another app (``-budgetkind`` other than
+    ``nodes`` for the enumeration apps).  Sat checks its budget kind when
+    it is built.
     """
     ns = _build_parser().parse_args(["run", *argv] if argv and argv[0] not in ("run",) else argv)
     if ns.command != "run":
@@ -131,8 +135,20 @@ def parse_cli(argv: Sequence[str]) -> CliOptions:
 
 def _run_options(ns: argparse.Namespace) -> CliOptions:
     """The options of a parsed ``run`` command line; see :func:`parse_cli`."""
-    if ns.app == "sat" and ns.countonly:
-        raise _CliError("sat streams its verdict; -countonly is not supported", USAGE_ERROR)
+    if ns.app == "sat":
+        if ns.countonly:
+            raise _CliError("sat streams its verdict; -countonly is not supported", USAGE_ERROR)
+        if ns.prune != "off":
+            raise _CliError("btsearch: sat does not prune; -prune is not supported", USAGE_ERROR)
+    else:
+        if ns.restarts or ns.vsids:
+            raise _CliError(
+                f"btsearch: -restarts and -vsids are sat flags, not {ns.app} ones", USAGE_ERROR
+            )
+        if ns.budgetkind not in (None, "nodes"):
+            raise _CliError(
+                f"btsearch: {ns.app} accepts budget kinds nodes, not {ns.budgetkind!r}", USAGE_ERROR
+            )
     try:
         config = SchedulerConfig(
             num_workers=ns.np,
@@ -141,7 +157,6 @@ def _run_options(ns: argparse.Namespace) -> CliOptions:
             scale=ns.scale,
             lmin=ns.lmin,
             lmax=ns.lmax,
-            budget_kind=ns.budgetkind,
             checkpoint_path=ns.checkpoint,
             restart_path=ns.restart,
             stop_after_jobs=ns.stopafter,
@@ -160,6 +175,7 @@ def _run_options(ns: argparse.Namespace) -> CliOptions:
         freq_path=ns.freq,
         restarts=ns.restarts,
         vsids=ns.vsids,
+        budget_kind=ns.budgetkind,
         config=config,
     )
 
@@ -173,12 +189,16 @@ def _cmd_run(opts: CliOptions, transport: type) -> int:
     if opts.app in _ENUM_APPS:
         app = build_application(opts.app, prune=opts.prune, count_only=opts.count_only)
     else:
-        app = build_application(opts.app, restarts=opts.restarts, vsids=opts.vsids)
+        options = {"restarts": opts.restarts, "vsids": opts.vsids}
+        if opts.budget_kind is not None:
+            options["budget_kind"] = opts.budget_kind
+        try:
+            app = build_application(opts.app, **options)
+        except ValueError as exc:  # a budget kind sat does not accept
+            print(f"btsearch: {exc}", file=sys.stderr)
+            return USAGE_ERROR
     try:
         report = run(app, input_bytes, opts.config, out=sys.stdout, transport=transport)
-    except BudgetKindError as exc:
-        print(f"btsearch: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except (InputFormatError, CheckpointError) as exc:
         print(f"btsearch: {exc}", file=sys.stderr)
         return INPUT_ERROR

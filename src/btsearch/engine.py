@@ -156,13 +156,12 @@ class RunReport:
     """Totals and instrumentation for one engine run."""
 
     __slots__ = (
-        "total_output_count", "jobs_executed", "wall_time", "frequencies",
+        "total_output_count", "wall_time", "frequencies",
         "completed", "halted", "samples", "shared_tokens",
     )
 
     def __init__(self) -> None:
         self.total_output_count = 0
-        self.jobs_executed = 0
         self.wall_time = 0.0
         self.frequencies: list[int] = []
         self.completed = True
@@ -171,6 +170,11 @@ class RunReport:
         self.samples: list[tuple[float, int, int]] = []
         # final shared-store contents, for auditing what was relayed
         self.shared_tokens: tuple[bytes, ...] = ()
+
+    @property
+    def jobs_executed(self) -> int:
+        """Results collected: one frequency per job."""
+        return len(self.frequencies)
 
 
 # --------------------------------------------------------------------------
@@ -273,7 +277,6 @@ class Master:
         self.store.merge(shared_delta)
         del self.in_flight[worker_id]
         self.idle.append(worker_id)
-        self.report.jobs_executed += 1
         self.report.frequencies.append(visited)
         self.report.total_output_count += output_count
         if halt:
@@ -305,14 +308,15 @@ def run(
 ) -> RunReport:
     """Execute a full parallel run of ``app`` on ``input_bytes``.
 
-    Resolves the budget kind with ``app.resolve_budget_kind`` (BudgetKindError
-    on a kind the app does not accept), parses the input and decodes every job and
-    shared token of a restart checkpoint (CheckpointError on one that does
-    not decode), all before any worker starts.  Then starts the workers
-    with ``transport`` (``ThreadTransport`` or ``ForkTransport``), seeds the
-    job list with the application root or the restored jobs and drives the
-    master loop until every job is done, a worker signals a global answer,
-    or ``stop_after_jobs`` triggers a checkpointed early stop.  This thread
+    Parses the input and decodes every job and shared token of a restart
+    checkpoint (CheckpointError on one that does not decode), both before
+    any worker starts.  Every job gets a ``Budget`` of ``max_depth`` and
+    ``max_nodes``; what a unit of ``max_nodes`` counts is the app's own
+    setting.  Then starts the workers with ``transport``
+    (``ThreadTransport`` or ``ForkTransport``), seeds the job list with the
+    application root or the restored jobs and drives the master loop until
+    every job is done, a worker signals a global answer, or
+    ``stop_after_jobs`` triggers a checkpointed early stop.  This thread
     writes the output lines to ``out`` as results come in and flushes it at
     the end; a count-only app (``app.count_only``) gets one total line.  A
     failed write or flush of ``out``, a failed checkpoint write,
@@ -320,7 +324,6 @@ def run(
     fails or dies raises WorkerCrashError.  Every worker is stopped, and
     every worker process reaped, on every way out.
     """
-    config = config._replace(budget_kind=app.resolve_budget_kind(config.budget_kind))
     if out is None:
         import io
 

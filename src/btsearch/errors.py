@@ -31,7 +31,3 @@ class EngineError(BtsearchError):
 
 class MetricsError(BtsearchError):
     """Invalid metrics input (nonpositive times, bad core count)."""
-
-
-class BudgetKindError(ValueError):
-    """The application does not accept the requested budget kind."""

@@ -151,11 +151,6 @@ def reverse_search(
     return budgeted_search(oracle, start, sink=sink).count
 
 
-def tree_children(oracle: AdjacencyOracle, vertex: Vertex) -> list[Vertex]:
-    """Children of ``vertex`` in the reverse-search tree, in oracle order."""
-    return list(oracle.children(vertex))
-
-
 def prune_filter(
     oracle: AdjacencyOracle,
     nodes: list[Vertex],
@@ -176,7 +171,7 @@ def prune_filter(
     kept: list[Vertex] = []
     emitted: list[Vertex] = []
     for v in nodes:
-        kids = tree_children(oracle, v)
+        kids = list(oracle.children(v))
         if not kids:
             continue  # leaf: already output, no work left under it
         if mode == 0 or len(kids) >= 2:
@@ -185,11 +180,11 @@ def prune_filter(
         # mode 1, single child: follow the chain
         cur = kids[0]
         emitted.append(cur)
-        kids = tree_children(oracle, cur)
+        kids = list(oracle.children(cur))
         while len(kids) == 1:
             cur = kids[0]
             emitted.append(cur)
-            kids = tree_children(oracle, cur)
+            kids = list(oracle.children(cur))
         if kids:
             kept.append(cur)
     return kept, emitted

@@ -12,16 +12,15 @@ from abc import ABC, abstractmethod
 from typing import Any, NamedTuple, Sequence
 
 from .budget import Budget
-from .errors import BudgetKindError
 
 
 class SearchResult(NamedTuple):
     """Outcome of one budgeted job.
 
     ``visited`` is the number of budget units consumed (nodes for
-    enumeration, decisions/conflicts for SAT) and is what the frequency file
-    records.  In count-only mode ``outputs`` stays empty and ``output_count``
-    carries the tally.  Each ``unexplored`` entry is the payload of the root
+    enumeration; decisions or conflicts for SAT, as the app is set up) and
+    is what the frequency file records.  In count-only mode ``outputs``
+    stays empty and ``output_count`` carries the tally.  Each ``unexplored`` entry is the payload of the root
     of an unexplored subtree.  ``halt`` signals a global answer (e.g. a SAT model):
     the run ends at once, and jobs still in flight are abandoned uncounted.
     """
@@ -42,10 +41,8 @@ class Application(ABC):
     workers only read it.
     """
 
-    # Identity in checkpoints, and the budget kinds the app accepts (the
-    # first is its default).
+    # Identity in checkpoints.
     name: str
-    budget_kinds: tuple[str, ...] = ("nodes",)
     # The run's one count-only switch: ``search`` then returns only a count
     # of its lines, and the engine prints the run's total as one line.
     count_only = False
@@ -64,9 +61,8 @@ class Application(ABC):
     ) -> SearchResult:
         """Run one budgeted job from the vertex ``payload`` encodes.
 
-        ``budget.kind`` is always one of ``budget_kinds``: the
-        engine rejects any other kind before a worker starts.  The job's
-        outputs plus the subtrees of its unexplored payloads must
+        The app decides what a unit of ``budget.max_nodes`` counts.  The
+        job's outputs plus the subtrees of its unexplored payloads must
         cover the subtree rooted at that vertex exactly once.
         """
 
@@ -84,14 +80,3 @@ class Application(ABC):
     def finalize(self, global_data: Any) -> list[str]:
         """Lines to emit after a run that ended with no halt and no early stop."""
         return []
-
-    @classmethod
-    def resolve_budget_kind(cls, kind: str | None) -> str:
-        """``kind``, or the default kind for ``None``; BudgetKindError (a
-        ValueError) if not accepted."""
-        if kind is None:
-            return cls.budget_kinds[0]
-        if kind not in cls.budget_kinds:
-            accepted = ", ".join(cls.budget_kinds)
-            raise BudgetKindError(f"{cls.name} accepts budget kinds {accepted}, not {kind!r}")
-        return kind

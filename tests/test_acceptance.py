@@ -263,9 +263,9 @@ def test_criterion_7_sat_verdict_matrix():
     for idx, (cnf, expect_sat) in enumerate(zip(instances, expected)):
         data = cnf_text(cnf).encode()
         for workers, kind, limit in configs:
-            cfg = static_config(None, limit, num_workers=workers, budget_kind=kind)
+            cfg = static_config(None, limit, num_workers=workers)
             out = io.StringIO()
-            rep = run(SatApplication(), data, cfg, out)
+            rep = run(SatApplication(budget_kind=kind), data, cfg, out)
             lines = out.getvalue().splitlines()
             verdicts = [l for l in lines if l.startswith("s ")]
             assert len(verdicts) == 1, (idx, workers, kind, limit, lines)

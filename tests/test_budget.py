@@ -52,10 +52,6 @@ class TestSelectBudget:
         cfg = defaults(base_max_nodes=None)
         assert select_budget(1000, cfg).max_nodes is None
 
-    def test_budget_kind_passthrough(self):
-        cfg = defaults(budget_kind="conflicts")
-        assert select_budget(0, cfg).kind == "conflicts"
-
 
 class TestValidation:
     def test_lmin_above_lmax_rejected(self):
@@ -82,8 +78,6 @@ class TestValidation:
             Budget(max_depth=0, max_nodes=5)
         with pytest.raises(ValueError):
             Budget(max_depth=None, max_nodes=0)
-        with pytest.raises(ValueError):
-            Budget(max_depth=1, max_nodes=1, kind="steps")
 
     def test_infinite_lmin_lmax_allowed_for_static_budgets(self):
         cfg = SchedulerConfig(lmin=math.inf, lmax=math.inf)

@@ -73,10 +73,10 @@ class TestRoundTrip:
         assert (tmp_path / "again.ckpt").read_text() == OLDER_RELEASE_SAT_CHECKPOINT
         cfg = SchedulerConfig(
             num_workers=2, base_max_depth=None, base_max_nodes=3, scale=1, lmin=math.inf,
-            lmax=math.inf, budget_kind="conflicts", restart_path=path,
+            lmax=math.inf, restart_path=path,
         )
         out = io.StringIO()
-        report = run(build_application("sat"), cnf_text(pigeonhole_cnf(4, 3)).encode(), cfg, out)
+        report = run(build_application("sat", budget_kind="conflicts"), cnf_text(pigeonhole_cnf(4, 3)).encode(), cfg, out)
         assert report.completed
         assert out.getvalue() == "s UNSATISFIABLE\n"
 

@@ -22,7 +22,7 @@ class TestParseCli:
         assert config.scale == 40
         assert (config.lmin, config.lmax) == (1.0, 3.0)
         assert opts.prune == "off"
-        assert TopsortsApplication.resolve_budget_kind(config.budget_kind) == "nodes"
+        assert opts.budget_kind is None  # topsorts budgets count nodes
         assert not opts.count_only
 
     def test_explicit_budget_flags(self):
@@ -49,8 +49,8 @@ class TestParseCli:
 
     def test_sat_defaults_to_decision_budgeting(self):
         opts = parse_cli(["run", "sat", "f.cnf"])
-        kind = SatApplication.resolve_budget_kind(opts.config.budget_kind)
-        assert kind == "decisions"
+        assert opts.budget_kind is None
+        assert SatApplication().budget_kind == "decisions"
 
     def test_sat_rejects_node_budgeting_and_countonly(self, tmp_path, capsys):
         inp = tmp_path / "php.cnf"
@@ -58,7 +58,7 @@ class TestParseCli:
         assert main(["run", "sat", str(inp), "-budgetkind", "nodes"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "sat accepts budget kinds decisions, conflicts" in captured.err
+        assert captured.err == "btsearch: sat accepts budget kinds decisions, conflicts, not 'nodes'\n"
         with pytest.raises(_CliError) as err:
             parse_cli(["run", "sat", "f.cnf", "-countonly"])
         assert err.value.code == 1
@@ -69,7 +69,23 @@ class TestParseCli:
         assert main(["run", "topsorts", str(inp), "-budgetkind", "conflicts"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "topsorts accepts budget kinds nodes" in captured.err
+        assert captured.err == "btsearch: topsorts accepts budget kinds nodes, not 'conflicts'\n"
+        assert main(["run", "topsorts", str(inp), "-budgetkind", "nodes", "-countonly"]) == 0
+        assert capsys.readouterr().out == "6\n"
+
+    @pytest.mark.parametrize(
+        ("app", "flags"),
+        [("sat", ["-prune", "1"]), ("topsorts", ["-restarts"]), ("topsorts", ["-vsids"])],
+    )
+    def test_a_flag_of_another_app_is_a_usage_error(self, tmp_path, capsys, app, flags):
+        # each used to be ignored, with exit 0
+        inp = tmp_path / "input.txt"
+        inp.write_text(cnf_text(pigeonhole_cnf(3, 2)) if app == "sat" else "3 0\n")
+        assert main(["run", app, str(inp), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("btsearch: ") and flags[0] in line
 
 
 class TestMain:
@@ -335,6 +351,20 @@ class TestConsoleEntry:
         assert "Traceback" not in stderr
         (line,) = stderr.splitlines()
         assert line.startswith("btsearch: aborted: cannot write the output (BrokenPipeError")
+
+    def test_importing_the_cli_loads_no_app(self):
+        # Every run compiles what it imports when no bytecode is cached, so
+        # the CLI loads only the app its command line names: no kinds table
+        # or flag check of its own may import an app module.
+        script = (
+            "import sys, btsearch.cli\n"
+            "print(' '.join(m for m in sys.modules if m.startswith('btsearch.apps')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["btsearch.apps"]
 
     def test_importing_the_cli_does_not_load_numpy(self):
         # Every run pays for what these imports load on top of a bare

@@ -348,20 +348,6 @@ class TestRun:
         if transport is ForkTransport:
             assert {alive for _ident, alive in out.calls} == {1}
 
-    @pytest.mark.parametrize(
-        ("name", "kind", "data"),
-        [("topsorts", "conflicts", b"4 0\n"), ("sat", "nodes", b"p cnf 1 1\n1 0\n")],
-    )
-    def test_rejects_a_budget_kind_the_app_does_not_accept(self, name, kind, data):
-        app = build_application(name)
-        inits = []
-        app.init = lambda input_bytes: inits.append(input_bytes)
-        with pytest.raises(ValueError, match=f"{name} accepts budget kinds"):
-            run(app, data, static_config(None, 5, budget_kind=kind))
-        assert inits == []  # rejected before the input is parsed
-        leaked = [t.name for t in threading.enumerate() if t.name.startswith("btsearch-")]
-        assert leaked == []
-
     def test_report_invariants(self):
         report = run(build_application("topsorts"), b"4 0\n", static_config(None, 7, num_workers=3))
         assert report.jobs_executed == len(report.frequencies)
@@ -449,11 +435,8 @@ class TestStopAndResume:
         cp = tmp_path / "state.ckpt"
         for stop in (3, 4):
             out = io.StringIO()
-            cfg = static_config(
-                None, 3, num_workers=1, budget_kind="conflicts", checkpoint_path=cp,
-                stop_after_jobs=stop,
-            )
-            report = run(build_application("sat"), cnf, cfg, out)
+            cfg = static_config(None, 3, num_workers=1, checkpoint_path=cp, stop_after_jobs=stop)
+            report = run(build_application("sat", budget_kind="conflicts"), cnf, cfg, out)
             assert report.jobs_executed == 3
             assert report.completed
             assert out.getvalue().splitlines() == ["s UNSATISFIABLE"]
@@ -624,10 +607,13 @@ class TestForkTransport:
 
     def test_a_halting_run_writes_one_verdict(self, forked_pids):
         cnf = cnf_text(pigeonhole_cnf(3, 3)).encode()
-        config = static_config(None, 1, 3, budget_kind="conflicts")
+        config = static_config(None, 1, 3)
         for transport in (ThreadTransport, ForkTransport):
             out = io.StringIO()
-            report = run(build_application("sat"), cnf, config, out, transport=transport)
+            report = run(
+                build_application("sat", budget_kind="conflicts"), cnf, config, out,
+                transport=transport,
+            )
             assert report.halted
             verdict, model = out.getvalue().splitlines()
             assert verdict == "s SATISFIABLE" and model.startswith("v ")

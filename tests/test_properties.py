@@ -77,7 +77,6 @@ budgets = st.builds(
     Budget,
     max_depth=st.none() | st.integers(1, 4),
     max_nodes=st.none() | st.integers(1, 20),
-    kind=st.just("nodes"),  # builds() fills every NamedTuple field, defaults too
 )
 
 

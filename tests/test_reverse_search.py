@@ -9,7 +9,6 @@ from btsearch.reverse_search import (
     budgeted_search,
     prune_filter,
     reverse_search,
-    tree_children,
 )
 
 from oracles import random_offspring_sequence
@@ -90,7 +89,7 @@ def subtree_vertices(oracle, start) -> set:
     out = set()
 
     def visit(v):
-        for kid in tree_children(oracle, v):
+        for kid in oracle.children(v):
             out.add(kid)
             visit(kid)
 

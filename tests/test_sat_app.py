@@ -7,14 +7,16 @@ import pytest
 from btsearch.budget import Budget, SchedulerConfig
 from btsearch.engine import run
 from btsearch.errors import NodeDecodeError
+from btsearch.apps import build_application
 from btsearch.apps.base import encode_ints
 from btsearch.apps.sat.app import SatApplication
 from btsearch.apps.sat.dimacs import parse_dimacs, verify_model
+from btsearch.apps.sat.solver import solve_budgeted
 
 from oracles import brute_force_implied, brute_force_sat, cnf_text, pigeonhole_cnf, random_3cnf
 
 
-def sat_config(limit, kind="decisions", num_workers=2, **kw):
+def sat_config(limit, num_workers=2, **kw):
     return SchedulerConfig(
         num_workers=num_workers,
         base_max_depth=None,
@@ -22,7 +24,6 @@ def sat_config(limit, kind="decisions", num_workers=2, **kw):
         scale=1,
         lmin=math.inf,
         lmax=math.inf,
-        budget_kind=kind,
         **kw,
     )
 
@@ -30,9 +31,9 @@ def sat_config(limit, kind="decisions", num_workers=2, **kw):
 def run_sat(cnf, limit=None, kind="decisions", num_workers=2, **app_kw):
     out = io.StringIO()
     report = run(
-        SatApplication(**app_kw),
+        SatApplication(budget_kind=kind, **app_kw),
         cnf_text(cnf).encode(),
-        sat_config(limit, kind, num_workers),
+        sat_config(limit, num_workers),
         out,
     )
     lines = out.getvalue().splitlines()
@@ -108,12 +109,12 @@ class TestCheckpointResume:
     def test_interrupted_unsat_run_resumes_to_the_same_verdict(self, tmp_path):
         cnf = pigeonhole_cnf(4, 3)
         cp = tmp_path / "sat.ckpt"
-        cfg = sat_config(1, "decisions", num_workers=2, checkpoint_path=cp, stop_after_jobs=4)
+        cfg = sat_config(1, num_workers=2, checkpoint_path=cp, stop_after_jobs=4)
         out = io.StringIO()
         partial = run(SatApplication(), cnf_text(cnf).encode(), cfg, out)
         assert not partial.completed
         assert "s " not in out.getvalue()
-        resume_cfg = sat_config(1, "decisions", num_workers=4, restart_path=cp)
+        resume_cfg = sat_config(1, num_workers=4, restart_path=cp)
         out2 = io.StringIO()
         resumed = run(SatApplication(), cnf_text(cnf).encode(), resume_cfg, out2)
         assert resumed.completed
@@ -141,15 +142,30 @@ class TestNodePayloads:
             app.decode_node(b"xyz", gd)
 
     def test_search_rejects_node_budget_kind(self):
-        # the engine checks the kind against the app's kinds before any search
-        with pytest.raises(ValueError):
-            SatApplication.resolve_budget_kind("nodes")
-        with pytest.raises(ValueError):
-            run(SatApplication(), b"p cnf 1 1\n1 0\n", sat_config(5, "nodes"))
+        # the app checks its kind when it is built, before any run
+        message = "sat accepts budget kinds decisions, conflicts, not 'nodes'"
+        with pytest.raises(ValueError, match=message):
+            SatApplication(budget_kind="nodes")
+        with pytest.raises(ValueError, match=message):
+            build_application("sat", budget_kind="nodes")
 
     def test_inconsistent_shared_units_signal_global_unsat(self):
         app = SatApplication()
         gd, root = app.init(b"p cnf 2 1\n1 2 0\n")
-        result = app.search(gd, root, Budget(None, None, "decisions"), (b"1", b"-1"))
+        result = app.search(gd, root, Budget(None, None), (b"1", b"-1"))
         assert result.halt
         assert result.outputs == ["s UNSATISFIABLE"]
+
+    def test_the_budget_kind_sets_what_a_unit_counts(self):
+        data = cnf_text(pigeonhole_cnf(5, 4)).encode()
+        splits = {}
+        for kind in ("decisions", "conflicts"):
+            app = SatApplication(budget_kind=kind)
+            gd, root = app.init(data)
+            result = app.search(gd, root, Budget(None, 4), ())
+            outcome = solve_budgeted(gd, (), 4, kind)
+            assert outcome.status == "exhausted"
+            assert result.visited == getattr(outcome, kind)
+            splits[kind] = list(result.unexplored)
+            assert splits[kind] == [encode_ints(s) for s in outcome.splits]
+        assert splits["decisions"] != splits["conflicts"]

@@ -9,6 +9,7 @@ against exhaustive enumeration in ``oracles.py``.
 """
 
 import random
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 import reference_cdcl
 from btsearch.apps.sat import solver
 from btsearch.apps.sat.dimacs import CnfFormula, verify_model
-from btsearch.budget import Budget
 
 from oracles import brute_force_implied, brute_force_sat
 
@@ -81,18 +81,14 @@ def test_fast_path_outcomes_equal_the_reference_solver(
 ):
     cnf, assumption, rng = case
     shared_units = [rng.choice((1, -1)) * rng.randint(1, cnf.num_vars) for _ in range(shared)]
-    budget = Budget(None, limit, kind)
-    outcomes = [
-        module.CdclSolver(
-            cnf,
-            extra_units=shared_units,
-            restarts=restarts,
-            vsids=vsids,
-            restart_base=restart_base,
-        ).solve(assumption, budget)
-        for module in (reference_cdcl, solver)
-    ]
-    assert fields(outcomes[1]) == fields(outcomes[0])
+    options = dict(
+        extra_units=shared_units, restarts=restarts, vsids=vsids, restart_base=restart_base
+    )
+    # the frozen reference reads its limit and kind from a budget object
+    budget = SimpleNamespace(max_nodes=limit, kind=kind)
+    expected = reference_cdcl.CdclSolver(cnf, **options).solve(assumption, budget)
+    got = solver.CdclSolver(cnf, **options).solve(assumption, limit, kind)
+    assert fields(got) == fields(expected)
 
 
 @settings(max_examples=300, deadline=None)

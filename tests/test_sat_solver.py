@@ -5,7 +5,6 @@ import pytest
 
 from btsearch.apps.sat.dimacs import CnfFormula, verify_model
 from btsearch.apps.sat.solver import CdclSolver, solve_budgeted
-from btsearch.budget import Budget
 
 from oracles import (
     brute_force_implied,
@@ -72,7 +71,7 @@ class TestSolveBasics:
 class TestBudgets:
     def test_decision_budget_splits_free_variables(self):
         # no clauses: decide x1, budget 1 exhausted at the next decision point
-        outcome = solve_budgeted(formula(3), budget=Budget(None, 1, "decisions"))
+        outcome = solve_budgeted(formula(3), limit=1, kind="decisions")
         assert outcome.status == "exhausted"
         assert outcome.decisions == 1
         assert outcome.splits == ((1,), (-1,))
@@ -82,7 +81,7 @@ class TestBudgets:
         for _ in range(25):
             cnf = random_3cnf(rng, 8, 20)
             kind = rng.choice(["decisions", "conflicts"])
-            outcome = solve_budgeted(cnf, budget=Budget(None, rng.choice([1, 2, 3]), kind))
+            outcome = solve_budgeted(cnf, limit=rng.choice([1, 2, 3]), kind=kind)
             if outcome.status != "exhausted":
                 continue
             assert outcome.splits
@@ -94,20 +93,20 @@ class TestBudgets:
                 assert len(matching) == 1
 
     def test_splits_are_pairwise_contradictory(self):
-        outcome = solve_budgeted(formula(4), budget=Budget(None, 3, "decisions"))
+        outcome = solve_budgeted(formula(4), limit=3, kind="decisions")
         assert outcome.status == "exhausted"
         for a, b in itertools.combinations(outcome.splits, 2):
             assert any(-lit in b for lit in a)
 
     def test_conflict_budget_exhausts(self):
         php = pigeonhole_cnf(4, 3)
-        outcome = solve_budgeted(php, budget=Budget(None, 1, "conflicts"))
+        outcome = solve_budgeted(php, limit=1, kind="conflicts")
         assert outcome.status == "exhausted"
         assert outcome.conflicts >= 1
 
     def test_unbounded_budget_completes(self):
         cnf = formula(3, (1, 2), (-1, 3))
-        outcome = solve_budgeted(cnf, budget=Budget(None, None, "decisions"))
+        outcome = solve_budgeted(cnf, limit=None, kind="decisions")
         assert outcome.status == "sat"
 
 
@@ -164,7 +163,7 @@ class TestAgainstBruteForce:
             jobs = 0
             while queue and found_model is None:
                 assumption = queue.pop(0)
-                outcome = solve_budgeted(cnf, assumption, Budget(None, 2, kind))
+                outcome = solve_budgeted(cnf, assumption, 2, kind)
                 jobs += 1
                 assert jobs < 10000
                 if outcome.status == "sat":

@@ -348,6 +348,36 @@ class TestRun:
         if transport is ForkTransport:
             assert {alive for _ident, alive in out.calls} == {1}
 
+    @pytest.mark.parametrize(
+        ("name", "kind", "data"),
+        [("topsorts", "conflicts", b"4 0\n"), ("sat", "nodes", b"p cnf 1 1\n1 0\n")],
+    )
+    def test_rejects_a_budget_kind_the_app_does_not_accept(
+        self, tmp_path, capsys, monkeypatch, name, kind, data
+    ):
+        # The kind is checked where it is given (the CLI for the enumeration
+        # apps, the sat app's constructor), so no run starts: the input is
+        # not parsed and no engine thread is left behind.
+        inits, runs = [], []
+
+        def recording_build(app_name, **options):
+            app = build_application(app_name, **options)
+            app.init = lambda input_bytes: inits.append(input_bytes)
+            return app
+
+        monkeypatch.setattr(cli, "build_application", recording_build)
+        monkeypatch.setattr(cli, "run", lambda *args, **kwargs: runs.append(args))
+        inp = tmp_path / "input"
+        inp.write_bytes(data)
+        assert cli.main(["run", name, str(inp), "-budgetkind", kind]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"btsearch: {name} accepts budget kinds ")
+        assert captured.err.endswith(f", not {kind!r}\n")
+        assert inits == [] and runs == []
+        leaked = [t.name for t in threading.enumerate() if t.name.startswith("btsearch-")]
+        assert leaked == []
+
     def test_report_invariants(self):
         report = run(build_application("topsorts"), b"4 0\n", static_config(None, 7, num_workers=3))
         assert report.jobs_executed == len(report.frequencies)

@@ -16,19 +16,28 @@ variance (1/2); we keep both and let the Monte-Carlo tests arbitrate.
 
 from __future__ import annotations
 
+import gc
 import math
 from collections import deque
-from typing import IO, Iterator, NamedTuple
-
-import numpy as np
+from itertools import islice
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from ..errors import InputFormatError, NodeDecodeError
 from ..reverse_search import AdjacencyOracle
+from . import npstream
 from .base import EnumerationApplication, decode_ints, encode_ints
+
+if TYPE_CHECKING:
+    import numpy as np
 
 LAW_NAMES = ("catalan", "fullbinary", "geometric", "poisson", "binomial", "uniform")
 
-_CATALAN_TABLE = np.array([0, 1, 1, 2], dtype=np.int64)
+_CATALAN_VALUES = (0, 1, 1, 2)  # a uniform index into it gives {0: 1/4, 1: 1/2, 2: 1/4}
+
+# The sampler draws an attempt's offspring in a first chunk of this many
+# values, then in big chunks.
+_FIRST_CHUNK = 4096
+_BIG_CHUNK = 262_144
 
 
 class OffspringLaw(NamedTuple):
@@ -40,8 +49,10 @@ class OffspringLaw(NamedTuple):
     k: int | None = None
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        import numpy as np
+
         if self.name == "catalan":
-            return _CATALAN_TABLE[rng.integers(0, 4, size=size)]
+            return np.array(_CATALAN_VALUES, dtype=np.int64)[rng.integers(0, 4, size=size)]
         if self.name == "fullbinary":
             return 2 * rng.integers(0, 2, size=size, dtype=np.int64)
         if self.name == "geometric":
@@ -52,6 +63,23 @@ class OffspringLaw(NamedTuple):
             return rng.binomial(self.k, 1.0 / self.k, size=size).astype(np.int64)
         if self.name == "uniform":
             return rng.integers(0, self.k + 1, size=size, dtype=np.int64)
+        raise InputFormatError(f"unknown offspring law {self.name!r}")
+
+    def draws(self, seed: int) -> Iterator[int]:
+        """The values ``draw`` takes from ``numpy.random.default_rng(seed)``,
+        one at a time and without numpy."""
+        if self.name == "catalan":
+            return npstream.table_draws(seed, _CATALAN_VALUES)
+        if self.name == "fullbinary":
+            return npstream.table_draws(seed, (0, 2))
+        if self.name == "geometric":
+            return map((-1).__add__, npstream.geometric(seed, 0.5))
+        if self.name == "poisson":
+            return npstream.poisson(seed, 1.0)
+        if self.name == "binomial":
+            return npstream.binomial(seed, self.k, 1.0 / self.k)
+        if self.name == "uniform":
+            return npstream.table_draws(seed, range(self.k + 1))
         raise InputFormatError(f"unknown offspring law {self.name!r}")
 
 
@@ -107,17 +135,17 @@ def sample_offspring_sequence(
     that die early or overrun the window are rejected.  Raises after
     ``max_attempts`` rejections (the window is too narrow).
     """
+    import numpy as np
+
     if not 1 <= size_lo <= size_hi:
         raise ValueError("need 1 <= size_lo <= size_hi")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    first_chunk = 4096
-    big_chunk = 262_144
     for _ in range(max_attempts):
         parts: list[np.ndarray] = []
         total = 0
         walk = 1  # open branches
-        chunk_size = first_chunk
+        chunk_size = _FIRST_CHUNK
         accepted: np.ndarray | None = None
         while True:
             chunk = law.draw(rng, chunk_size)
@@ -135,13 +163,28 @@ def sample_offspring_sequence(
                 break
             parts.append(chunk)
             walk = int(steps[-1]) + 1
-            chunk_size = big_chunk
+            chunk_size = _BIG_CHUNK
         if accepted is not None:
             return accepted
     raise InputFormatError(
         f"no tree of size in [{size_lo}, {size_hi}] found in {max_attempts} attempts; "
         "widen the size window"
     )
+
+
+def first_attempt(law: OffspringLaw, size_lo: int, size_hi: int, seed: int) -> GWTreeOracle | None:
+    """Attempt 1 of ``sample_offspring_sequence(law, size_lo, size_hi, rng=seed)``
+    without numpy: the oracle of its tree if that lands in the window, else None.
+
+    The walk stops once it closes, passes ``size_hi`` or has taken the
+    sampler's first two chunks of values, so None means either a rejected
+    attempt or one that only numpy's sampler can finish.
+    """
+    if not 1 <= size_lo <= size_hi:
+        raise ValueError("need 1 <= size_lo <= size_hi")
+    draws = islice(law.draws(seed), min(size_hi, _FIRST_CHUNK + _BIG_CHUNK))
+    oracle = GWTreeOracle.from_offspring(draws)
+    return oracle if oracle is not None and oracle.n >= size_lo else None
 
 
 def subtree_sizes(offspring: np.ndarray) -> np.ndarray:
@@ -152,6 +195,8 @@ def subtree_sizes(offspring: np.ndarray) -> np.ndarray:
     drops below its value on entering i.  Computed with a grouped
     next-smaller-element search, O(n log n) with numpy.
     """
+    import numpy as np
+
     xi = np.asarray(offspring, dtype=np.int64)
     n = int(xi.shape[0])
     if n == 0:
@@ -288,6 +333,8 @@ def measure_joblist_ratio(experiment: GWExperiment) -> GWExperimentResult:
     Trials use independent generators seeded from (seed, trial) so results
     are reproducible and order-independent.
     """
+    import numpy as np
+
     if experiment.trials < 1:
         raise ValueError("need at least one trial")
     lo, hi = experiment.window()
@@ -328,7 +375,6 @@ class GWTreeOracle(AdjacencyOracle):
     def __init__(self, sizes: np.ndarray) -> None:
         sizes = sizes.tolist()  # Python ints: one conversion, not one per step
         n = len(sizes)
-        self.n = n
         children: list[list[int]] = [[] for _ in range(n)]
         parent: list[tuple[int, int] | None] = [None] * n
         for node in range(n):
@@ -339,9 +385,57 @@ class GWTreeOracle(AdjacencyOracle):
                 kids.append(c)
                 parent[c] = (node, len(kids))
                 c += sizes[c]
+        self._set_tables(children, parent)
+
+    @classmethod
+    def from_offspring(cls, offspring: Iterable[int]) -> GWTreeOracle | None:
+        """The oracle of the tree whose depth-first offspring sequence begins
+        ``offspring``, read in one pass up to the tree's last node; None if
+        ``offspring`` ends before the tree does."""
+        values = iter(offspring)
+        first = next(values, None)
+        if first is None:
+            return None
+        children: list[list[int]] = [[]]
+        parent: list[tuple[int, int] | None] = [None]
+        kids, p, left = children[0], 0, first  # the node whose children come next
+        stack: list[tuple[list[int], int, int]] = []  # the same for its ancestors
+        collecting = gc.isenabled()
+        # The tables hold no cycles, so collections during the build would
+        # only rescan them: about 3 ms of a 20k-node init.
+        gc.disable()
+        try:
+            if first:
+                for node, k in enumerate(values, 1):
+                    kids.append(node)
+                    parent.append((p, len(kids)))
+                    own = []
+                    children.append(own)
+                    left -= 1
+                    if k:
+                        if left:
+                            stack.append((kids, p, left))
+                        kids, p, left = own, node, k
+                    elif not left:
+                        if not stack:
+                            break  # the tree is complete
+                        kids, p, left = stack.pop()
+                else:
+                    return None  # the values end before the tree does
+        finally:
+            if collecting:
+                gc.enable()
+        oracle = cls.__new__(cls)
+        oracle._set_tables(children, parent)
+        return oracle
+
+    def _set_tables(
+        self, children: list[list[int]], parent: list[tuple[int, int] | None]
+    ) -> None:
+        self.n = len(children)
         self._children = children
         self._parent = parent
-        self.max_degree = max((len(k) for k in children), default=0)
+        self.max_degree = max(map(len, children), default=0)
 
     def root(self) -> int:
         return 0
@@ -359,7 +453,12 @@ class GWTreeOracle(AdjacencyOracle):
 
 class GWTreeApplication(EnumerationApplication):
     """Engine plug-in: input ``law size_lo size_hi seed [k]`` samples one tree
-    deterministically, then enumerates its nodes under the usual budgets."""
+    deterministically, then enumerates its nodes under the usual budgets.
+
+    The tree is the one ``sample_offspring_sequence(law, size_lo, size_hi,
+    rng=seed)`` returns.  Its first attempt is tried without numpy, which is
+    imported only when that attempt does not land in the window.
+    """
 
     name = "gwtree"
 
@@ -375,10 +474,13 @@ class GWTreeApplication(EnumerationApplication):
             raise InputFormatError(f"bad gwtree input numbers: {exc}") from exc
         law = make_law(parts[0], k=k)
         try:
-            xi = sample_offspring_sequence(law, lo, hi, rng=seed)
+            oracle = first_attempt(law, lo, hi, seed)
+            if oracle is None:  # numpy's sampler repeats attempt 1, then goes on
+                xi = sample_offspring_sequence(law, lo, hi, rng=seed)
+                oracle = GWTreeOracle.from_offspring(xi.tolist())
         except ValueError as exc:  # a bad size window or seed
             raise InputFormatError(f"bad gwtree input: {exc}") from exc
-        return GWTreeOracle(subtree_sizes(xi)), self.encode_node(0)
+        return oracle, self.encode_node(0)
 
     def format_vertex(self, global_data: GWTreeOracle, vertex: int) -> str:
         return str(vertex)

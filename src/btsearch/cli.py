@@ -137,7 +137,9 @@ def _run_options(ns: argparse.Namespace) -> CliOptions:
     """The options of a parsed ``run`` command line; see :func:`parse_cli`."""
     if ns.app == "sat":
         if ns.countonly:
-            raise _CliError("sat streams its verdict; -countonly is not supported", USAGE_ERROR)
+            raise _CliError(
+                "btsearch: sat streams its verdict; -countonly is not supported", USAGE_ERROR
+            )
         if ns.prune != "off":
             raise _CliError("btsearch: sat does not prune; -prune is not supported", USAGE_ERROR)
     else:
@@ -235,7 +237,8 @@ def _drop_unwritable_stdout() -> None:
 
 
 def _cmd_gwtree(ns: argparse.Namespace) -> int:
-    # Imported here so that other subcommands do not pay for loading numpy.
+    # Imported here: the CLI loads only the app its command line names.
+    # measure_joblist_ratio imports numpy when it runs.
     from .apps.gwtree import GWExperiment, make_law, measure_joblist_ratio, write_experiment_csv
 
     try:

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from btsearch import cli
+from btsearch.apps.gwtree import make_law, sample_offspring_sequence
 from btsearch.apps.sat.app import SatApplication
 from btsearch.apps.topsorts import TopsortsApplication
 from btsearch.cli import main, parse_cli, _CliError
@@ -62,6 +63,14 @@ class TestParseCli:
         with pytest.raises(_CliError) as err:
             parse_cli(["run", "sat", "f.cnf", "-countonly"])
         assert err.value.code == 1
+
+    def test_sat_countonly_is_a_one_line_usage_error(self, tmp_path, capsys):
+        inp = tmp_path / "php.cnf"
+        inp.write_text(cnf_text(pigeonhole_cnf(3, 2)))
+        assert main(["run", "sat", str(inp), "-countonly"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "btsearch: sat streams its verdict; -countonly is not supported\n"
 
     def test_enumeration_rejects_conflict_budgeting(self, tmp_path, capsys):
         inp = tmp_path / "poset.txt"
@@ -368,7 +377,7 @@ class TestConsoleEntry:
 
     def test_importing_the_cli_does_not_load_numpy(self):
         # Every run pays for what these imports load on top of a bare
-        # interpreter: only the gwtree subcommand needs numpy, and
+        # interpreter: numpy alone costs about 170 ms, and
         # dataclasses (with the inspect it loads) and logging alone cost
         # about 30 ms of start-up.  The forked workers use raw pipes:
         # multiprocessing.connection alone added about 21 ms (90.5 to
@@ -377,6 +386,7 @@ class TestConsoleEntry:
         script = (
             "import sys; bare = set(sys.modules)\n"
             "import btsearch.cli, btsearch.apps.spantree, btsearch.apps.topsorts\n"
+            "import btsearch.apps.gwtree\n"
             "import btsearch.apps.sat.app\n"
             "print(' '.join(sorted(set(sys.modules) - bare)))"
         )
@@ -385,8 +395,35 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0, proc.stderr
         added = set(proc.stdout.split())
-        assert "btsearch.apps.sat.app" in added
+        assert {"btsearch.apps.sat.app", "btsearch.apps.gwtree"} <= added
         assert added.isdisjoint(
             {"numpy", "dataclasses", "inspect", "logging", "multiprocessing", "subprocess",
              "concurrent", "pickle"}
         )
+
+    @pytest.mark.parametrize(
+        "seed,needs_numpy", [(2, False), (0, True)], ids=["first-attempt-lands", "fallback"]
+    )
+    def test_run_gwtree_imports_numpy_only_when_the_first_attempt_is_rejected(
+        self, tmp_path, seed, needs_numpy
+    ):
+        # With seed 2 the sampler's first attempt lands in [20, 40]; with
+        # seed 0 it does not, and numpy's sampler goes on to a later one.
+        inp = tmp_path / "g.txt"
+        inp.write_text(f"catalan 20 40 {seed}\n")
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "btsearch.cli", "run", "gwtree",
+             str(inp), "-countonly", "-np", "1"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert ("numpy" in imported) == needs_numpy
+        nodes = len(sample_offspring_sequence(make_law("catalan"), 20, 40, rng=seed))
+        assert proc.stdout == f"{nodes}\n"

@@ -1,9 +1,12 @@
 import io
 import math
 import random
+from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from btsearch.budget import SchedulerConfig
 from btsearch.engine import run
@@ -12,6 +15,7 @@ from btsearch.apps.gwtree import (
     GWExperiment,
     GWTreeApplication,
     GWTreeOracle,
+    first_attempt,
     make_law,
     measure_joblist_ratio,
     predicted_ratio,
@@ -22,6 +26,20 @@ from btsearch.apps.gwtree import (
 )
 
 from oracles import gw_reference_jobs, random_offspring_sequence
+
+ALL_LAWS = [
+    make_law("catalan"),
+    make_law("fullbinary"),
+    make_law("geometric"),
+    make_law("poisson"),
+    make_law("binomial", 2),
+    make_law("binomial", 3),
+    make_law("binomial", 7),
+    make_law("uniform"),
+]
+# Seeds below 2**32 take one SeedSequence entropy word; larger ones take up
+# to seven, and more than four go through numpy's extra mixing loop.
+SEEDS = st.integers(0, 2**32) | st.integers(2**64, 2**200)
 
 
 class TestLaws:
@@ -88,6 +106,89 @@ class TestSampling:
         a = sample_offspring_sequence(law, 10, 100, rng=42)
         b = sample_offspring_sequence(law, 10, 100, rng=42)
         assert a.tolist() == b.tolist()
+
+
+class TestNumpyStreamPort:
+    """The pure-Python stream draws what numpy's default_rng(seed) draws."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        law=st.sampled_from(ALL_LAWS), seed=SEEDS, n=st.integers(1, 3000), cut=st.integers(0, 3000)
+    )
+    @example(law=ALL_LAWS[0], seed=0, n=3000, cut=1001)
+    @example(law=ALL_LAWS[7], seed=2**64, n=3000, cut=1001)
+    @example(law=ALL_LAWS[3], seed=2**70 + 3, n=3000, cut=0)
+    def test_first_draws_equal_numpy(self, law, seed, n, cut):
+        # numpy's chunks share one stream, and the 32-bit laws one buffered
+        # half of a 64-bit output, so any split into chunks draws the same.
+        cut = min(cut, n)
+        rng = np.random.default_rng(seed)
+        expected = np.concatenate([law.draw(rng, cut), law.draw(rng, n - cut)]).tolist()
+        assert list(islice(law.draws(seed), n)) == expected
+
+    def test_negative_seed_is_numpys_value_error(self):
+        with pytest.raises(ValueError) as numpy_error:
+            np.random.default_rng(-1)
+        with pytest.raises(ValueError) as port_error:
+            next(make_law("catalan").draws(-1))
+        assert str(port_error.value) == str(numpy_error.value)
+        with pytest.raises(InputFormatError, match=str(numpy_error.value)):
+            GWTreeApplication().init(b"catalan 20 40 -1")
+
+
+def same_tables(a, b):
+    def tables(oracle):
+        return oracle.n, oracle._children, oracle._parent, oracle.max_degree
+
+    return tables(a) == tables(b)
+
+
+def numpy_oracle(law, lo, hi, seed):
+    return GWTreeOracle(subtree_sizes(sample_offspring_sequence(law, lo, hi, rng=seed)))
+
+
+class TestFirstAttempt:
+    """init builds the tree numpy's sampler names, with or without numpy."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        law=st.sampled_from(ALL_LAWS),
+        lo=st.integers(1, 50),
+        width=st.integers(10, 100),
+        seed=SEEDS,
+    )
+    @example(law=ALL_LAWS[0], lo=20, width=20, seed=2)  # attempt 1 lands
+    @example(law=ALL_LAWS[0], lo=20, width=20, seed=0)  # attempt 1 is rejected
+    def test_init_names_the_numpy_samplers_tree(self, law, lo, width, seed):
+        k = f" {law.k}" if law.k is not None else ""
+        oracle, _ = GWTreeApplication().init(f"{law.name} {lo} {lo + width} {seed}{k}".encode())
+        assert same_tables(oracle, numpy_oracle(law, lo, lo + width, seed))
+        attempt = first_attempt(law, lo, lo + width, seed)
+        try:
+            sample_offspring_sequence(law, lo, lo + width, rng=seed, max_attempts=1)
+        except InputFormatError:
+            assert attempt is None
+        else:
+            assert same_tables(attempt, oracle)
+
+    def test_a_walk_past_the_first_two_chunks_falls_back_to_numpy(self):
+        # Seed 2128's first catalan attempt closes after 296,917 values:
+        # past the 4,096 + 262,144 values the pure-Python walk takes.
+        law = make_law("catalan")
+        assert first_attempt(law, 290_000, 300_000, 2128) is None
+        oracle, _ = GWTreeApplication().init(b"catalan 290000 300000 2128")
+        assert oracle.n == 296_917
+        assert same_tables(oracle, numpy_oracle(law, 290_000, 300_000, 2128))
+
+    def test_from_offspring_reads_one_tree(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            seq = random_offspring_sequence(rng, 80)
+            ref = GWTreeOracle(subtree_sizes(np.array(seq, dtype=np.int64)))
+            assert same_tables(GWTreeOracle.from_offspring(seq + [3, 0]), ref)
+            assert GWTreeOracle.from_offspring(seq[:-1]) is None
+        assert GWTreeOracle.from_offspring([]) is None
+        assert same_tables(GWTreeOracle.from_offspring([0, 5]), GWTreeOracle(np.array([1])))
 
 
 class TestSubtreeSizes:

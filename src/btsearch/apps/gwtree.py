@@ -38,6 +38,11 @@ _CATALAN_VALUES = (0, 1, 1, 2)  # a uniform index into it gives {0: 1/4, 1: 1/2,
 # values, then in big chunks.
 _FIRST_CHUNK = 4096
 _BIG_CHUNK = 262_144
+# GWTreeApplication.init draws at most this many values in pure Python
+# before it hands the input to numpy's sampler: 20-35 ms, which is what
+# an input that numpy must finish loses, against the ≈170 ms numpy import
+# that an input found within it saves.
+_PYTHON_LIMIT = 32_768
 
 
 class OffspringLaw(NamedTuple):
@@ -65,22 +70,30 @@ class OffspringLaw(NamedTuple):
             return rng.integers(0, self.k + 1, size=size, dtype=np.int64)
         raise InputFormatError(f"unknown offspring law {self.name!r}")
 
-    def draws(self, seed: int) -> Iterator[int]:
-        """The values ``draw`` takes from ``numpy.random.default_rng(seed)``,
-        one at a time and without numpy."""
+    def draws(self, seed: int, skip: int = 0) -> Iterator[int]:
+        """The values ``draw`` takes from ``numpy.random.default_rng(seed)``
+        once ``skip`` of its 64-bit outputs are spent, one at a time and
+        without numpy."""
         if self.name == "catalan":
-            return npstream.table_draws(seed, _CATALAN_VALUES)
+            return npstream.table_draws(seed, _CATALAN_VALUES, skip)
         if self.name == "fullbinary":
-            return npstream.table_draws(seed, (0, 2))
+            return npstream.table_draws(seed, (0, 2), skip)
         if self.name == "geometric":
-            return map((-1).__add__, npstream.geometric(seed, 0.5))
+            return map((-1).__add__, npstream.geometric(seed, 0.5, skip))
         if self.name == "poisson":
-            return npstream.poisson(seed, 1.0)
+            return npstream.poisson(seed, 1.0, skip)
         if self.name == "binomial":
-            return npstream.binomial(seed, self.k, 1.0 / self.k)
+            return npstream.binomial(seed, self.k, 1.0 / self.k, skip)
         if self.name == "uniform":
-            return npstream.table_draws(seed, range(self.k + 1))
+            return npstream.table_draws(seed, range(self.k + 1), skip)
         raise InputFormatError(f"unknown offspring law {self.name!r}")
+
+    @property
+    def per_output(self) -> int | None:
+        """How many values ``draw`` takes from each 64-bit output, where
+        that is fixed: two 32-bit halves that a power-of-two range never
+        rejects, or one double.  None where draws reject or vary."""
+        return {"catalan": 2, "fullbinary": 2, "geometric": 1}.get(self.name)
 
 
 def make_law(name: str, k: int | None = None) -> OffspringLaw:
@@ -172,19 +185,41 @@ def sample_offspring_sequence(
     )
 
 
-def first_attempt(law: OffspringLaw, size_lo: int, size_hi: int, seed: int) -> GWTreeOracle | None:
-    """Attempt 1 of ``sample_offspring_sequence(law, size_lo, size_hi, rng=seed)``
-    without numpy: the oracle of its tree if that lands in the window, else None.
+def sample_without_numpy(
+    law: OffspringLaw, size_lo: int, size_hi: int, seed: int, limit: int = _PYTHON_LIMIT
+) -> list[int] | None:
+    """``sample_offspring_sequence(law, size_lo, size_hi, rng=seed)`` as a
+    list, found without numpy; None once ``limit`` values were drawn one at
+    a time before an attempt landed.
 
-    The walk stops once it closes, passes ``size_hi`` or has taken the
-    sampler's first two chunks of values, so None means either a rejected
-    attempt or one that only numpy's sampler can finish.
+    Each attempt draws values until its walk closes or passes ``size_hi``.
+    numpy's sampler also draws the rest of that attempt's last chunk, which
+    the next attempt jumps over; a law without a fixed ``per_output`` cannot
+    jump, so its first rejected attempt gives up.
     """
     if not 1 <= size_lo <= size_hi:
         raise ValueError("need 1 <= size_lo <= size_hi")
-    draws = islice(law.draws(seed), min(size_hi, _FIRST_CHUNK + _BIG_CHUNK))
-    oracle = GWTreeOracle.from_offspring(draws)
-    return oracle if oracle is not None and oracle.n >= size_lo else None
+    per_output = law.per_output
+    draws = law.draws(seed)
+    spent = 0  # values numpy's sampler has drawn before this attempt
+    while True:
+        offspring: list[int] = []
+        walk = 1  # open branches
+        for value in islice(draws, min(size_hi + 1, limit)):
+            offspring.append(value)
+            walk += value - 1
+            if not walk:
+                break
+        n = len(offspring)
+        limit -= n
+        if not walk and size_lo <= n <= size_hi:
+            return offspring
+        if walk and n <= size_hi:
+            return None  # the limit came before this attempt was decided
+        if not per_output:
+            return None  # numpy draws the rest of the chunk faster than Python
+        spent += _FIRST_CHUNK + -(-max(0, n - _FIRST_CHUNK) // _BIG_CHUNK) * _BIG_CHUNK
+        draws = law.draws(seed, spent // per_output)
 
 
 def subtree_sizes(offspring: np.ndarray) -> np.ndarray:
@@ -388,14 +423,13 @@ class GWTreeOracle(AdjacencyOracle):
         self._set_tables(children, parent)
 
     @classmethod
-    def from_offspring(cls, offspring: Iterable[int]) -> GWTreeOracle | None:
+    def from_offspring(cls, offspring: Iterable[int]) -> GWTreeOracle:
         """The oracle of the tree whose depth-first offspring sequence begins
-        ``offspring``, read in one pass up to the tree's last node; None if
-        ``offspring`` ends before the tree does."""
+        ``offspring``, read in one pass up to the tree's last node."""
         values = iter(offspring)
         first = next(values, None)
         if first is None:
-            return None
+            raise ValueError("empty offspring sequence")
         children: list[list[int]] = [[]]
         parent: list[tuple[int, int] | None] = [None]
         kids, p, left = children[0], 0, first  # the node whose children come next
@@ -421,7 +455,7 @@ class GWTreeOracle(AdjacencyOracle):
                             break  # the tree is complete
                         kids, p, left = stack.pop()
                 else:
-                    return None  # the values end before the tree does
+                    raise ValueError("offspring sequence ends before its tree does")
         finally:
             if collecting:
                 gc.enable()
@@ -456,8 +490,8 @@ class GWTreeApplication(EnumerationApplication):
     deterministically, then enumerates its nodes under the usual budgets.
 
     The tree is the one ``sample_offspring_sequence(law, size_lo, size_hi,
-    rng=seed)`` returns.  Its first attempt is tried without numpy, which is
-    imported only when that attempt does not land in the window.
+    rng=seed)`` returns.  ``sample_without_numpy`` looks for it first, and
+    numpy is imported only when that gives up.
     """
 
     name = "gwtree"
@@ -474,12 +508,12 @@ class GWTreeApplication(EnumerationApplication):
             raise InputFormatError(f"bad gwtree input numbers: {exc}") from exc
         law = make_law(parts[0], k=k)
         try:
-            oracle = first_attempt(law, lo, hi, seed)
-            if oracle is None:  # numpy's sampler repeats attempt 1, then goes on
-                xi = sample_offspring_sequence(law, lo, hi, rng=seed)
-                oracle = GWTreeOracle.from_offspring(xi.tolist())
+            offspring = sample_without_numpy(law, lo, hi, seed)
+            if offspring is None:  # numpy's sampler starts over and goes on
+                offspring = sample_offspring_sequence(law, lo, hi, rng=seed).tolist()
         except ValueError as exc:  # a bad size window or seed
             raise InputFormatError(f"bad gwtree input: {exc}") from exc
+        oracle = GWTreeOracle.from_offspring(offspring)
         return oracle, self.encode_node(0)
 
     def format_vertex(self, global_data: GWTreeOracle, vertex: int) -> str:

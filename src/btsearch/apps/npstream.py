@@ -2,7 +2,9 @@
 
 Each public generator yields, one at a time, the values that calls of the
 ``numpy.random.Generator`` method in its docstring take from
-``default_rng(seed)``, whatever the sizes of those calls.  The port covers
+``default_rng(seed)``, whatever the sizes of those calls; ``skip`` starts
+them after that many 64-bit outputs, jumped over as ``PCG64.advance``
+does.  The port covers
 numpy's seeding (``SeedSequence`` with its default pool of four words),
 PCG64 with the XSL-RR output (O'Neill 2014), the 32-bit buffer that hands
 out the low half of a 64-bit output first, ``next_double``, and one method
@@ -64,52 +66,64 @@ def _seed_words(seed: int) -> tuple[int, int]:
     return words[0] << 64 | words[1], words[2] << 64 | words[3]
 
 
-def _pcg64_words(seed: int) -> Iterator[int]:
-    """The 64-bit outputs of ``numpy.random.PCG64(seed)``, one at a time."""
+def _advance(state: int, inc: int, steps: int) -> int:
+    """PCG64's state ``steps`` outputs later: the LCG's jump ahead in
+    O(log steps) multiplications, as ``PCG64.advance`` does."""
+    mult, plus = 1, 0
+    step_mult, step_plus = _PCG_MULT, inc
+    while steps:
+        if steps & 1:
+            mult = mult * step_mult & _M128
+            plus = (plus * step_mult + step_plus) & _M128
+        step_plus = (step_mult + 1) * step_plus & _M128
+        step_mult = step_mult * step_mult & _M128
+        steps >>= 1
+    return (mult * state + plus) & _M128
+
+
+def _pcg64_words(seed: int, skip: int) -> Iterator[int]:
+    """The 64-bit outputs of ``numpy.random.PCG64(seed)`` after the first
+    ``skip``, one at a time."""
     initstate, initseq = _seed_words(seed)
     mult, m64, m128 = _PCG_MULT, _M64, _M128
     inc = (initseq << 1 | 1) & m128
     state = ((inc + initstate) * mult + inc) & m128  # srandom: step, add, step
+    state = _advance(state, inc, skip)
     while True:
         state = (state * mult + inc) & m128
         x = (state >> 64 ^ state) & m64
         yield (x << 64 | x) >> (state >> 122) & m64  # XSL, then rotate right
 
 
-def _uint32s(seed: int) -> Iterator[int]:
+def _uint32s(seed: int, skip: int) -> Iterator[int]:
     m32 = _M32
-    for word in _pcg64_words(seed):
+    for word in _pcg64_words(seed, skip):
         yield word & m32
         yield word >> 32
 
 
-def _doubles(seed: int) -> Iterator[float]:
-    for word in _pcg64_words(seed):
+def _doubles(seed: int, skip: int) -> Iterator[float]:
+    for word in _pcg64_words(seed, skip):
         yield (word >> 11) * (1.0 / 9007199254740992.0)
 
 
-def table_draws(seed: int, table: Sequence[int]) -> Iterator[int]:
+def table_draws(seed: int, table: Sequence[int], skip: int = 0) -> Iterator[int]:
     """``table[integers(0, len(table))]``, for 2 to 2**32 - 1 entries."""
     high = len(table)
-    threshold = (1 << 32) % high
+    threshold = (1 << 32) % high  # 0 for a power of two: then nothing is rejected
     m32 = _M32
-    if not threshold:  # a power of two: Lemire's method never rejects
-        for word in _pcg64_words(seed):
-            yield table[(word & m32) * high >> 32]
-            yield table[(word >> 32) * high >> 32]
-    else:
-        words = _uint32s(seed)
-        for word in words:
-            m = word * high
-            while m & m32 < threshold:
-                m = next(words) * high
-            yield table[m >> 32]
+    words = _uint32s(seed, skip)
+    for word in words:
+        m = word * high
+        while m & m32 < threshold:
+            m = next(words) * high
+        yield table[m >> 32]
 
 
-def geometric(seed: int, p: float) -> Iterator[int]:
+def geometric(seed: int, p: float, skip: int = 0) -> Iterator[int]:
     """``geometric(p)``, for p >= 1/3 (numpy draws smaller p by inversion)."""
     q = 1.0 - p
-    for u in _doubles(seed):
+    for u in _doubles(seed, skip):
         x = 1
         total = prod = p
         while u > total:
@@ -119,10 +133,10 @@ def geometric(seed: int, p: float) -> Iterator[int]:
         yield x
 
 
-def poisson(seed: int, lam: float) -> Iterator[int]:
+def poisson(seed: int, lam: float, skip: int = 0) -> Iterator[int]:
     """``poisson(lam)``, for 0 < lam < 10 (numpy draws larger lam by PTRS)."""
     enlam = math.exp(-lam)
-    doubles = _doubles(seed)
+    doubles = _doubles(seed, skip)
     while True:
         x = 0
         prod = next(doubles)
@@ -132,14 +146,14 @@ def poisson(seed: int, lam: float) -> Iterator[int]:
         yield x
 
 
-def binomial(seed: int, n: int, p: float) -> Iterator[int]:
+def binomial(seed: int, n: int, p: float, skip: int = 0) -> Iterator[int]:
     """``binomial(n, p)``, for 0 < p <= 1/2 and n p <= 30 (numpy draws other
     parameters by BTPE or from 1 - p)."""
     q = 1.0 - p
     qn = math.exp(n * math.log(q))
     np_ = n * p
     bound = int(min(n, np_ + 10.0 * math.sqrt(np_ * q + 1)))
-    doubles = _doubles(seed)
+    doubles = _doubles(seed, skip)
     while True:
         x = 0
         px = qn

@@ -402,15 +402,25 @@ class TestConsoleEntry:
         )
 
     @pytest.mark.parametrize(
-        "seed,needs_numpy", [(2, False), (0, True)], ids=["first-attempt-lands", "fallback"]
+        "text,needs_numpy",
+        [
+            ("catalan 20 40 2", False),
+            ("catalan 20 40 0", False),
+            ("poisson 20 40 0", True),
+            ("catalan 490 510 0", True),
+        ],
+        ids=["first-attempt-lands", "later-attempt-lands", "no-jump-fallback", "limit-fallback"],
     )
-    def test_run_gwtree_imports_numpy_only_when_the_first_attempt_is_rejected(
-        self, tmp_path, seed, needs_numpy
+    def test_run_gwtree_imports_numpy_only_when_pure_python_gives_up(
+        self, tmp_path, text, needs_numpy
     ):
-        # With seed 2 the sampler's first attempt lands in [20, 40]; with
-        # seed 0 it does not, and numpy's sampler goes on to a later one.
+        # Seed 2's first catalan attempt lands in [20, 40], seed 0's does
+        # not and a later one is found by jumping over the rejected chunks.
+        # poisson's draws take a varying number of outputs, so a rejected
+        # first attempt cannot be jumped over; seed 0 needs more than the
+        # 32,768 values drawn in pure Python for [490, 510].
         inp = tmp_path / "g.txt"
-        inp.write_text(f"catalan 20 40 {seed}\n")
+        inp.write_text(text + "\n")
         proc = subprocess.run(
             [sys.executable, "-X", "importtime", "-m", "btsearch.cli", "run", "gwtree",
              str(inp), "-countonly", "-np", "1"],
@@ -425,5 +435,6 @@ class TestConsoleEntry:
             if line.startswith("import time:")
         }
         assert ("numpy" in imported) == needs_numpy
-        nodes = len(sample_offspring_sequence(make_law("catalan"), 20, 40, rng=seed))
+        name, lo, hi, seed = text.split()
+        nodes = len(sample_offspring_sequence(make_law(name), int(lo), int(hi), rng=int(seed)))
         assert proc.stdout == f"{nodes}\n"

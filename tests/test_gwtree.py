@@ -15,15 +15,16 @@ from btsearch.apps.gwtree import (
     GWExperiment,
     GWTreeApplication,
     GWTreeOracle,
-    first_attempt,
     make_law,
     measure_joblist_ratio,
     predicted_ratio,
     run_budgeted_jobs,
     sample_offspring_sequence,
+    sample_without_numpy,
     subtree_sizes,
     write_experiment_csv,
 )
+from btsearch.apps.npstream import table_draws
 
 from oracles import gw_reference_jobs, random_offspring_sequence
 
@@ -126,6 +127,32 @@ class TestNumpyStreamPort:
         expected = np.concatenate([law.draw(rng, cut), law.draw(rng, n - cut)]).tolist()
         assert list(islice(law.draws(seed), n)) == expected
 
+    @settings(max_examples=30, deadline=None)
+    @given(law=st.sampled_from(ALL_LAWS), seed=SEEDS, skip=st.integers(0, 2**80))
+    def test_a_skip_starts_after_that_many_outputs(self, law, seed, skip):
+        rng = np.random.default_rng(seed)
+        rng.bit_generator.advance(skip)
+        assert list(islice(law.draws(seed, skip), 500)) == law.draw(rng, 500).tolist()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        law=st.sampled_from([law for law in ALL_LAWS if law.per_output]),
+        seed=SEEDS,
+        skip=st.integers(0, 3000),
+    )
+    @example(law=ALL_LAWS[0], seed=2**70 + 3, skip=(4096 + 262_144) // 2)
+    def test_per_output_values_take_each_output(self, law, seed, skip):
+        rng = np.random.default_rng(seed)
+        law.draw(rng, skip * law.per_output)
+        assert list(islice(law.draws(seed, skip), 500)) == law.draw(rng, 500).tolist()
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=SEEDS, high=st.integers(2, 2**32 - 1))
+    @example(seed=0, high=3 << 30)  # a quarter of the 32-bit draws are rejected
+    def test_lemire_rejections_match_numpy(self, seed, high):
+        expected = np.random.default_rng(seed).integers(0, high, size=2000).tolist()
+        assert list(islice(table_draws(seed, range(high)), 2000)) == expected
+
     def test_negative_seed_is_numpys_value_error(self):
         with pytest.raises(ValueError) as numpy_error:
             np.random.default_rng(-1)
@@ -147,7 +174,15 @@ def numpy_oracle(law, lo, hi, seed):
     return GWTreeOracle(subtree_sizes(sample_offspring_sequence(law, lo, hi, rng=seed)))
 
 
-class TestFirstAttempt:
+def first_attempt_lands(law, lo, hi, seed):
+    try:
+        sample_offspring_sequence(law, lo, hi, rng=seed, max_attempts=1)
+    except InputFormatError:
+        return False
+    return True
+
+
+class TestSampleWithoutNumpy:
     """init builds the tree numpy's sampler names, with or without numpy."""
 
     @settings(max_examples=60, deadline=None)
@@ -158,24 +193,39 @@ class TestFirstAttempt:
         seed=SEEDS,
     )
     @example(law=ALL_LAWS[0], lo=20, width=20, seed=2)  # attempt 1 lands
-    @example(law=ALL_LAWS[0], lo=20, width=20, seed=0)  # attempt 1 is rejected
+    @example(law=ALL_LAWS[0], lo=20, width=20, seed=0)  # a later attempt lands
+    @example(law=ALL_LAWS[3], lo=20, width=20, seed=0)  # poisson cannot jump: numpy goes on
     def test_init_names_the_numpy_samplers_tree(self, law, lo, width, seed):
         k = f" {law.k}" if law.k is not None else ""
         oracle, _ = GWTreeApplication().init(f"{law.name} {lo} {lo + width} {seed}{k}".encode())
         assert same_tables(oracle, numpy_oracle(law, lo, lo + width, seed))
-        attempt = first_attempt(law, lo, lo + width, seed)
-        try:
-            sample_offspring_sequence(law, lo, lo + width, rng=seed, max_attempts=1)
-        except InputFormatError:
-            assert attempt is None
-        else:
-            assert same_tables(attempt, oracle)
+        found = sample_without_numpy(law, lo, lo + width, seed)
+        if found is not None:
+            assert same_tables(GWTreeOracle.from_offspring(found), oracle)
+        if law.per_output is None:
+            assert (found is not None) == first_attempt_lands(law, lo, lo + width, seed)
 
-    def test_a_walk_past_the_first_two_chunks_falls_back_to_numpy(self):
-        # Seed 2128's first catalan attempt closes after 296,917 values:
-        # past the 4,096 + 262,144 values the pure-Python walk takes.
+    def test_a_rejected_attempt_past_the_first_chunk_is_jumped_over(self):
+        # Seed 1's first catalan attempt is still open after the first 4,096
+        # values, so numpy draws a big chunk before it is rejected.
         law = make_law("catalan")
-        assert first_attempt(law, 290_000, 300_000, 2128) is None
+        walk = 1 + np.cumsum(law.draw(np.random.default_rng(1), 4096) - 1)
+        assert walk.min() > 0
+        found = sample_without_numpy(law, 20, 5000, 1)
+        assert found == sample_offspring_sequence(law, 20, 5000, rng=1).tolist()
+
+    def test_a_tree_one_node_past_the_window_is_rejected(self):
+        law = make_law("catalan")
+        size = len(sample_offspring_sequence(law, 20, 40, rng=2, max_attempts=1))
+        found = sample_without_numpy(law, 1, size - 1, 2)
+        assert found == sample_offspring_sequence(law, 1, size - 1, rng=2).tolist()
+        assert len(found) < size
+
+    def test_the_limit_hands_the_input_to_numpy(self):
+        law = make_law("catalan")
+        assert sample_without_numpy(law, 20, 40, 0, limit=1) is None
+        # Seed 2128's first catalan attempt closes after 296,917 values.
+        assert sample_without_numpy(law, 290_000, 300_000, 2128) is None
         oracle, _ = GWTreeApplication().init(b"catalan 290000 300000 2128")
         assert oracle.n == 296_917
         assert same_tables(oracle, numpy_oracle(law, 290_000, 300_000, 2128))
@@ -186,8 +236,10 @@ class TestFirstAttempt:
             seq = random_offspring_sequence(rng, 80)
             ref = GWTreeOracle(subtree_sizes(np.array(seq, dtype=np.int64)))
             assert same_tables(GWTreeOracle.from_offspring(seq + [3, 0]), ref)
-            assert GWTreeOracle.from_offspring(seq[:-1]) is None
-        assert GWTreeOracle.from_offspring([]) is None
+            with pytest.raises(ValueError, match="empty|ends before its tree"):
+                GWTreeOracle.from_offspring(seq[:-1])
+        with pytest.raises(ValueError, match="empty"):
+            GWTreeOracle.from_offspring([])
         assert same_tables(GWTreeOracle.from_offspring([0, 5]), GWTreeOracle(np.array([1])))
 
 

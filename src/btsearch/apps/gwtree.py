@@ -35,13 +35,13 @@ LAW_NAMES = ("catalan", "fullbinary", "geometric", "poisson", "binomial", "unifo
 _CATALAN_VALUES = (0, 1, 1, 2)  # a uniform index into it gives {0: 1/4, 1: 1/2, 2: 1/4}
 
 # The sampler draws an attempt's offspring in a first chunk of this many
-# values, then in big chunks.
+# values, then in big chunks, and gives up after _MAX_ATTEMPTS attempts.
 _FIRST_CHUNK = 4096
 _BIG_CHUNK = 262_144
-# GWTreeApplication.init draws at most this many values in pure Python
-# before it hands the input to numpy's sampler: 20-35 ms, which is what
-# an input that numpy must finish loses, against the ≈170 ms numpy import
-# that an input found within it saves.
+_MAX_ATTEMPTS = 2_000_000
+# sample_offspring_list draws at most this many values in pure Python
+# before numpy's sampler goes on: 20-40 ms, against the ≈170 ms numpy
+# import that a tree found within them saves.
 _PYTHON_LIMIT = 32_768
 
 
@@ -139,7 +139,7 @@ def sample_offspring_sequence(
     size_lo: int,
     size_hi: int,
     rng: np.random.Generator | int | None = None,
-    max_attempts: int = 2_000_000,
+    max_attempts: int = _MAX_ATTEMPTS,
 ) -> np.ndarray:
     """Sample one unconditioned critical tree with total size in the window.
 
@@ -179,29 +179,33 @@ def sample_offspring_sequence(
             chunk_size = _BIG_CHUNK
         if accepted is not None:
             return accepted
-    raise InputFormatError(
-        f"no tree of size in [{size_lo}, {size_hi}] found in {max_attempts} attempts; "
+    raise _no_tree(size_lo, size_hi, max_attempts)
+
+
+def _no_tree(size_lo: int, size_hi: int, attempts: int) -> InputFormatError:
+    return InputFormatError(
+        f"no tree of size in [{size_lo}, {size_hi}] found in {attempts} attempts; "
         "widen the size window"
     )
 
 
-def sample_without_numpy(
-    law: OffspringLaw, size_lo: int, size_hi: int, seed: int, limit: int = _PYTHON_LIMIT
-) -> list[int] | None:
+def sample_offspring_list(law: OffspringLaw, size_lo: int, size_hi: int, seed: int) -> list[int]:
     """``sample_offspring_sequence(law, size_lo, size_hi, rng=seed)`` as a
-    list, found without numpy; None once ``limit`` values were drawn one at
-    a time before an attempt landed.
+    list, with numpy imported only if pure Python has not found it after
+    drawing ``_PYTHON_LIMIT`` values one at a time.
 
     Each attempt draws values until its walk closes or passes ``size_hi``.
     numpy's sampler also draws the rest of that attempt's last chunk, which
-    the next attempt jumps over; a law without a fixed ``per_output`` cannot
-    jump, so its first rejected attempt gives up.
+    the next attempt jumps over.  A law without a fixed ``per_output``
+    cannot jump, so there numpy's sampler starts over after a rejected
+    first attempt; otherwise it goes on from the attempt Python left open.
     """
     if not 1 <= size_lo <= size_hi:
         raise ValueError("need 1 <= size_lo <= size_hi")
     per_output = law.per_output
     draws = law.draws(seed)
-    spent = 0  # values numpy's sampler has drawn before this attempt
+    attempts = outputs = 0  # rejected so far, and the 64-bit outputs they took
+    limit = _PYTHON_LIMIT
     while True:
         offspring: list[int] = []
         walk = 1  # open branches
@@ -214,12 +218,23 @@ def sample_without_numpy(
         limit -= n
         if not walk and size_lo <= n <= size_hi:
             return offspring
-        if walk and n <= size_hi:
-            return None  # the limit came before this attempt was decided
-        if not per_output:
-            return None  # numpy draws the rest of the chunk faster than Python
-        spent += _FIRST_CHUNK + -(-max(0, n - _FIRST_CHUNK) // _BIG_CHUNK) * _BIG_CHUNK
-        draws = law.draws(seed, spent // per_output)
+        if (walk and n <= size_hi) or not per_output:
+            break  # the limit came first, or the next attempt cannot jump
+        attempts += 1
+        # numpy's sampler drew the attempt in whole chunks, up to the one
+        # that holds its n-th value
+        chunks = -(-max(0, n - _FIRST_CHUNK) // _BIG_CHUNK)
+        outputs += (_FIRST_CHUNK + chunks * _BIG_CHUNK) // per_output
+        draws = law.draws(seed, outputs)
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(outputs)
+    try:
+        found = sample_offspring_sequence(law, size_lo, size_hi, rng, _MAX_ATTEMPTS - attempts)
+    except InputFormatError:
+        raise _no_tree(size_lo, size_hi, _MAX_ATTEMPTS) from None
+    return found.tolist()
 
 
 def subtree_sizes(offspring: np.ndarray) -> np.ndarray:
@@ -490,8 +505,7 @@ class GWTreeApplication(EnumerationApplication):
     deterministically, then enumerates its nodes under the usual budgets.
 
     The tree is the one ``sample_offspring_sequence(law, size_lo, size_hi,
-    rng=seed)`` returns.  ``sample_without_numpy`` looks for it first, and
-    numpy is imported only when that gives up.
+    rng=seed)`` returns, found by ``sample_offspring_list``.
     """
 
     name = "gwtree"
@@ -508,9 +522,7 @@ class GWTreeApplication(EnumerationApplication):
             raise InputFormatError(f"bad gwtree input numbers: {exc}") from exc
         law = make_law(parts[0], k=k)
         try:
-            offspring = sample_without_numpy(law, lo, hi, seed)
-            if offspring is None:  # numpy's sampler starts over and goes on
-                offspring = sample_offspring_sequence(law, lo, hi, rng=seed).tolist()
+            offspring = sample_offspring_list(law, lo, hi, seed)
         except ValueError as exc:  # a bad size window or seed
             raise InputFormatError(f"bad gwtree input: {exc}") from exc
         oracle = GWTreeOracle.from_offspring(offspring)

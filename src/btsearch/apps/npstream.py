@@ -2,22 +2,24 @@
 
 Each public generator yields, one at a time, the values that calls of the
 ``numpy.random.Generator`` method in its docstring take from
-``default_rng(seed)``, whatever the sizes of those calls; ``skip`` starts
-them after that many 64-bit outputs, jumped over as ``PCG64.advance``
-does.  The port covers
-numpy's seeding (``SeedSequence`` with its default pool of four words),
-PCG64 with the XSL-RR output (O'Neill 2014), the 32-bit buffer that hands
-out the low half of a 64-bit output first, ``next_double``, and one method
-per distribution: Lemire's bounded 32-bit integers with their rejection
-loop (Lemire, ACM TOMACS 2019), geometric by search, poisson by
-multiplication and binomial by inversion.  Those are the methods numpy
-picks for the parameters the offspring laws use; each generator notes the
-range where that holds.
+``default_rng(seed)``, whatever the sizes of those calls.  With ``skip``
+it starts after that many 64-bit outputs, jumped over in O(log skip)
+steps as ``PCG64.advance`` does.
+
+The port covers numpy's seeding (``SeedSequence`` with its default pool of
+four words), PCG64 with the XSL-RR output (O'Neill 2014), the 32-bit
+buffer that hands out the low half of a 64-bit output first,
+``next_double``, and one method per distribution: Lemire's bounded 32-bit
+integers with their rejection loop (Lemire, ACM TOMACS 2019), geometric by
+search, poisson by multiplication and binomial by inversion.  Those are the
+methods numpy picks for the parameters the offspring laws use; each
+generator notes the range where that holds.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 _M32 = 0xFFFFFFFF
@@ -26,6 +28,7 @@ _M128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
+@lru_cache(maxsize=1)  # a sampler restarts the stream of one seed per attempt
 def _seed_words(seed: int) -> tuple[int, int]:
     """``SeedSequence(seed).generate_state(4, uint64)`` as PCG64's (state, increment)."""
     if seed < 0:

@@ -19,11 +19,12 @@ from btsearch.apps.gwtree import (
     measure_joblist_ratio,
     predicted_ratio,
     run_budgeted_jobs,
+    sample_offspring_list,
     sample_offspring_sequence,
-    sample_without_numpy,
     subtree_sizes,
     write_experiment_csv,
 )
+from btsearch.apps import gwtree
 from btsearch.apps.npstream import table_draws
 
 from oracles import gw_reference_jobs, random_offspring_sequence
@@ -174,15 +175,21 @@ def numpy_oracle(law, lo, hi, seed):
     return GWTreeOracle(subtree_sizes(sample_offspring_sequence(law, lo, hi, rng=seed)))
 
 
-def first_attempt_lands(law, lo, hi, seed):
-    try:
-        sample_offspring_sequence(law, lo, hi, rng=seed, max_attempts=1)
-    except InputFormatError:
-        return False
-    return True
+@pytest.fixture
+def numpy_calls(monkeypatch):
+    """The max_attempts and starting PCG64 state of each call that
+    sample_offspring_list makes to numpy's sampler."""
+    calls = []
+
+    def spy(law, lo, hi, rng, max_attempts):
+        calls.append((max_attempts, rng.bit_generator.state["state"]))
+        return sample_offspring_sequence(law, lo, hi, rng, max_attempts)
+
+    monkeypatch.setattr(gwtree, "sample_offspring_sequence", spy)
+    return calls
 
 
-class TestSampleWithoutNumpy:
+class TestSampleOffspringList:
     """init builds the tree numpy's sampler names, with or without numpy."""
 
     @settings(max_examples=60, deadline=None)
@@ -194,41 +201,63 @@ class TestSampleWithoutNumpy:
     )
     @example(law=ALL_LAWS[0], lo=20, width=20, seed=2)  # attempt 1 lands
     @example(law=ALL_LAWS[0], lo=20, width=20, seed=0)  # a later attempt lands
-    @example(law=ALL_LAWS[3], lo=20, width=20, seed=0)  # poisson cannot jump: numpy goes on
+    @example(law=ALL_LAWS[3], lo=20, width=20, seed=0)  # poisson cannot jump: numpy starts over
     def test_init_names_the_numpy_samplers_tree(self, law, lo, width, seed):
         k = f" {law.k}" if law.k is not None else ""
         oracle, _ = GWTreeApplication().init(f"{law.name} {lo} {lo + width} {seed}{k}".encode())
         assert same_tables(oracle, numpy_oracle(law, lo, lo + width, seed))
-        found = sample_without_numpy(law, lo, lo + width, seed)
-        if found is not None:
-            assert same_tables(GWTreeOracle.from_offspring(found), oracle)
-        if law.per_output is None:
-            assert (found is not None) == first_attempt_lands(law, lo, lo + width, seed)
 
-    def test_a_rejected_attempt_past_the_first_chunk_is_jumped_over(self):
-        # Seed 1's first catalan attempt is still open after the first 4,096
-        # values, so numpy draws a big chunk before it is rejected.
+    @pytest.mark.parametrize(
+        "lo,hi,seed,max_attempts",
+        [
+            (20, 40, 2, None),  # attempt 1 lands
+            (20, 40, 0, None),  # a later attempt lands
+            # Seed 1's first attempt is still open after the first 4,096
+            # values, so numpy draws a big chunk before rejecting it.
+            (20, 5000, 1, None),
+            # Seed 0 needs more than 32,768 values for [490, 510]: numpy goes
+            # on after the attempts Python rejected.
+            (490, 510, 0, "fewer"),
+            # Seed 2128's first attempt closes after 296,917 values.
+            (290_000, 300_000, 2128, 2_000_000),
+        ],
+    )
+    def test_numpy_is_reached_only_past_the_limit(self, numpy_calls, lo, hi, seed, max_attempts):
         law = make_law("catalan")
-        walk = 1 + np.cumsum(law.draw(np.random.default_rng(1), 4096) - 1)
+        found = sample_offspring_list(law, lo, hi, seed)
+        assert found == sample_offspring_sequence(law, lo, hi, rng=seed).tolist()
+        seeded = np.random.default_rng(seed).bit_generator.state["state"]
+        if max_attempts is None:
+            assert numpy_calls == []
+        elif max_attempts == "fewer":
+            [(left, state)] = numpy_calls
+            assert left < 2_000_000 and state != seeded
+        else:
+            assert numpy_calls == [(max_attempts, seeded)]
+
+    def test_a_law_that_cannot_jump_starts_numpy_over(self, numpy_calls):
+        law = make_law("poisson")
+        assert sample_offspring_list(law, 20, 40, 0) == (
+            sample_offspring_sequence(law, 20, 40, rng=0).tolist()
+        )
+        assert numpy_calls == [(2_000_000, np.random.default_rng(0).bit_generator.state["state"])]
+
+    def test_seed_1_reaches_a_big_chunk(self):
+        walk = 1 + np.cumsum(make_law("catalan").draw(np.random.default_rng(1), 4096) - 1)
         assert walk.min() > 0
-        found = sample_without_numpy(law, 20, 5000, 1)
-        assert found == sample_offspring_sequence(law, 20, 5000, rng=1).tolist()
 
     def test_a_tree_one_node_past_the_window_is_rejected(self):
         law = make_law("catalan")
         size = len(sample_offspring_sequence(law, 20, 40, rng=2, max_attempts=1))
-        found = sample_without_numpy(law, 1, size - 1, 2)
+        found = sample_offspring_list(law, 1, size - 1, 2)
         assert found == sample_offspring_sequence(law, 1, size - 1, rng=2).tolist()
         assert len(found) < size
 
-    def test_the_limit_hands_the_input_to_numpy(self):
-        law = make_law("catalan")
-        assert sample_without_numpy(law, 20, 40, 0, limit=1) is None
-        # Seed 2128's first catalan attempt closes after 296,917 values.
-        assert sample_without_numpy(law, 290_000, 300_000, 2128) is None
-        oracle, _ = GWTreeApplication().init(b"catalan 290000 300000 2128")
-        assert oracle.n == 296_917
-        assert same_tables(oracle, numpy_oracle(law, 290_000, 300_000, 2128))
+    def test_no_tree_counts_the_attempts_of_both_samplers(self, monkeypatch):
+        monkeypatch.setattr(gwtree, "_PYTHON_LIMIT", 64)
+        monkeypatch.setattr(gwtree, "_MAX_ATTEMPTS", 300)
+        with pytest.raises(InputFormatError, match=r"\[4, 4\] found in 300 attempts; widen"):
+            GWTreeApplication().init(b"fullbinary 4 4 0")
 
     def test_from_offspring_reads_one_tree(self):
         rng = random.Random(11)

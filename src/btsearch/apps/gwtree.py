@@ -40,7 +40,7 @@ _FIRST_CHUNK = 4096
 _BIG_CHUNK = 262_144
 _MAX_ATTEMPTS = 2_000_000
 # sample_offspring_list draws at most this many values in pure Python
-# before numpy's sampler goes on: 20-40 ms, against the ≈170 ms numpy
+# before numpy's sampler goes on: 20-45 ms, against the ≈170 ms numpy
 # import that a tree found within them saves.
 _PYTHON_LIMIT = 32_768
 

@@ -202,6 +202,13 @@ def sample_offspring_list(law: OffspringLaw, size_lo: int, size_hi: int, seed: i
     """
     if not 1 <= size_lo <= size_hi:
         raise ValueError("need 1 <= size_lo <= size_hi")
+    # Past the first attempt the search goes on only where it finds the
+    # tree within the limit at least one time in five: then the numpy import
+    # it saves pays for the search where it fails.  A critical tree has at
+    # least n nodes with probability ≈ c/√n whatever the law, so an attempt
+    # draws ≈ 2c√(hi+1) values and lands with probability ≈ c/√lo − c/√(hi+1).
+    expected = 2 * math.sqrt(size_hi + 1) / (size_lo**-0.5 - (size_hi + 1) ** -0.5)
+    hopeful = expected * math.log(5 / 4) <= _PYTHON_LIMIT
     per_output = law.per_output
     draws = law.draws(seed)
     attempts = outputs = 0  # rejected so far, and the 64-bit outputs they took
@@ -225,6 +232,8 @@ def sample_offspring_list(law: OffspringLaw, size_lo: int, size_hi: int, seed: i
         # that holds its n-th value
         chunks = -(-max(0, n - _FIRST_CHUNK) // _BIG_CHUNK)
         outputs += (_FIRST_CHUNK + chunks * _BIG_CHUNK) // per_output
+        if not hopeful:
+            break
         draws = law.draws(seed, outputs)
     import numpy as np
 

@@ -208,7 +208,7 @@ class TestSampleOffspringList:
         assert same_tables(oracle, numpy_oracle(law, lo, lo + width, seed))
 
     @pytest.mark.parametrize(
-        "lo,hi,seed,max_attempts",
+        "lo,hi,seed,handover",
         [
             (20, 40, 2, None),  # attempt 1 lands
             (20, 40, 0, None),  # a later attempt lands
@@ -217,23 +217,29 @@ class TestSampleOffspringList:
             (20, 5000, 1, None),
             # Seed 0 needs more than 32,768 values for [490, 510]: numpy goes
             # on after the attempts Python rejected.
-            (490, 510, 0, "fewer"),
+            (490, 510, 0, "later"),
+            # A window this narrow is found within the limit far less than
+            # one time in five, so numpy goes on after the first attempt,
+            # which is rejected inside its first chunk of 2,048 outputs.
+            (19_600, 20_400, 12345, (1_999_999, 2048)),
             # Seed 2128's first attempt closes after 296,917 values.
-            (290_000, 300_000, 2128, 2_000_000),
+            (290_000, 300_000, 2128, (2_000_000, 0)),
         ],
     )
-    def test_numpy_is_reached_only_past_the_limit(self, numpy_calls, lo, hi, seed, max_attempts):
+    def test_numpy_is_reached_only_past_the_limit(self, numpy_calls, lo, hi, seed, handover):
         law = make_law("catalan")
         found = sample_offspring_list(law, lo, hi, seed)
         assert found == sample_offspring_sequence(law, lo, hi, rng=seed).tolist()
-        seeded = np.random.default_rng(seed).bit_generator.state["state"]
-        if max_attempts is None:
+        rng = np.random.default_rng(seed)
+        if handover is None:
             assert numpy_calls == []
-        elif max_attempts == "fewer":
+        elif handover == "later":
             [(left, state)] = numpy_calls
-            assert left < 2_000_000 and state != seeded
+            assert left < 2_000_000 and state != rng.bit_generator.state["state"]
         else:
-            assert numpy_calls == [(max_attempts, seeded)]
+            left, outputs = handover
+            rng.bit_generator.advance(outputs)
+            assert numpy_calls == [(left, rng.bit_generator.state["state"])]
 
     def test_a_law_that_cannot_jump_starts_numpy_over(self, numpy_calls):
         law = make_law("poisson")

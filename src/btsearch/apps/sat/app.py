@@ -3,10 +3,12 @@
 A job payload is an ordered list of assumed decision literals (propagations
 are re-derived by the worker).  The app's ``budget_kind`` says what a unit
 of ``budget.max_nodes`` counts: free decisions or conflicts.  Budget
-exhaustion returns the backtrack-path splits as new jobs; learnt unit
-clauses travel as shared tokens.  The first model found halts the run; a
-completed run with no model means the whole assumption space was refuted,
-so the finalize hook emits the UNSAT verdict.
+exhaustion returns the backtrack-path splits as new jobs.  Learnt clauses
+of at most ``MAX_SHARED_LITERALS`` (8) literals travel as shared tokens,
+each the sorted clause, so the master's byte-level dedup keeps one token
+per clause; a learnt unit is a one-literal clause.  The first model found
+halts the run; a completed run with no model means the whole assumption
+space was refuted, so the finalize hook emits the UNSAT verdict.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from ...errors import BtsearchError, NodeDecodeError
 from ...search_api import Application, SearchResult
 from ..base import decode_ints, encode_ints
 from .dimacs import CnfFormula, parse_dimacs, verify_model
-from .solver import solve_budgeted
+from .solver import MAX_SHARED_LITERALS, solve_budgeted
 
 
 class SatApplication(Application):
@@ -62,18 +64,26 @@ class SatApplication(Application):
         shared: Sequence[bytes],
     ) -> SearchResult:
         assumption = self.decode_node(payload, global_data)
-        units = [self.decode_token(tok, global_data) for tok in shared]
+        units: list[int] = []
+        clauses: list[tuple[int, ...]] = []
+        for token in shared:
+            clause = self.decode_token(token, global_data)
+            if len(clause) == 1:
+                units.append(clause[0])
+            else:
+                clauses.append(clause)
         outcome = solve_budgeted(
             global_data,
             assumption,
             budget.max_nodes,
             self.budget_kind,
             shared_units=units,
+            shared_clauses=clauses,
             restarts=self.restarts,
             vsids=self.vsids,
         )
         visited = outcome.budget_spent(self.budget_kind)
-        delta = [encode_ints((u,)) for u in outcome.learnt_units]
+        delta = [encode_ints(clause) for clause in outcome.learnt_clauses]
         if outcome.status == "sat":
             assert outcome.model is not None
             if not verify_model(global_data, outcome.model):
@@ -103,12 +113,21 @@ class SatApplication(Application):
             shared_delta=delta,
         )
 
-    def decode_token(self, token: bytes, global_data: CnfFormula) -> int:
-        """The learnt unit literal ``token`` encodes."""
-        unit = decode_ints(token, "shared unit")
-        if len(unit) != 1 or unit[0] == 0 or abs(unit[0]) > global_data.num_vars:
-            raise NodeDecodeError(f"shared unit {token!r} is not one literal in range")
-        return unit[0]
+    def decode_token(self, token: bytes, global_data: CnfFormula) -> tuple[int, ...]:
+        """The learnt clause ``token`` encodes: 1 to 8 literals in range, on
+        distinct variables."""
+        clause = decode_ints(token, "shared clause")
+        if not 1 <= len(clause) <= MAX_SHARED_LITERALS:
+            raise NodeDecodeError(
+                f"shared clause {token!r} has {len(clause)} literals, "
+                f"not 1 to {MAX_SHARED_LITERALS}"
+            )
+        variables = {abs(lit) for lit in clause}
+        if len(variables) != len(clause):
+            raise NodeDecodeError(f"shared clause {token!r} repeats a variable")
+        if 0 in variables or max(variables) > global_data.num_vars:
+            raise NodeDecodeError(f"shared clause {token!r} has a literal out of range")
+        return clause
 
     def finalize(self, global_data: CnfFormula) -> list[str]:
         # the engine calls this only after a run with no verdict: every

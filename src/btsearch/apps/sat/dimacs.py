@@ -62,21 +62,27 @@ def parse_dimacs(data: bytes | str) -> CnfFormula:
             continue
         if num_vars is None:
             raise InputFormatError(f"line {lineno}: clause before 'p cnf' header")
-        for tok in line.split():
-            try:
-                lit = int(tok)
-            except ValueError as exc:
-                raise InputFormatError(f"line {lineno}: bad literal {tok!r}") from exc
-            if lit == 0:
-                clauses.append(_finish_clause(current, lineno))
-                current = []
-                parsed += 1
-            else:
-                if abs(lit) > num_vars:
-                    raise InputFormatError(
-                        f"line {lineno}: literal {lit} out of range for {num_vars} variables"
-                    )
-                current.append(lit)
+        tokens = line.split()
+        try:
+            # one conversion per line; a bad token raises where a
+            # token-by-token read would, after the literals before it
+            for lit in map(int, tokens):
+                if lit == 0:
+                    clauses.append(_finish_clause(current))
+                    current = []
+                    parsed += 1
+                else:
+                    if abs(lit) > num_vars:
+                        raise InputFormatError(
+                            f"line {lineno}: literal {lit} out of range for {num_vars} variables"
+                        )
+                    current.append(lit)
+        except ValueError:
+            for tok in tokens:  # find the token ``int`` refused
+                try:
+                    int(tok)
+                except ValueError as exc:
+                    raise InputFormatError(f"line {lineno}: bad literal {tok!r}") from exc
     if num_vars is None:
         raise InputFormatError("missing 'p cnf' header")
     if current:
@@ -87,7 +93,7 @@ def parse_dimacs(data: bytes | str) -> CnfFormula:
     return CnfFormula(num_vars=num_vars, clauses=kept)
 
 
-def _finish_clause(lits: list[int], lineno: int) -> tuple[int, ...] | None:
+def _finish_clause(lits: list[int]) -> tuple[int, ...] | None:
     """Deduplicate; None for tautologies (dropped)."""
     seen: set[int] = set()
     out: list[int] = []

@@ -9,8 +9,10 @@ splits are pairwise contradictory and together cover every extension of the
 job's assumption, so work is partitioned without any shared state.
 
 Learnt clauses never resolve on decision or assumption literals, so every
-learnt clause - in particular every learnt unit - is implied by the input
-formula alone and is safe to share globally.
+learnt clause is implied by the input formula alone and is safe to share
+globally.  A job returns its learnt clauses of at most
+``MAX_SHARED_LITERALS`` literals, and a later job attaches those it is given
+right after the formula's own clauses, so it need not learn them again.
 
 Values and watch lists are indexed by the literal itself: ``lv[lit]`` is
 the value of ``lit`` (1 true, -1 false, 0 unassigned) in a list of size
@@ -33,6 +35,9 @@ _TRUE = 1
 _FALSE = -1
 _UNASSIGNED = 0
 
+# learnt clauses up to this length travel to other jobs (ManySAT's cut-off)
+MAX_SHARED_LITERALS = 8
+
 
 class SolveOutcome(NamedTuple):
     """Result of one budgeted solve.
@@ -40,13 +45,15 @@ class SolveOutcome(NamedTuple):
     ``status`` is ``"sat"``, ``"unsat"`` (no extension of the assumptions)
     or ``"exhausted"``.  ``global_unsat`` marks refutations independent of
     the assumptions.  ``splits`` are the unexplored assumption lists;
-    ``learnt_units`` are formula-implied literals discovered during the job.
+    ``learnt_clauses`` are the formula-implied clauses of at most
+    ``MAX_SHARED_LITERALS`` literals learnt during the job, each sorted, in
+    learning order without repeats.
     """
 
     status: str
     model: tuple[int, ...] | None = None
     splits: tuple[tuple[int, ...], ...] = ()
-    learnt_units: tuple[int, ...] = ()
+    learnt_clauses: tuple[tuple[int, ...], ...] = ()
     decisions: int = 0
     conflicts: int = 0
     global_unsat: bool = False
@@ -56,12 +63,18 @@ class SolveOutcome(NamedTuple):
 
 
 class CdclSolver:
-    """One solver instance per job; all state is local to the instance."""
+    """One solver instance per job; all state is local to the instance.
+
+    ``extra_clauses`` (of two or more literals) are attached after the
+    formula's clauses and ``extra_units`` after those; both must be implied
+    by the formula.
+    """
 
     def __init__(
         self,
         formula: CnfFormula,
         extra_units: Sequence[int] = (),
+        extra_clauses: Sequence[Sequence[int]] = (),
         restarts: bool = False,
         vsids: bool = False,
         restart_base: int = 100,
@@ -84,14 +97,15 @@ class CdclSolver:
         self._act_inc = 1.0
         # _watches[lit] -> the clauses watching lit, laid out as lv
         self._watches: list[list[list[int]]] = [[] for _ in range(2 * self.nvars + 1)]
-        self._units: list[int] = []
+        # the short learnt clauses, sorted; a dict keeps learning order
+        self._short: dict[tuple[int, ...], None] = {}
         for clause in formula.clauses:
             if not self._attach(list(clause)):
                 self.ok = False
-        for lit in extra_units:
-            if abs(lit) > self.nvars or lit == 0:
-                raise InputFormatError(f"shared unit {lit} out of range")
-            if not self._attach([lit]):
+        for clause in (*extra_clauses, *((lit,) for lit in extra_units)):
+            if any(lit == 0 or abs(lit) > self.nvars for lit in clause):
+                raise InputFormatError(f"shared clause {clause} out of range")
+            if not self._attach(list(clause)):
                 self.ok = False
 
     # -- plumbing -----------------------------------------------------------
@@ -263,8 +277,9 @@ class CdclSolver:
         if len(learnt) >= 2:
             self._watches[learnt[0]].append(learnt)
             self._watches[learnt[1]].append(learnt)
-        if len(learnt) == 1 and learnt[0] not in self._units:
-            self._units.append(learnt[0])
+        if len(learnt) <= MAX_SHARED_LITERALS:
+            # sorted now: propagation reorders the watched literals later
+            self._short[tuple(sorted(learnt))] = None
 
     # -- branching -------------------------------------------------------------
 
@@ -319,7 +334,7 @@ class CdclSolver:
         def outcome(status: str, **kw) -> SolveOutcome:
             return SolveOutcome(
                 status=status,
-                learnt_units=tuple(self._units),
+                learnt_clauses=tuple(self._short),
                 decisions=decisions,
                 conflicts=conflicts,
                 **kw,
@@ -391,15 +406,18 @@ def solve_budgeted(
     limit: int | None = None,
     kind: str = "decisions",
     shared_units: Sequence[int] = (),
+    shared_clauses: Sequence[Sequence[int]] = (),
     restarts: bool = False,
     vsids: bool = False,
 ) -> SolveOutcome:
     """One-shot budgeted solve of ``formula`` under ``assumption``.
 
-    Complementary shared units are a global refutation and short-circuit.
+    ``shared_units`` and ``shared_clauses`` are learnt elsewhere and implied
+    by the formula.  Complementary shared units are a global refutation and
+    short-circuit.
     """
     unit_set = set(shared_units)
     if any(-u in unit_set for u in unit_set):
         return SolveOutcome(status="unsat", global_unsat=True)
-    solver = CdclSolver(formula, extra_units=shared_units, restarts=restarts, vsids=vsids)
+    solver = CdclSolver(formula, shared_units, shared_clauses, restarts=restarts, vsids=vsids)
     return solver.solve(assumption, limit, kind)

@@ -166,10 +166,10 @@ def brute_force_sat(formula: CnfFormula) -> tuple[bool, tuple[int, ...] | None]:
     return True, model
 
 
-def brute_force_implied(formula: CnfFormula, lit: int) -> bool:
-    """formula |= lit, by checking formula AND NOT lit is unsatisfiable."""
+def brute_force_implied(formula: CnfFormula, clause: Sequence[int]) -> bool:
+    """formula |= clause, by checking formula AND NOT clause is unsatisfiable."""
     augmented = CnfFormula(
-        num_vars=formula.num_vars, clauses=formula.clauses + ((-lit,),)
+        num_vars=formula.num_vars, clauses=formula.clauses + tuple((-lit,) for lit in clause)
     )
     sat, _ = brute_force_sat(augmented)
     return not sat

@@ -10,6 +10,7 @@ from btsearch import SchedulerConfig, run
 from btsearch import checkpoint as checkpoint_module
 from btsearch.apps import build_application
 from btsearch.checkpoint import checkpoint_read, checkpoint_write
+from btsearch.cli import main
 from btsearch.errors import CheckpointError
 
 from oracles import cnf_text, pigeonhole_cnf
@@ -79,6 +80,40 @@ class TestRoundTrip:
         report = run(build_application("sat", budget_kind="conflicts"), cnf_text(pigeonhole_cnf(4, 3)).encode(), cfg, out)
         assert report.completed
         assert out.getvalue() == "s UNSATISFIABLE\n"
+
+
+class TestSatClauseTokens:
+    """Shared sat tokens are clauses; a unit token is a one-literal clause."""
+
+    @pytest.mark.parametrize(
+        "token",
+        [b"", b"2 0", b"7", b"3 3", b"-2 2", b"1 2 3 4 5 6 -1 -2 -3"],
+        ids=["empty", "zero", "out-of-range", "repeated", "complementary", "nine-literals"],
+    )
+    def test_a_bad_clause_token_exits_2_naming_its_number(self, tmp_path, capsys, token):
+        inp = tmp_path / "php.cnf"
+        inp.write_text(cnf_text(pigeonhole_cnf(3, 2)))
+        bad = tmp_path / "bad.ckpt"
+        checkpoint_write(bad, "sat", [b"1"], [b"-1", b"-3 2", token])
+        code = main(["run", "sat", str(inp), "-restart", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert str(bad) in line and "shared token 3" in line
+
+    def test_older_release_unit_tokens_restore_through_the_cli(self, tmp_path, capsys):
+        inp = tmp_path / "php.cnf"
+        inp.write_text(cnf_text(pigeonhole_cnf(4, 3)))
+        old = tmp_path / "old.ckpt"
+        old.write_text(OLDER_RELEASE_SAT_CHECKPOINT)
+        code = main([
+            "run", "sat", str(inp), "-restart", str(old), "-np", "2",
+            "-budgetkind", "conflicts", "-maxnodes", "3",
+        ])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == "s UNSATISFIABLE\n"
 
 
 class TestAtomicWrite:

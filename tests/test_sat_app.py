@@ -92,17 +92,63 @@ class TestVerdicts:
 
 class TestSharedUnits:
     def test_shared_tokens_are_implied_unit_clauses(self):
-        # an UNSAT instance with forced chains produces learnt units
+        # an UNSAT instance with forced chains produces learnt clauses; a
+        # unit is a one-literal clause
         rng = random.Random(31)
+        app = SatApplication()
         audited = 0
         for _ in range(10):
             cnf = random_3cnf(rng, 8, 36)
             _, _, report = run_sat(cnf, limit=2, kind="decisions", num_workers=4)
             for token in report.shared_tokens:
-                lit = int(token.decode())
-                assert brute_force_implied(cnf, lit)
+                clause = app.decode_token(token, cnf)
+                assert list(clause) == sorted(clause)
+                assert brute_force_implied(cnf, clause)
                 audited += 1
         assert audited > 0
+
+    def test_a_job_returns_its_short_learnt_clauses_as_sorted_tokens(self):
+        app = SatApplication(budget_kind="conflicts")
+        gd, root = app.init(cnf_text(pigeonhole_cnf(5, 4)).encode())
+        result = app.search(gd, root, Budget(None, 30), ())
+        outcome = solve_budgeted(gd, (), 30, "conflicts")
+        assert result.shared_delta == [encode_ints(c) for c in outcome.learnt_clauses]
+        assert any(len(c) > 1 for c in outcome.learnt_clauses)
+
+    def test_relayed_clauses_reach_the_solver(self):
+        # the same job, handed the clauses an earlier job learnt, needs
+        # fewer conflicts than it does alone
+        app = SatApplication(budget_kind="conflicts")
+        gd, root = app.init(cnf_text(pigeonhole_cnf(5, 4)).encode())
+        alone = app.search(gd, root, Budget(None, None), ())
+        relayed = app.search(gd, root, Budget(None, None), tuple(alone.shared_delta))
+        assert alone.outputs == relayed.outputs == ["s UNSATISFIABLE"]
+        assert relayed.visited < alone.visited
+
+    @pytest.mark.parametrize(
+        "token",
+        [b"", b"0", b"1 0", b"4", b"-4 1", b"2 2", b"1 -1", b"-3 1 3", b"x"],
+        ids=["empty", "zero", "zero-in-clause", "out-of-range", "out-of-range-in-clause",
+             "repeated-literal", "complementary-pair", "repeated-variable", "garbage"],
+    )
+    def test_decode_token_rejects_a_bad_clause(self, token):
+        app = SatApplication()
+        gd, _ = app.init(b"p cnf 3 1\n1 2 3 0\n")
+        with pytest.raises(NodeDecodeError):
+            app.decode_token(token, gd)
+
+    def test_decode_token_rejects_more_than_8_literals(self):
+        app = SatApplication()
+        gd, _ = app.init(b"p cnf 9 1\n1 2 3 0\n")
+        assert app.decode_token(encode_ints(range(1, 9)), gd) == tuple(range(1, 9))
+        with pytest.raises(NodeDecodeError, match="9 literals"):
+            app.decode_token(encode_ints(range(1, 10)), gd)
+
+    def test_decode_token_reads_units_and_clauses(self):
+        app = SatApplication()
+        gd, _ = app.init(b"p cnf 3 1\n1 2 3 0\n")
+        assert app.decode_token(b"-1", gd) == (-1,)
+        assert app.decode_token(b"-3 -1 2", gd) == (-3, -1, 2)
 
 
 class TestCheckpointResume:
@@ -119,7 +165,7 @@ class TestCheckpointResume:
         resumed = run(SatApplication(), cnf_text(cnf).encode(), resume_cfg, out2)
         assert resumed.completed
         assert out2.getvalue().splitlines()[-1] == "s UNSATISFIABLE"
-        # shared unit tokens written before the stop are restored on resume
+        # shared clause tokens written before the stop are restored on resume
         assert set(partial.shared_tokens) <= set(resumed.shared_tokens)
 
 

@@ -1,11 +1,13 @@
 """Property tests of the CDCL solver over random small CNFs.
 
-The differential test runs ``reference_cdcl`` (the solver before its
+The differential tests run ``reference_cdcl`` (the solver before its
 propagation fast path) and ``btsearch.apps.sat.solver`` on the same random
-formula, assumption, shared units, budget and options, and requires every
+formula, assumption, shared units, budget and options, and require every
 outcome field to be identical: the fast path must do the same search.  The
-brute-force test checks the solver's verdict, models and learnt units
-against exhaustive enumeration in ``oracles.py``.
+reference knows no relayed clauses, so it gets them appended to the
+formula, which is where the solver attaches them.  The brute-force test
+checks the solver's verdict, models and learnt clauses against exhaustive
+enumeration in ``oracles.py``.
 """
 
 import random
@@ -51,19 +53,30 @@ def random_assumption(rng: random.Random, num_vars: int, size: int) -> tuple[int
 
 
 @st.composite
-def solver_cases(draw, max_vars):
+def solver_cases(draw, max_vars, min_vars=1, ratios=(0.0, 6.0)):
     # a seeded generator: drawing each literal from hypothesis is far slower
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    num_vars = draw(st.integers(1, max_vars))
+    num_vars = draw(st.integers(min_vars, max_vars))
     units = draw(st.sampled_from((0, 0, 1, 3)))
-    cnf = random_cnf(rng, num_vars, draw(st.floats(0.0, 6.0)), units)
+    cnf = random_cnf(rng, num_vars, draw(st.floats(*ratios)), units)
     assumption = random_assumption(rng, num_vars, draw(st.integers(0, 6)))
     return cnf, assumption, rng
 
 
+def learnt_units(outcome) -> tuple[int, ...]:
+    # the reference keeps learnt units; the solver keeps them as its
+    # one-literal learnt clauses
+    if isinstance(outcome, reference_cdcl.SolveOutcome):
+        return outcome.learnt_units
+    return tuple(clause[0] for clause in outcome.learnt_clauses if len(clause) == 1)
+
+
 def fields(outcome) -> tuple:
     # SolveOutcomes of two modules are different classes and never compare equal
-    return tuple(getattr(outcome, name) for name in OUTCOME_FIELDS)
+    return tuple(
+        learnt_units(outcome) if name == "learnt_units" else getattr(outcome, name)
+        for name in OUTCOME_FIELDS
+    )
 
 
 @settings(max_examples=1000, deadline=None)
@@ -92,6 +105,31 @@ def test_fast_path_outcomes_equal_the_reference_solver(
 
 
 @settings(max_examples=300, deadline=None)
+@given(
+    # near the threshold, where an earlier job learns clauses to relay
+    case=solver_cases(max_vars=40, min_vars=10, ratios=(3.5, 5.0)),
+    limit=st.sampled_from((1, 3, 20, None)),
+    kind=st.sampled_from(("decisions", "conflicts")),
+    restarts=st.booleans(),
+    vsids=st.booleans(),
+)
+def test_relayed_clauses_match_the_reference_on_the_extended_formula(
+    case, limit, kind, restarts, vsids
+):
+    cnf, assumption, rng = case
+    # relay what an earlier job, under another assumption, learnt
+    earlier = solver.solve_budgeted(cnf, random_assumption(rng, cnf.num_vars, 2), 20, "conflicts")
+    units = [clause[0] for clause in earlier.learnt_clauses if len(clause) == 1]
+    clauses = [clause for clause in earlier.learnt_clauses if len(clause) > 1]
+    options = dict(extra_units=units, restarts=restarts, vsids=vsids, restart_base=2)
+    extended = CnfFormula(cnf.num_vars, cnf.clauses + tuple(clauses))
+    budget = SimpleNamespace(max_nodes=limit, kind=kind)
+    expected = reference_cdcl.CdclSolver(extended, **options).solve(assumption, budget)
+    got = solver.CdclSolver(cnf, extra_clauses=clauses, **options).solve(assumption, limit, kind)
+    assert fields(got) == fields(expected)
+
+
+@settings(max_examples=300, deadline=None)
 @given(case=solver_cases(max_vars=12), restarts=st.booleans(), vsids=st.booleans())
 def test_verdicts_models_and_learnt_units_match_brute_force(case, restarts, vsids):
     cnf, assumption, _rng = case
@@ -103,6 +141,6 @@ def test_verdicts_models_and_learnt_units_match_brute_force(case, restarts, vsid
         assert verify_model(assumed, outcome.model)
     if outcome.global_unsat:
         assert not brute_force_sat(cnf)[0]
-    for unit in outcome.learnt_units:
+    for clause in outcome.learnt_clauses:
         # implied by the formula alone, whatever the assumption
-        assert brute_force_implied(cnf, unit), unit
+        assert brute_force_implied(cnf, clause), clause

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from btsearch.apps.sat.dimacs import CnfFormula, verify_model
-from btsearch.apps.sat.solver import CdclSolver, solve_budgeted
+from btsearch.apps.sat.solver import MAX_SHARED_LITERALS, CdclSolver, solve_budgeted
+from btsearch.errors import InputFormatError
 
 from oracles import (
     brute_force_implied,
@@ -116,19 +117,30 @@ class TestLearning:
         cnf = formula(2, (-1, 2), (-1, -2))
         outcome = solve_budgeted(cnf)
         assert outcome.status == "sat"
-        assert -1 in outcome.learnt_units
+        assert (-1,) in outcome.learnt_clauses
         assert -1 in outcome.model
 
     def test_learnt_units_are_implied(self):
+        # every returned clause, units and longer ones alike
         rng = random.Random(23)
         checked = 0
         for _ in range(40):
             cnf = random_3cnf(rng, rng.randrange(6, 13), rng.randrange(18, 40))
             outcome = solve_budgeted(cnf)
-            for unit in outcome.learnt_units:
-                assert brute_force_implied(cnf, unit), (cnf, unit)
+            for clause in outcome.learnt_clauses:
+                assert brute_force_implied(cnf, clause), (cnf, clause)
                 checked += 1
         assert checked > 0
+
+    def test_short_learnt_clauses_are_sorted_distinct_and_at_most_8_long(self):
+        # pigeonhole(6 into 5) also learns clauses of 9 to 13 literals
+        outcome = solve_budgeted(pigeonhole_cnf(6, 5))
+        clauses = outcome.learnt_clauses
+        assert any(len(c) > 1 for c in clauses)
+        assert len(set(clauses)) == len(clauses)
+        for clause in clauses:
+            assert list(clause) == sorted(clause)
+            assert 1 <= len(clause) <= MAX_SHARED_LITERALS
 
     def test_level_zero_conflict_is_global_unsat(self):
         cnf = formula(2, (1,), (-1, 2), (-2,))
@@ -185,3 +197,14 @@ class TestSharedUnits:
         outcome = solve_budgeted(cnf, shared_units=(-1, -2))
         assert outcome.status == "sat"
         assert outcome.model == (-1, -2, 3)
+
+    def test_shared_clauses_prune_the_search(self):
+        php = pigeonhole_cnf(5, 4)
+        alone = solve_budgeted(php)
+        relayed = solve_budgeted(php, shared_clauses=alone.learnt_clauses)
+        assert alone.status == relayed.status == "unsat"
+        assert relayed.conflicts < alone.conflicts
+
+    def test_an_out_of_range_shared_clause_is_rejected(self):
+        with pytest.raises(InputFormatError, match="out of range"):
+            solve_budgeted(formula(2, (1, 2)), shared_clauses=((1, 3),))

@@ -64,21 +64,14 @@ class SatApplication(Application):
         shared: Sequence[bytes],
     ) -> SearchResult:
         assumption = self.decode_node(payload, global_data)
-        units: list[int] = []
-        clauses: list[tuple[int, ...]] = []
-        for token in shared:
-            clause = self.decode_token(token, global_data)
-            if len(clause) == 1:
-                units.append(clause[0])
-            else:
-                clauses.append(clause)
+        relayed = [self.decode_token(token, global_data) for token in shared]
         outcome = solve_budgeted(
             global_data,
             assumption,
             budget.max_nodes,
             self.budget_kind,
-            shared_units=units,
-            shared_clauses=clauses,
+            shared_units=[clause[0] for clause in relayed if len(clause) == 1],
+            shared_clauses=[clause for clause in relayed if len(clause) > 1],
             restarts=self.restarts,
             vsids=self.vsids,
         )

@@ -98,6 +98,8 @@ class OffspringLaw(NamedTuple):
 
 def make_law(name: str, k: int | None = None) -> OffspringLaw:
     """Build a named critical law, checking mean 1 and finite variance."""
+    if k is not None and name in ("catalan", "fullbinary", "geometric", "poisson"):
+        raise InputFormatError(f"{name} law takes no k (only binomial and uniform do)")
     if name == "catalan":
         # {0: 1/4, 1: 1/2, 2: 1/4}; direct variance 1/2, published constant 3/2
         return OffspringLaw("catalan", variance=0.5, ratio_sigma2=1.5)

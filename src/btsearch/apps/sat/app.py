@@ -3,12 +3,13 @@
 A job payload is an ordered list of assumed decision literals (propagations
 are re-derived by the worker).  The app's ``budget_kind`` says what a unit
 of ``budget.max_nodes`` counts: free decisions or conflicts.  Budget
-exhaustion returns the backtrack-path splits as new jobs.  Learnt clauses
-of at most ``MAX_SHARED_LITERALS`` (8) literals travel as shared tokens,
-each the sorted clause, so the master's byte-level dedup keeps one token
-per clause; a learnt unit is a one-literal clause.  The first model found
-halts the run; a completed run with no model means the whole assumption
-space was refuted, so the finalize hook emits the UNSAT verdict.
+exhaustion returns the backtrack-path splits as new jobs.  Learnt clauses of
+at most ``MAX_SHARED_LITERALS`` (8) literals travel as shared tokens, each
+the sorted clause, so the master's byte-level dedup keeps one token per
+clause; a learnt unit is a one-literal clause, and a job hands the solver
+all its tokens as one list, parsed but not re-checked.  The first model
+found halts the run; a completed run with no model means the whole
+assumption space was refuted, so the finalize hook emits the UNSAT verdict.
 """
 
 from __future__ import annotations
@@ -64,14 +65,12 @@ class SatApplication(Application):
         shared: Sequence[bytes],
     ) -> SearchResult:
         assumption = self.decode_node(payload, global_data)
-        relayed = [self.decode_token(token, global_data) for token in shared]
         outcome = solve_budgeted(
             global_data,
             assumption,
             budget.max_nodes,
             self.budget_kind,
-            shared_units=[clause[0] for clause in relayed if len(clause) == 1],
-            shared_clauses=[clause for clause in relayed if len(clause) > 1],
+            shared_clauses=[decode_ints(token, "shared clause") for token in shared],
             restarts=self.restarts,
             vsids=self.vsids,
         )
@@ -108,7 +107,7 @@ class SatApplication(Application):
 
     def decode_token(self, token: bytes, global_data: CnfFormula) -> tuple[int, ...]:
         """The learnt clause ``token`` encodes: 1 to 8 literals in range, on
-        distinct variables."""
+        distinct variables; run once per token a checkpoint restores."""
         clause = decode_ints(token, "shared clause")
         if not 1 <= len(clause) <= MAX_SHARED_LITERALS:
             raise NodeDecodeError(

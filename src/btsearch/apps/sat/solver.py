@@ -11,8 +11,8 @@ job's assumption, so work is partitioned without any shared state.
 Learnt clauses never resolve on decision or assumption literals, so every
 learnt clause is implied by the input formula alone and is safe to share
 globally.  A job returns its learnt clauses of at most
-``MAX_SHARED_LITERALS`` literals, and a later job attaches those it is given
-right after the formula's own clauses, so it need not learn them again.
+``MAX_SHARED_LITERALS`` literals; a later job attaches that list, units as
+one-literal clauses, after the formula's own, so it need not learn them again.
 
 Values and watch lists are indexed by the literal itself: ``lv[lit]`` is
 the value of ``lit`` (1 true, -1 false, 0 unassigned) in a list of size
@@ -65,15 +65,13 @@ class SolveOutcome(NamedTuple):
 class CdclSolver:
     """One solver instance per job; all state is local to the instance.
 
-    ``extra_clauses`` (of two or more literals) are attached after the
-    formula's clauses and ``extra_units`` after those; both must be implied
-    by the formula.
+    ``extra_clauses``, implied by the formula, are attached in order after
+    its clauses; a unit is a one-literal clause.
     """
 
     def __init__(
         self,
         formula: CnfFormula,
-        extra_units: Sequence[int] = (),
         extra_clauses: Sequence[Sequence[int]] = (),
         restarts: bool = False,
         vsids: bool = False,
@@ -102,7 +100,7 @@ class CdclSolver:
         for clause in formula.clauses:
             if not self._attach(list(clause)):
                 self.ok = False
-        for clause in (*extra_clauses, *((lit,) for lit in extra_units)):
+        for clause in extra_clauses:
             if any(lit == 0 or abs(lit) > self.nvars for lit in clause):
                 raise InputFormatError(f"shared clause {clause} out of range")
             if not self._attach(list(clause)):
@@ -405,19 +403,14 @@ def solve_budgeted(
     assumption: Sequence[int] = (),
     limit: int | None = None,
     kind: str = "decisions",
-    shared_units: Sequence[int] = (),
     shared_clauses: Sequence[Sequence[int]] = (),
     restarts: bool = False,
     vsids: bool = False,
 ) -> SolveOutcome:
     """One-shot budgeted solve of ``formula`` under ``assumption``.
 
-    ``shared_units`` and ``shared_clauses`` are learnt elsewhere and implied
-    by the formula.  Complementary shared units are a global refutation and
-    short-circuit.
+    ``shared_clauses`` were learnt elsewhere and are implied by the formula;
+    a unit is a one-literal clause, and complementary units refute globally.
     """
-    unit_set = set(shared_units)
-    if any(-u in unit_set for u in unit_set):
-        return SolveOutcome(status="unsat", global_unsat=True)
-    solver = CdclSolver(formula, shared_units, shared_clauses, restarts=restarts, vsids=vsids)
+    solver = CdclSolver(formula, shared_clauses, restarts=restarts, vsids=vsids)
     return solver.solve(assumption, limit, kind)

@@ -202,7 +202,7 @@ def worker_loop(
         while (msg := receive()) is not None:
             payload, budget, shared = msg  # an AssignMsg, its budget maybe a plain tuple
             local_shared.extend(shared)
-            result = app.search(global_data, payload, Budget(*budget), tuple(local_shared))
+            result = app.search(global_data, payload, Budget(*budget), local_shared)
             lines = "\n".join(result.outputs) + "\n" if result.outputs else ""
             send((  # the fields of a ResultMsg
                 worker_id,

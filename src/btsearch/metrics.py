@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -20,8 +21,8 @@ class EfficiencyRecord(NamedTuple):
 
 def compute_efficiency(single_core_s: float, cores: int, multicore_s: float) -> EfficiencyRecord:
     """efficiency = single / (cores * multi); speedup = efficiency * cores."""
-    if single_core_s <= 0 or multicore_s <= 0 or cores <= 0:
-        raise MetricsError("times and core count must be positive")
+    if not (0 < single_core_s < math.inf and 0 < multicore_s < math.inf and cores > 0):
+        raise MetricsError("times must be positive and finite, and the core count positive")
     eff = single_core_s / (cores * multicore_s)
     return EfficiencyRecord(
         single_core_s=single_core_s,

@@ -63,7 +63,8 @@ class Application(ABC):
 
         The app decides what a unit of ``budget.max_nodes`` counts.  The
         job's outputs plus the subtrees of its unexplored payloads must
-        cover the subtree rooted at that vertex exactly once.
+        cover the subtree rooted at that vertex exactly once.  The
+        ``shared`` tokens need no check here (see ``decode_token``).
         """
 
     @abstractmethod
@@ -73,8 +74,9 @@ class Application(ABC):
 
     def decode_token(self, token: bytes, global_data: Any) -> Any:
         """The value a shared token from ``search`` encodes; NodeDecodeError on
-        other bytes.  The engine checks each restored token with it.  The
-        default accepts any bytes, for apps that share nothing."""
+        other bytes.  The engine checks each restored token with it, once;
+        every other token came from ``search``, which need not check them
+        again.  The default accepts any bytes, for apps that share nothing."""
         return token
 
     def finalize(self, global_data: Any) -> list[str]:

@@ -238,6 +238,16 @@ class TestMain:
         (line,) = captured.err.splitlines()
         assert "size_lo <= size_hi" in line
 
+    def test_gwtree_k_for_a_law_without_one_is_input_error(self, tmp_path, capsys):
+        inp = tmp_path / "g.txt"
+        inp.write_text("catalan 20 40 1 7\n")
+        code = main(["run", "gwtree", str(inp), "-np", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert "catalan law takes no k" in line
+
     def test_run_sat_unsat(self, tmp_path, capsys):
         inp = tmp_path / "php.cnf"
         inp.write_text(cnf_text(pigeonhole_cnf(3, 2)))
@@ -274,12 +284,25 @@ class TestMain:
     def test_gwtree_rejects_bad_law(self):
         assert main(["gwtree", "-law", "cauchy"]) == 2
 
+    def test_gwtree_rejects_k_for_a_law_without_one(self, capsys):
+        assert main(["gwtree", "-law", "catalan", "-k", "7"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "catalan law takes no k" in line
+
     def test_efficiency_output(self, capsys):
         assert main(["efficiency", "12723", "192", "125"]) == 0
         assert capsys.readouterr().out.startswith("efficiency 0.530")
 
     def test_efficiency_rejects_nonpositive(self):
         assert main(["efficiency", "0", "4", "5"]) == 1
+
+    @pytest.mark.parametrize("args", [("nan", "1", "1"), ("1", "2", "inf")])
+    def test_efficiency_rejects_nonfinite_times(self, args, capsys):
+        assert main(["efficiency", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert "finite" in line
 
 
 class TestConsoleEntry:

@@ -72,6 +72,9 @@ class TestLaws:
             make_law("binomial", k=1)
         with pytest.raises(InputFormatError):
             make_law("zipf")
+        for name in ("catalan", "fullbinary", "geometric", "poisson"):
+            with pytest.raises(InputFormatError, match="takes no k"):
+                make_law(name, k=7)
 
     def test_predicted_ratio_values(self):
         # catalan at b=5000 reproduces the published constant ~ 0.0109

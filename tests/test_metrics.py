@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from btsearch.errors import MetricsError
@@ -25,6 +27,14 @@ class TestEfficiency:
     @pytest.mark.parametrize("args", [(0, 4, 25), (100, 0, 25), (100, 4, 0), (-1, 4, 2)])
     def test_nonpositive_inputs_rejected(self, args):
         with pytest.raises(MetricsError):
+            compute_efficiency(*args)
+
+    @pytest.mark.parametrize(
+        "args",
+        [(math.nan, 1, 1), (1, 2, math.inf), (math.inf, 2, 1), (1, 2, math.nan), (-math.inf, 1, 1)],
+    )
+    def test_nonfinite_times_rejected(self, args):
+        with pytest.raises(MetricsError, match="finite"):
             compute_efficiency(*args)
 
 

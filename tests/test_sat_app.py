@@ -5,6 +5,7 @@ import random
 import pytest
 
 from btsearch.budget import Budget, SchedulerConfig
+from btsearch.checkpoint import checkpoint_read
 from btsearch.engine import run
 from btsearch.errors import NodeDecodeError
 from btsearch.apps import build_application
@@ -167,6 +168,34 @@ class TestCheckpointResume:
         assert out2.getvalue().splitlines()[-1] == "s UNSATISFIABLE"
         # shared clause tokens written before the stop are restored on resume
         assert set(partial.shared_tokens) <= set(resumed.shared_tokens)
+
+    def test_shared_tokens_are_checked_once_where_they_enter(self, tmp_path, monkeypatch):
+        # decode_token checks the tokens a checkpoint restores, once each;
+        # the tokens relayed between jobs are the solver's own clauses
+        checked = []
+        decode_token = SatApplication.decode_token
+
+        def counted(app, token, global_data):
+            checked.append(token)
+            return decode_token(app, token, global_data)
+
+        monkeypatch.setattr(SatApplication, "decode_token", counted)
+        data = cnf_text(pigeonhole_cnf(5, 4)).encode()
+        cp = tmp_path / "sat.ckpt"
+        cfg = sat_config(2, checkpoint_path=cp, stop_after_jobs=12)
+        fresh = run(SatApplication(budget_kind="conflicts"), data, cfg, io.StringIO())
+        assert fresh.jobs_executed > 1 and fresh.shared_tokens
+        assert checked == []
+        _, tokens = checkpoint_read(cp)
+        assert tokens
+        resumed = run(
+            SatApplication(budget_kind="conflicts"),
+            data,
+            sat_config(2, restart_path=cp),
+            io.StringIO(),
+        )
+        assert resumed.completed and resumed.jobs_executed > 1
+        assert checked == tokens
 
 
 class TestNodePayloads:

@@ -4,8 +4,11 @@ The differential tests run ``reference_cdcl`` (the solver before its
 propagation fast path) and ``btsearch.apps.sat.solver`` on the same random
 formula, assumption, shared units, budget and options, and require every
 outcome field to be identical: the fast path must do the same search.  The
-reference knows no relayed clauses, so it gets them appended to the
-formula, which is where the solver attaches them.  The brute-force test
+solver takes shared units as one-literal clauses.  The reference knows no
+relayed clauses, so it gets the longer ones appended to the formula and the
+units after them, while the solver gets one list in learning order: a unit
+reads no value of a longer clause when it is attached, so both orders leave
+the same trail and watch lists.  The brute-force test
 checks the solver's verdict, models and learnt clauses against exhaustive
 enumeration in ``oracles.py``.
 """
@@ -94,13 +97,13 @@ def test_fast_path_outcomes_equal_the_reference_solver(
 ):
     cnf, assumption, rng = case
     shared_units = [rng.choice((1, -1)) * rng.randint(1, cnf.num_vars) for _ in range(shared)]
-    options = dict(
-        extra_units=shared_units, restarts=restarts, vsids=vsids, restart_base=restart_base
-    )
+    options = dict(restarts=restarts, vsids=vsids, restart_base=restart_base)
     # the frozen reference reads its limit and kind from a budget object
     budget = SimpleNamespace(max_nodes=limit, kind=kind)
-    expected = reference_cdcl.CdclSolver(cnf, **options).solve(assumption, budget)
-    got = solver.CdclSolver(cnf, **options).solve(assumption, limit, kind)
+    reference = reference_cdcl.CdclSolver(cnf, extra_units=shared_units, **options)
+    expected = reference.solve(assumption, budget)
+    fast = solver.CdclSolver(cnf, extra_clauses=[(lit,) for lit in shared_units], **options)
+    got = fast.solve(assumption, limit, kind)
     assert fields(got) == fields(expected)
 
 
@@ -121,11 +124,13 @@ def test_relayed_clauses_match_the_reference_on_the_extended_formula(
     earlier = solver.solve_budgeted(cnf, random_assumption(rng, cnf.num_vars, 2), 20, "conflicts")
     units = [clause[0] for clause in earlier.learnt_clauses if len(clause) == 1]
     clauses = [clause for clause in earlier.learnt_clauses if len(clause) > 1]
-    options = dict(extra_units=units, restarts=restarts, vsids=vsids, restart_base=2)
+    options = dict(restarts=restarts, vsids=vsids, restart_base=2)
     extended = CnfFormula(cnf.num_vars, cnf.clauses + tuple(clauses))
     budget = SimpleNamespace(max_nodes=limit, kind=kind)
-    expected = reference_cdcl.CdclSolver(extended, **options).solve(assumption, budget)
-    got = solver.CdclSolver(cnf, extra_clauses=clauses, **options).solve(assumption, limit, kind)
+    reference = reference_cdcl.CdclSolver(extended, extra_units=units, **options)
+    expected = reference.solve(assumption, budget)
+    relayed = solver.CdclSolver(cnf, extra_clauses=earlier.learnt_clauses, **options)
+    got = relayed.solve(assumption, limit, kind)
     assert fields(got) == fields(expected)
 
 

@@ -189,12 +189,22 @@ class TestAgainstBruteForce:
 
 class TestSharedUnits:
     def test_inconsistent_shared_units_refute_globally(self):
-        outcome = solve_budgeted(formula(2, (1, 2)), shared_units=(1, -1))
-        assert outcome.status == "unsat" and outcome.global_unsat
+        # complementary one-literal clauses: inconsistent at level 0, before
+        # any decision, conflict or learnt clause
+        outcome = solve_budgeted(formula(2, (1, 2)), shared_clauses=((1,), (-1,)))
+        assert outcome._asdict() == {
+            "status": "unsat",
+            "model": None,
+            "splits": (),
+            "learnt_clauses": (),
+            "decisions": 0,
+            "conflicts": 0,
+            "global_unsat": True,
+        }
 
     def test_shared_units_prune_the_search(self):
         cnf = formula(3, (1, 2, 3))
-        outcome = solve_budgeted(cnf, shared_units=(-1, -2))
+        outcome = solve_budgeted(cnf, shared_clauses=((-1,), (-2,)))
         assert outcome.status == "sat"
         assert outcome.model == (-1, -2, 3)
 

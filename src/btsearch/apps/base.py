@@ -69,9 +69,10 @@ class EnumerationApplication(Application):
     Subclasses provide ``init``, which returns the oracle as the global data;
     this class runs the budgeted traversal for a job, applies optional
     pruning to the unexplored list, and packages the result.  Pruned-away
-    chain vertices are emitted (and counted) by the pruning job itself so
-    the run-wide partition of visits is preserved exactly.  The default
-    codec and line format suit integer-tuple vertices: :func:`encode_ints`
+    chain vertices are emitted by the pruning job itself so the run-wide
+    partition of visits is preserved exactly.  A job's output count is its
+    ``visited`` (forward steps plus chain vertices), plus one for the global
+    root, which only the root job outputs.  The default codec and line format suit integer-tuple vertices: :func:`encode_ints`
     payloads, decoded only to a tuple the oracle's ``is_vertex`` accepts.
     """
 
@@ -111,28 +112,21 @@ class EnumerationApplication(Application):
     ) -> SearchResult:
         oracle = self.oracle_for(global_data)
         start = self.decode_node(payload, global_data)
+        # The traversal outputs each forward step once and never its start:
+        # every other job's start was already output (flagged) by the job
+        # that split it off.  The global root has no such job, so it is
+        # output here, though ``visited`` (the frequency) leaves it out.
+        is_root = start == oracle.root()
         outputs: list[str] = []
-        tally = 0
-
-        if self.count_only:
-            def sink(vertex: Any, flagged: bool) -> None:
-                nonlocal tally
-                tally += 1
-        else:
+        sink = None  # count-only: the traversal's own count is the output count
+        if not self.count_only:
             format_vertex = self.format_vertex  # looked up once per job
 
             def sink(vertex: Any, flagged: bool) -> None:
-                nonlocal tally
-                tally += 1
                 outputs.append(format_vertex(global_data, vertex))
 
-        # The traversal never emits a job's start vertex: every other job's
-        # start was already output (flagged) by the job that split it off.
-        # The global root has no such parent job, so emit it here: ``sink``
-        # adds it to the output count, but ``visited`` (the frequency) leaves
-        # it out, as the traversal never steps onto it.
-        if start == oracle.root():
-            sink(start, False)
+            if is_root:
+                sink(start, False)
 
         result = budgeted_search(
             oracle,
@@ -145,12 +139,13 @@ class EnumerationApplication(Application):
         visited = result.count
         if self.prune_mode is not None and kept:
             kept, extra = prune_filter(oracle, kept, self.prune_mode)
-            for vertex in extra:
-                sink(vertex, False)
+            if sink is not None:
+                for vertex in extra:
+                    sink(vertex, False)
             visited += len(extra)
         return SearchResult(
             outputs=outputs,
-            output_count=tally,
+            output_count=visited + is_root,
             unexplored=[self.encode_node(v) for v in kept],
             visited=visited,
         )

@@ -15,7 +15,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .apps import APPLICATION_NAMES, build_application
 from .budget import SchedulerConfig
@@ -28,22 +28,16 @@ USAGE_ERROR = 1
 INPUT_ERROR = 2
 INTERNAL_ERROR = 3
 
-_ENUM_APPS = ("topsorts", "spantree", "gwtree")
-
-
 class CliOptions(NamedTuple):
     """Parsed options for a ``run`` invocation: the engine config plus CLI-only settings."""
 
     app: str
     input_path: str
-    prune: str
-    count_only: bool
+    # keyword arguments of build_application: prune and count_only for the
+    # enumeration apps; restarts, vsids and budget_kind (when given) for sat
+    app_options: dict[str, Any]
     hist_path: str | None
     freq_path: str | None
-    restarts: bool
-    vsids: bool
-    # sat's unit of -maxnodes; None is the app's default
-    budget_kind: str | None
     config: SchedulerConfig
 
 
@@ -142,6 +136,9 @@ def _run_options(ns: argparse.Namespace) -> CliOptions:
             )
         if ns.prune != "off":
             raise _CliError("btsearch: sat does not prune; -prune is not supported", USAGE_ERROR)
+        app_options = {"restarts": ns.restarts, "vsids": ns.vsids}
+        if ns.budgetkind is not None:
+            app_options["budget_kind"] = ns.budgetkind
     else:
         if ns.restarts or ns.vsids:
             raise _CliError(
@@ -151,6 +148,7 @@ def _run_options(ns: argparse.Namespace) -> CliOptions:
             raise _CliError(
                 f"btsearch: {ns.app} accepts budget kinds nodes, not {ns.budgetkind!r}", USAGE_ERROR
             )
+        app_options = {"prune": ns.prune, "count_only": ns.countonly}
     try:
         config = SchedulerConfig(
             num_workers=ns.np,
@@ -171,13 +169,9 @@ def _run_options(ns: argparse.Namespace) -> CliOptions:
     return CliOptions(
         app=ns.app,
         input_path=ns.input,
-        prune=ns.prune,
-        count_only=ns.countonly,
+        app_options=app_options,
         hist_path=ns.hist,
         freq_path=ns.freq,
-        restarts=ns.restarts,
-        vsids=ns.vsids,
-        budget_kind=ns.budgetkind,
         config=config,
     )
 
@@ -188,17 +182,11 @@ def _cmd_run(opts: CliOptions, transport: type) -> int:
     except OSError as exc:
         print(f"btsearch: cannot read input: {exc}", file=sys.stderr)
         return INPUT_ERROR
-    if opts.app in _ENUM_APPS:
-        app = build_application(opts.app, prune=opts.prune, count_only=opts.count_only)
-    else:
-        options = {"restarts": opts.restarts, "vsids": opts.vsids}
-        if opts.budget_kind is not None:
-            options["budget_kind"] = opts.budget_kind
-        try:
-            app = build_application(opts.app, **options)
-        except ValueError as exc:  # a budget kind sat does not accept
-            print(f"btsearch: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+    try:
+        app = build_application(opts.app, **opts.app_options)
+    except ValueError as exc:  # a budget kind sat does not accept
+        print(f"btsearch: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     try:
         report = run(app, input_bytes, opts.config, out=sys.stdout, transport=transport)
     except (InputFormatError, CheckpointError) as exc:
@@ -285,6 +273,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     """
     transport = ForkTransport if argv is None else ThreadTransport
     argv = list(sys.argv[1:] if argv is None else argv)
+    if argv[:1] == ["efficiency"] and not {"-h", "--help", "--"} & set(argv):
+        argv.insert(1, "--")  # else argparse reads a time of -inf as a flag
     try:
         ns = _build_parser().parse_args(argv)
         if ns.command == "run":

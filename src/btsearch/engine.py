@@ -32,7 +32,7 @@ The protocol has two message types and two signals:
   its result pipe, and that end of file raises ``WorkerCrashError`` in
   the master at once.
 
-Assignments and results cross the transport as plain tuples of builtins
+Assignments and results cross the transport as bare tuples of builtins
 (an ``AssignMsg`` with its budget's fields, a ``ResultMsg``'s fields),
 which ``marshal`` encodes; it encodes no class instance, and a class
 reference would cost about as much to send as the search of a small job.
@@ -192,7 +192,7 @@ def worker_loop(
     """Receive jobs, run the application search, send results until ``None``.
 
     ``load()`` returns the global data the searches read.  Each job gets
-    one ``ResultMsg``, sent as a plain tuple, that carries its output lines
+    one ``ResultMsg``, sent as a bare tuple, that carries its output lines
     too.  Any exception becomes a ``WorkerCrashError`` sent to the master,
     so the master can abort the run instead of waiting forever.
     """
@@ -200,7 +200,7 @@ def worker_loop(
         global_data = load()
         local_shared: list[bytes] = []
         while (msg := receive()) is not None:
-            payload, budget, shared = msg  # an AssignMsg, its budget maybe a plain tuple
+            payload, budget, shared = msg  # an AssignMsg, its budget maybe a bare tuple
             local_shared.extend(shared)
             result = app.search(global_data, payload, Budget(*budget), local_shared)
             lines = "\n".join(result.outputs) + "\n" if result.outputs else ""
@@ -260,7 +260,7 @@ class Master:
         return worker_id, AssignMsg(payload=job, budget=budget, shared=self.store.delta_for(worker_id))
 
     def collect_result(self, msg: Sequence[Any]) -> str:
-        """Merge one worker result (a ``ResultMsg`` or its plain tuple) into
+        """Merge one worker result (a ``ResultMsg`` or its bare tuple) into
         the job list, store, and report.
 
         Returns the text for the master to write: the job's lines.

@@ -83,7 +83,6 @@ def budgeted_search(
     max_depth: int | None = None,
     max_nodes: int | None = None,
     sink: Sink | None = None,
-    hard_cap: int | None = None,
 ) -> TraversalResult:
     """Depth-first reverse search from ``start`` under a work budget.
 
@@ -93,22 +92,18 @@ def budgeted_search(
     sibling encountered while backtracking afterwards; flagged vertices are
     never descended into.
 
-    A consistency guard aborts the traversal when the number of unflagged
-    forward steps exceeds ``hard_cap`` (default ``10 * max_nodes``, floor
-    1000, when a node budget is set), or when more than ``hard_cap *
-    max_degree`` vertices are flagged; either can only happen when the
-    oracle's children do not form a tree.
+    Under a node budget, a consistency guard aborts the traversal once more
+    than ``max(10 * max_nodes, 1000) * max_degree`` vertices are flagged,
+    which can only happen when the oracle's children do not form a tree.
+    Unflagged steps need no guard: a step is unflagged only while the count
+    is below ``max_nodes``.  Without a node budget nothing is guarded.
     """
     if max_depth is not None and max_depth < 1:
         raise ValueError("max_depth must be >= 1 or None")
     if max_nodes is not None and max_nodes < 1:
         raise ValueError("max_nodes must be >= 1 or None")
-    if hard_cap is None and max_nodes is not None:
-        hard_cap = max(10 * max_nodes, 1000)
-
-    degree = oracle.max_degree
+    cap = None if max_nodes is None else max(10 * max_nodes, 1000) * oracle.max_degree
     count = 0
-    plain = 0  # unflagged forward steps, for the consistency guard
     unexplored: list[Vertex] = []
     # stack[i] yields the children of the depth-i vertex on the current path
     stack = [iter(oracle.children(start))]
@@ -120,16 +115,9 @@ def budgeted_search(
             flagged = (max_nodes is not None and count >= max_nodes) or depth == max_depth
             if flagged:
                 unexplored.append(w)
-                if hard_cap is not None and len(unexplored) > hard_cap * degree:
+                if cap is not None and len(unexplored) > cap:
                     raise OracleConsistencyError(
-                        f"traversal flagged more than {hard_cap * degree} vertices; "
-                        "adjacency oracle and local search are inconsistent"
-                    )
-            else:
-                plain += 1
-                if hard_cap is not None and plain > hard_cap:
-                    raise OracleConsistencyError(
-                        f"traversal exceeded {hard_cap} unbudgeted forward steps; "
+                        f"traversal flagged more than {cap} vertices; "
                         "adjacency oracle and local search are inconsistent"
                     )
             if sink is not None:

@@ -19,10 +19,12 @@ class SearchResult(NamedTuple):
 
     ``visited`` is the number of budget units consumed (nodes for
     enumeration; decisions or conflicts for SAT, as the app is set up) and
-    is what the frequency file records.  In count-only mode ``outputs``
-    stays empty and ``output_count`` carries the tally.  Each ``unexplored`` entry is the payload of the root
-    of an unexplored subtree.  ``halt`` signals a global answer (e.g. a SAT model):
-    the run ends at once, and jobs still in flight are abandoned uncounted.
+    is what the frequency file records.  ``output_count`` is the number of
+    lines the job output; in count-only mode ``outputs`` stays empty and the
+    count alone is returned.  Each ``unexplored`` entry is the payload of
+    the root of an unexplored subtree.  ``halt`` signals a global answer
+    (e.g. a SAT model): the run ends at once, and jobs still in flight are
+    abandoned uncounted.
     """
 
     outputs: Sequence[str] = ()

@@ -17,7 +17,7 @@ Both transports give the engine the same four operations:
 ``ForkTransport`` forks one process per worker, with one pipe each way per
 worker and length-prefixed ``marshal`` messages; the master waits on every
 result pipe at once with ``select.poll``.  ``marshal`` is loaded with the
-interpreter and takes only builtins: the messages are plain tuples, and a
+interpreter and takes only builtins: the messages are bare tuples, and a
 ``WorkerCrashError`` a worker sends crosses as its text.  A worker process
 that dies closes its result pipe, so the master's ``receive`` raises
 ``WorkerCrashError`` at once.

@@ -22,9 +22,9 @@ class TestParseCli:
         assert config.base_max_nodes == 5000
         assert config.scale == 40
         assert (config.lmin, config.lmax) == (1.0, 3.0)
-        assert opts.prune == "off"
-        assert opts.budget_kind is None  # topsorts budgets count nodes
-        assert not opts.count_only
+        assert opts.app_options["prune"] == "off"
+        assert opts.app_options.get("budget_kind") is None  # topsorts budgets count nodes
+        assert not opts.app_options["count_only"]
 
     def test_explicit_budget_flags(self):
         opts = parse_cli(["run", "topsorts", "in.txt", "-scale", "200", "-maxnodes", "10000"])
@@ -50,7 +50,7 @@ class TestParseCli:
 
     def test_sat_defaults_to_decision_budgeting(self):
         opts = parse_cli(["run", "sat", "f.cnf"])
-        assert opts.budget_kind is None
+        assert opts.app_options.get("budget_kind") is None
         assert SatApplication().budget_kind == "decisions"
 
     def test_sat_rejects_node_budgeting_and_countonly(self, tmp_path, capsys):
@@ -296,13 +296,21 @@ class TestMain:
     def test_efficiency_rejects_nonpositive(self):
         assert main(["efficiency", "0", "4", "5"]) == 1
 
-    @pytest.mark.parametrize("args", [("nan", "1", "1"), ("1", "2", "inf")])
+    @pytest.mark.parametrize(
+        "args", [("nan", "1", "1"), ("1", "2", "inf"), ("1", "2", "-inf"), ("-inf", "2", "1")]
+    )
     def test_efficiency_rejects_nonfinite_times(self, args, capsys):
         assert main(["efficiency", *args]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert "finite" in line
+
+    def test_efficiency_help_still_prints(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["efficiency", "-h"])
+        assert exit_.value.code == 0
+        assert "single cores multi" in capsys.readouterr().out
 
 
 class TestConsoleEntry:

@@ -8,8 +8,11 @@ the independent oracles in ``oracles.py`` count.  Every application's
 ``decode_node`` must reject arbitrary bytes with ``NodeDecodeError`` and
 must give back every vertex (or sat assumption) its payload encodes.  A
 static-budget ``engine.run`` must give the same output and frequency
-multisets at 1, 2 and 3 workers.  The sat, spantree and topsorts input
-parsers must reject arbitrary bytes with ``InputFormatError`` alone.
+multisets at 1, 2 and 3 workers.  Every job of a FIFO job loop must
+visit and split the same in count-only and line mode, and count as many
+outputs as it visited (one more for the root job).  The sat, spantree and
+topsorts input parsers must reject arbitrary bytes with
+``InputFormatError`` alone.
 """
 
 import io
@@ -139,6 +142,46 @@ def test_topsorts_job_partition(poset, budget, prune):
     app = TopsortsApplication(prune=prune)
     lines = job_partition(app, format_poset(poset).encode("ascii"), budget)
     assert len(lines) == len(set(lines)) == len(brute_force_extensions(poset))
+
+
+@st.composite
+def gwtree_inputs(draw):
+    # windows wide enough for the sampler to land early; fullbinary trees
+    # have odd sizes only, so a window of one even size would never land
+    law = draw(st.sampled_from(["catalan", "geometric"]))
+    lo = draw(st.integers(1, 30))
+    return f"{law} {lo} {lo + draw(st.integers(5, 30))} {draw(st.integers(0, 2**32))}\n"
+
+
+enumeration_inputs = st.one_of(
+    posets().map(lambda p: ("topsorts", format_poset(p))),
+    connected_graphs().map(lambda g: ("spantree", format_graph(g))),
+    gwtree_inputs().map(lambda text: ("gwtree", text)),
+)
+
+
+@PROPERTY_SETTINGS
+@given(
+    enumeration_inputs,
+    st.builds(Budget, max_depth=st.none() | st.integers(1, 3), max_nodes=st.integers(1, 50)),
+    st.sampled_from(["off", "0", "1"]),
+)
+def test_count_only_jobs_agree_with_line_jobs(case, budget, prune):
+    name, text = case
+    lines_app = build_application(name, prune=prune)
+    count_app = build_application(name, prune=prune, count_only=True)
+    global_data, root = lines_app.init(text.encode("ascii"))
+    jobs = deque([root])
+    while jobs:
+        payload = jobs.popleft()
+        lines = lines_app.search(global_data, payload, budget, [])
+        count = count_app.search(global_data, payload, budget, [])
+        assert (count.visited, count.unexplored) == (lines.visited, lines.unexplored)
+        for result in (lines, count):
+            assert result.output_count == result.visited + (payload == root)
+        assert lines.output_count == len(lines.outputs)
+        assert not count.outputs
+        jobs.extend(lines.unexplored)
 
 
 DECODE_INPUTS = {

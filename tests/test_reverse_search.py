@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btsearch.errors import OracleConsistencyError
 from btsearch.reverse_search import (
@@ -239,23 +241,6 @@ class TestPruneFilter:
 
 
 class TestConsistencyGuard:
-    def test_lying_oracle_aborts_instead_of_hanging(self):
-        class Liar(AdjacencyOracle):
-            max_degree = 1
-
-            def root(self):
-                return 0
-
-            def adjacent(self, vertex, j):
-                return vertex + 1
-
-            def parent(self, vertex):
-                return (vertex - 1, 1)  # every neighbour claims to be a child
-
-        # Without a node budget the bogus forward steps would descend forever.
-        with pytest.raises(OracleConsistencyError):
-            budgeted_search(Liar(), 0, hard_cap=50)
-
     def test_lying_children_override_aborts_instead_of_hanging(self):
         class LyingChildren(AdjacencyOracle):
             max_degree = 1
@@ -272,12 +257,26 @@ class TestConsistencyGuard:
             def children(self, vertex):
                 return itertools.count(vertex + 1)  # endless non-children
 
-        # unbudgeted: descends forever, caught by the forward-step cap
-        with pytest.raises(OracleConsistencyError):
-            budgeted_search(LyingChildren(), 0, hard_cap=50)
-        # budgeted: flags siblings forever, caught by the flagged-vertex cap
-        with pytest.raises(OracleConsistencyError):
-            budgeted_search(LyingChildren(), 0, max_nodes=1)
+        # budgeted: flags siblings forever, caught by the flagged-vertex cap,
+        # which scales with the node budget (1000 flags here, 2000 at 200)
+        for max_nodes in (1, 200):
+            with pytest.raises(OracleConsistencyError):
+                budgeted_search(LyingChildren(), 0, max_nodes=max_nodes)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.randoms(use_true_random=False),
+        st.integers(1, 50),
+        st.none() | st.integers(1, 4),
+        st.integers(0, 79),
+    )
+    def test_unflagged_steps_stay_below_the_node_budget(self, rng, max_nodes, max_depth, pick):
+        # why unflagged steps need no guard: on a tree they never reach max_nodes
+        oracle = from_offspring(random_offspring_sequence(rng, 80))
+        vertices = ["n0", *subtree_vertices(oracle, "n0")]
+        start = sorted(vertices)[pick % len(vertices)]
+        result = budgeted_search(oracle, start, max_depth=max_depth, max_nodes=max_nodes)
+        assert result.count - len(result.unexplored) < max_nodes
 
     def test_legitimate_wide_star_is_not_flagged_as_inconsistent(self):
         children = {"r": [f"k{i}" for i in range(40)]}

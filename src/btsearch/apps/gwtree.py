@@ -152,8 +152,7 @@ def sample_offspring_sequence(
     """
     import numpy as np
 
-    if not 1 <= size_lo <= size_hi:
-        raise ValueError("need 1 <= size_lo <= size_hi")
+    _check_window(law, size_lo, size_hi)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     for _ in range(max_attempts):
@@ -184,6 +183,13 @@ def sample_offspring_sequence(
     raise _no_tree(size_lo, size_hi, max_attempts)
 
 
+def _check_window(law: OffspringLaw, size_lo: int, size_hi: int) -> None:
+    if not 1 <= size_lo <= size_hi:
+        raise ValueError("need 1 <= size_lo <= size_hi")
+    if law.name == "fullbinary" and size_lo == size_hi and size_lo % 2 == 0:
+        raise ValueError(f"a fullbinary tree has an odd size; widen [{size_lo}, {size_hi}]")
+
+
 def _no_tree(size_lo: int, size_hi: int, attempts: int) -> InputFormatError:
     return InputFormatError(
         f"no tree of size in [{size_lo}, {size_hi}] found in {attempts} attempts; "
@@ -202,8 +208,7 @@ def sample_offspring_list(law: OffspringLaw, size_lo: int, size_hi: int, seed: i
     cannot jump, so there numpy's sampler starts over after a rejected
     first attempt; otherwise it goes on from the attempt Python left open.
     """
-    if not 1 <= size_lo <= size_hi:
-        raise ValueError("need 1 <= size_lo <= size_hi")
+    _check_window(law, size_lo, size_hi)
     # Past the first attempt the search goes on only where it finds the
     # tree within the limit at least one time in five: then the numpy import
     # it saves pays for the search where it fails.  A critical tree has at

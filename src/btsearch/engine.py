@@ -4,8 +4,8 @@ One master and N workers share no mutable state: every interaction is a
 message, and a job is just the payload bytes its application encoded.  The
 master is the calling thread, and it is the only writer of the output.
 The workers sit behind a transport (``transport.py``) with four
-operations: start, send to worker i, receive with a timeout, and stop.
-There are two:
+operations: start, send to worker i, wait for the next message from any
+worker, and stop.  There are two:
 
 - ``ForkTransport``, for the ``btsearch`` program (``cli.main()`` reading
   ``sys.argv``): one forked process per worker, one pipe each way,
@@ -37,24 +37,24 @@ Assignments and results cross the transport as bare tuples of builtins
 which ``marshal`` encodes; it encodes no class instance, and a class
 reference would cost about as much to send as the search of a small job.
 
-The master blocks in the transport's receive until a result arrives or the
-next ``-hist`` sample tick or checkpoint deadline passes.  It grows the job
-list from returned unexplored payloads and shrinks it by assignment, one
-assignment per freed worker, until the list is empty and no job is in
-flight.  Its view of the workers is a deque of idle worker ids and a map
-from each busy worker to its job, so assigning, collecting and the done
-test never scan the workers.
+The master waits for results only.  Each pass of its loop assigns a job
+to every idle worker, writes the lines of the result it collected (so no
+worker waits on a write), takes a ``-hist`` row and a checkpoint if one is
+due, and blocks in the transport's receive for the next result.  Between
+two results its state does not change, so no timer wakes it.  It grows the
+job list from returned unexplored payloads and shrinks it by assignment
+until the list is empty and no job is in flight.  Its view of the workers
+is a deque of idle worker ids and a map from each busy worker to its job,
+so assigning, collecting and the done test never scan the workers.
 
-The master writes a job's lines when it has collected the result and sent
-that round's assignments, so no worker waits on a write.  A halting result
-is the run's answer: the master writes its lines and stops at once,
-abandoning the jobs still in flight, so the verdict is written once.  The
-master also owns the output count: in count-only mode it writes the run's
-total as a single line.  It flushes ``out`` once, at the end; a failed
-write or flush raises ``EngineError`` at once.  A slow reader of ``out``
-therefore holds the master back rather than filling a queue, and
-``RunReport.wall_time``, which ends with the master loop, includes the
-time that the loop's writes block.
+A halting result is the run's answer: the master writes its lines and
+stops at once, abandoning the jobs still in flight, so the verdict is
+written once.  The master also owns the output count: in count-only mode
+it writes the run's total as a single line.  It flushes ``out`` before
+each checkpoint and at the end; a failed write or flush raises
+``EngineError`` at once.  A slow reader of ``out`` therefore holds the
+master back rather than filling a queue, and ``RunReport.wall_time``,
+which ends with the master loop, includes the time its writes block.
 
 Shared data is master-mediated: workers send opaque token deltas with each
 result, the master merges them (set semantics, global sequence order) and
@@ -64,7 +64,6 @@ the next assignment.
 
 from __future__ import annotations
 
-import math
 import time
 from collections import deque
 from typing import IO, Any, Callable, NamedTuple, Sequence
@@ -166,7 +165,7 @@ class RunReport:
         self.frequencies: list[int] = []
         self.completed = True
         self.halted = False
-        # (elapsed_seconds, busy_workers, joblist_len) sampled at >= 0.1 s ticks
+        # (elapsed_seconds, busy_workers, joblist_len) as a wait starts, >= 0.1 s apart
         self.samples: list[tuple[float, int, int]] = []
         # final shared-store contents, for auditing what was relayed
         self.shared_tokens: tuple[bytes, ...] = ()
@@ -317,12 +316,13 @@ def run(
     application root or the restored jobs and drives the master loop until
     every job is done, a worker signals a global answer, or
     ``stop_after_jobs`` triggers a checkpointed early stop.  This thread
-    writes the output lines to ``out`` as results come in and flushes it at
-    the end; a count-only app (``app.count_only``) gets one total line.  A
-    failed write or flush of ``out``, a failed checkpoint write,
-    or a worker that cannot be started, raises EngineError; a worker that
-    fails or dies raises WorkerCrashError.  Every worker is stopped, and
-    every worker process reaped, on every way out.
+    writes the output lines to ``out`` as results come in and flushes it
+    before each checkpoint and at the end; a count-only app
+    (``app.count_only``) gets one total line.  A failed write or flush of
+    ``out``, a failed checkpoint write, or a worker that cannot be started,
+    raises EngineError; a worker that fails or dies raises
+    WorkerCrashError.  Every worker is stopped, and every worker process
+    reaped, on every way out.
     """
     if out is None:
         import io
@@ -362,6 +362,7 @@ def run(
     def write_checkpoint_now() -> None:
         if config.checkpoint_path is None:
             return
+        _write(out, "", flush=True)  # no job leaves the list before its lines are out
         try:
             checkpoint_write(
                 config.checkpoint_path,
@@ -376,20 +377,9 @@ def run(
         workers.start(config.num_workers, work)
         start_time = time.monotonic()
         next_sample = start_time
-        next_checkpoint = (
-            start_time + _CHECKPOINT_INTERVAL_S if config.checkpoint_path is not None else math.inf
-        )
+        next_checkpoint = start_time + _CHECKPOINT_INTERVAL_S  # a no-op without a path
         text = ""  # the lines of the last result collected, not yet written
         while True:
-            now = time.monotonic()
-            if now >= next_sample:
-                elapsed = now - start_time
-                master.report.samples.append((elapsed, len(master.in_flight), len(master.joblist)))
-                next_sample = now + _SAMPLE_INTERVAL_S
-            if now >= next_checkpoint:
-                write_checkpoint_now()
-                next_checkpoint = now + _CHECKPOINT_INTERVAL_S
-
             if master.halting:
                 break  # the jobs still in flight cannot change the answer
             # Stop assigning once stop_after_jobs results are in; leave when
@@ -408,11 +398,20 @@ def run(
             if not master.in_flight:
                 break
 
-            msg = workers.receive(min(next_sample, next_checkpoint) - now)
+            # the state a wait starts from holds until the next result
+            now = time.monotonic()
+            if now >= next_sample:
+                row = (now - start_time, len(master.in_flight), len(master.joblist))
+                master.report.samples.append(row)
+                next_sample = now + _SAMPLE_INTERVAL_S
+            if now >= next_checkpoint:
+                write_checkpoint_now()
+                next_checkpoint = now + _CHECKPOINT_INTERVAL_S
+
+            msg = workers.receive()
             if isinstance(msg, BtsearchError):
                 raise msg
-            if msg is not None:
-                text = master.collect_result(msg)
+            text = master.collect_result(msg)
 
         master.report.wall_time = time.monotonic() - start_time
         master.report.halted = master.halting

@@ -7,8 +7,8 @@ Both transports give the engine the same four operations:
   the next message from the master and returns ``None`` once it is told to
   stop; ``send(msg)`` sends one message to the master.
 - ``send(worker_id, msg)`` sends one message to one worker.
-- ``receive(timeout)`` blocks for the next message from any worker and
-  returns ``None`` once ``timeout`` seconds pass without one.
+- ``receive()`` blocks, with no timeout, for the next message from any
+  worker; Ctrl-C interrupts it.
 - ``stop()`` ends every worker and releases what ``start`` made, also
   after a failed or partial start.
 
@@ -67,11 +67,8 @@ class ThreadTransport:
     def send(self, worker_id: int, msg: Any) -> None:
         self._inboxes[worker_id].put(msg)
 
-    def receive(self, timeout: float) -> Any:
-        try:
-            return self._results.get(timeout=max(timeout, 0.0))
-        except queue.Empty:
-            return None
+    def receive(self) -> Any:
+        return self._results.get()
 
     def stop(self) -> None:
         for inbox in self._inboxes:
@@ -200,12 +197,9 @@ class ForkTransport:
         except OSError as exc:  # the worker is gone: its inbox has no reader
             raise self._crash(worker_id) from exc
 
-    def receive(self, timeout: float) -> Any:
+    def receive(self) -> Any:
         if not self._ready:
-            # poll takes milliseconds and rounds a fraction up
-            self._ready.extend(fd for fd, _event in self._poll.poll(max(timeout, 0.0) * 1000))
-            if not self._ready:
-                return None
+            self._ready.extend(fd for fd, _event in self._poll.poll())
         fd = self._ready.popleft()
         msg = _read_msg(fd)
         if msg is None:

@@ -371,6 +371,30 @@ class TestConsoleEntry:
         assert line.startswith("btsearch: aborted: cannot write the output (BrokenPipeError")
 
     @pytest.mark.parametrize(
+        ("window", "expected"),
+        [("fullbinary 2 2 0", None), ("fullbinary 4 4 0", None), ("fullbinary 2 4 0", "3")],
+    )
+    def test_run_gwtree_refuses_a_fullbinary_window_without_an_odd_size(
+        self, tmp_path, window, expected
+    ):
+        inp = tmp_path / "g.txt"
+        inp.write_text(window + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "btsearch.cli", "run", "gwtree", str(inp), "-countonly"],
+            capture_output=True,
+            text=True,
+            timeout=20,  # the sampler once drew attempts without end here
+        )
+        if expected is None:
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            (line,) = proc.stderr.splitlines()
+            assert "odd size" in line
+        else:
+            assert proc.returncode == 0
+            assert proc.stdout == f"{expected}\n"
+
+    @pytest.mark.parametrize(
         "args",
         [
             ["gwtree", "-size", "200", "-budget", "10", "-trials", "3", "-seed", "1"],

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from btsearch import cli
+from btsearch import cli, engine
 from btsearch.budget import Budget, SchedulerConfig
 from btsearch.engine import (
     AssignMsg,
@@ -378,15 +378,24 @@ class TestRun:
         leaked = [t.name for t in threading.enumerate() if t.name.startswith("btsearch-")]
         assert leaked == []
 
-    def test_report_invariants(self):
-        report = run(build_application("topsorts"), b"4 0\n", static_config(None, 7, num_workers=3))
-        assert report.jobs_executed == len(report.frequencies)
-        assert report.completed and not report.halted
-        assert report.wall_time >= 0
-        for elapsed, busy, joblist_len in report.samples:
-            assert 0 <= busy <= 3
-            assert joblist_len >= 0
-        assert [s[0] for s in report.samples] == sorted(s[0] for s in report.samples)
+    def test_report_invariants(self, monkeypatch, forked_pids):
+        # a -hist row for every wait: each shows the state a wait starts
+        # from, when no worker is idle while a job is queued
+        monkeypatch.setattr(engine, "_SAMPLE_INTERVAL_S", 0.0)
+        for transport in (ThreadTransport, ForkTransport):
+            report = run(
+                build_application("topsorts"), b"4 0\n", static_config(None, 7, num_workers=3),
+                transport=transport,
+            )
+            assert report.jobs_executed == len(report.frequencies)
+            assert report.completed and not report.halted
+            assert report.wall_time >= 0
+            for elapsed, busy, joblist_len in report.samples:
+                assert busy == 3 or joblist_len == 0, (transport, elapsed, busy, joblist_len)
+                assert 1 <= busy <= 3
+            assert [s[0] for s in report.samples] == sorted(s[0] for s in report.samples)
+            assert len(report.samples) == report.jobs_executed
+        assert_reaped(forked_pids)
 
     def test_count_only_emits_single_aggregate_line(self):
         # many jobs, stopped part-way: still one line, the master's total
@@ -448,7 +457,57 @@ class TestDeterminism:
             assert len(lines) == len(set(lines))  # zero duplicate outputs
 
 
+class FlushRecordingOutput(io.StringIO):
+    """Keeps what has been flushed: what a killed master would have left."""
+
+    flushed = ""
+
+    def flush(self):
+        super().flush()
+        self.flushed = self.getvalue()
+
+
 class TestStopAndResume:
+    @pytest.mark.parametrize("transport", [ThreadTransport, ForkTransport])
+    def test_every_periodic_checkpoint_loses_no_output(
+        self, transport, tmp_path, monkeypatch, forked_pids
+    ):
+        # Kill the master right after any one checkpoint: the lines it has
+        # flushed plus a restart from that checkpoint hold every extension.
+        k44 = poset_bytes(bipartite_poset(4, 4))
+        every_line = io.StringIO()
+        run(build_application("topsorts"), k44, static_config(None, None, 1), every_line)
+        expected = set(every_line.getvalue().splitlines())
+        assert len(expected) == 576
+
+        out = FlushRecordingOutput()
+        snapshots = []
+        real_write = engine.checkpoint_write
+
+        def recording_write(path, *args):
+            real_write(path, *args)
+            snapshots.append((path.read_bytes(), out.flushed))
+
+        monkeypatch.setattr(engine, "_CHECKPOINT_INTERVAL_S", 0.0)
+        monkeypatch.setattr(engine, "checkpoint_write", recording_write)
+        cp = tmp_path / "periodic.ckpt"
+        config = static_config(None, 40, 2, checkpoint_path=cp)
+        report = run(build_application("topsorts"), k44, config, out, transport=transport)
+        assert report.completed
+        assert len(snapshots) > 1
+
+        restart = tmp_path / "restart.ckpt"
+        resume = static_config(None, 40, 1, restart_path=restart)
+        for number, (snapshot, flushed) in enumerate(snapshots):
+            restart.write_bytes(snapshot)
+            rest = io.StringIO()
+            run(build_application("topsorts"), k44, resume, rest)
+            lines = flushed.splitlines() + rest.getvalue().splitlines()
+            assert set(lines) == expected, number
+        assert len(snapshots) == report.jobs_executed  # one at every wait
+        if transport is ForkTransport:
+            assert_reaped(forked_pids)
+
     def test_unwritable_checkpoint_path_aborts_the_run(self, tmp_path):
         # the unfinished jobs would be lost, so no partial count is printed
         bad = tmp_path / "missing_dir" / "state.ckpt"
@@ -571,7 +630,7 @@ def start_killer(pid_dir, killed):
 
 
 class InterruptedForkTransport(ForkTransport):
-    def receive(self, timeout):
+    def receive(self):
         raise KeyboardInterrupt
 
 
@@ -608,7 +667,15 @@ class TestForkTransport:
             transport = ForkTransport()
             try:
                 transport.start(num_workers, report_cpus)
-                seen = dict(transport.receive(5.0) for _ in range(num_workers))
+                seen = {}
+                # receive() has no timeout: the test bounds its wait
+                reader = threading.Thread(
+                    target=lambda: seen.update(transport.receive() for _ in range(num_workers)),
+                    daemon=True,
+                )
+                reader.start()
+                reader.join(timeout=5.0)
+                assert not reader.is_alive(), num_workers
             finally:
                 transport.stop()
             if 2 <= num_workers == len(cpus):

@@ -102,9 +102,22 @@ class TestSampling:
             assert 5 <= xi.shape[0] <= 500
 
     def test_impossible_window_raises_with_advice(self):
-        # full binary trees always have odd size, so [4, 4] is impossible
-        with pytest.raises(InputFormatError, match="widen"):
+        # full binary trees always have odd size, so [4, 4] is impossible:
+        # the window check says so before any attempt is drawn
+        with pytest.raises(ValueError, match="odd size; widen"):
             sample_offspring_sequence(make_law("fullbinary"), 4, 4, rng=0, max_attempts=300)
+
+    def test_a_fullbinary_window_without_an_odd_size_is_refused(self, monkeypatch):
+        monkeypatch.setattr(gwtree, "_MAX_ATTEMPTS", 50)  # a sampler that tries fails fast
+        law = make_law("fullbinary")
+        for size in (2, 4, 20_000):
+            message = rf"odd size; widen \[{size}, {size}\]"
+            with pytest.raises(ValueError, match=message):
+                sample_offspring_list(law, size, size, 0)
+            with pytest.raises(ValueError, match=message):
+                sample_offspring_sequence(law, size, size, rng=0, max_attempts=50)
+        assert sample_offspring_list(law, 2, 4, 0) == [2, 0, 0]
+        assert sample_offspring_sequence(law, 2, 4, rng=0).tolist() == [2, 0, 0]
 
     def test_deterministic_for_a_seed(self):
         law = make_law("geometric")
@@ -265,8 +278,9 @@ class TestSampleOffspringList:
     def test_no_tree_counts_the_attempts_of_both_samplers(self, monkeypatch):
         monkeypatch.setattr(gwtree, "_PYTHON_LIMIT", 64)
         monkeypatch.setattr(gwtree, "_MAX_ATTEMPTS", 300)
-        with pytest.raises(InputFormatError, match=r"\[4, 4\] found in 300 attempts; widen"):
-            GWTreeApplication().init(b"fullbinary 4 4 0")
+        # one odd size, which seed 0 does not reach within 300 attempts
+        with pytest.raises(InputFormatError, match=r"\[2001, 2001\] found in 300 attempts; widen"):
+            GWTreeApplication().init(b"fullbinary 2001 2001 0")
 
     def test_from_offspring_reads_one_tree(self):
         rng = random.Random(11)

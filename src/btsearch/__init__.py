@@ -6,57 +6,51 @@ master-mediated sharing of application data and checkpoint/restart.  The
 master is also the only writer of the output.
 Bundled applications: topological sorts, spanning trees, Galton-Watson
 tree experiments, and a budgeted SAT solver.
+
+The names below are imported from their module on first use (PEP 562), so
+a run loads only the modules its application needs.
 """
 
-from .budget import Budget, SchedulerConfig, select_budget
-from .checkpoint import checkpoint_read, checkpoint_write
-from .engine import Master, RunReport, SharedStore, run
-from .errors import (
-    BtsearchError,
-    CheckpointError,
-    EngineError,
-    InputFormatError,
-    MetricsError,
-    NodeDecodeError,
-    OracleConsistencyError,
-    WorkerCrashError,
-)
-from .metrics import EfficiencyRecord, compute_efficiency
-from .reverse_search import (
-    AdjacencyOracle,
-    budgeted_search,
-    prune_filter,
-    reverse_search,
-)
-from .search_api import Application, SearchResult
+from __future__ import annotations
+
+import sys
+from types import ModuleType
+from typing import Any
+
+_EXPORTS = {
+    "budget": "Budget SchedulerConfig select_budget",
+    "checkpoint": "checkpoint_read checkpoint_write",
+    "engine": "Master RunReport SharedStore run",
+    "errors": "BtsearchError CheckpointError EngineError InputFormatError MetricsError "
+    "NodeDecodeError OracleConsistencyError WorkerCrashError",
+    "metrics": "EfficiencyRecord compute_efficiency",
+    "reverse_search": "AdjacencyOracle budgeted_search prune_filter reverse_search",
+    "search_api": "Application SearchResult",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Budget",
-    "SchedulerConfig",
-    "select_budget",
-    "checkpoint_read",
-    "checkpoint_write",
-    "Master",
-    "RunReport",
-    "SharedStore",
-    "run",
-    "BtsearchError",
-    "CheckpointError",
-    "EngineError",
-    "InputFormatError",
-    "MetricsError",
-    "NodeDecodeError",
-    "OracleConsistencyError",
-    "WorkerCrashError",
-    "EfficiencyRecord",
-    "compute_efficiency",
-    "AdjacencyOracle",
-    "budgeted_search",
-    "prune_filter",
-    "reverse_search",
-    "Application",
-    "SearchResult",
-    "__version__",
-]
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    module = _MODULE_OF.get(name)
+    if module is None:  # also how ``from btsearch import engine`` finds a submodule
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+class _Package(ModuleType):
+    def __setattr__(self, name: str, value: Any) -> None:
+        # Loading the submodule ``reverse_search`` sets it on the package;
+        # ``btsearch.reverse_search`` stays the function of that name.
+        if not (name == "reverse_search" and isinstance(value, ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -11,7 +11,8 @@ def build_application(name: str, **options: Any) -> Application:
     """Construct a bundled application by name.
 
     Options are application-specific (``prune`` and ``count_only`` for the
-    enumeration apps; ``restarts``, ``vsids`` and its budget kind for sat).
+    enumeration apps; ``restarts`` and its budget kind for sat, whose jobs
+    always branch by activity).
     """
     if name == "topsorts":
         from .topsorts import TopsortsApplication

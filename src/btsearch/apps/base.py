@@ -2,27 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from ..budget import Budget
 from ..errors import InputFormatError, NodeDecodeError
 from ..reverse_search import AdjacencyOracle, budgeted_search, prune_filter
-from ..search_api import Application, SearchResult
+from ..search_api import Application, SearchResult, decode_ints, encode_ints
 
 PRUNE_MODES = {"off": None, "0": 0, "1": 1}
-
-
-def encode_ints(values: Iterable[int]) -> bytes:
-    """Every bundled app's payload format: space-separated ASCII decimals."""
-    return " ".join(map(str, values)).encode("ascii")
-
-
-def decode_ints(payload: bytes, what: str) -> tuple[int, ...]:
-    """Inverse of :func:`encode_ints`; NodeDecodeError naming ``what`` on garbage."""
-    try:
-        return tuple(map(int, payload.decode("ascii").split()))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise NodeDecodeError(f"bad {what} payload: {exc}") from exc
 
 
 def parse_pairs(

@@ -1,14 +1,16 @@
 """Engine adapter: budgeted SAT as a tree-search application.
 
 A job payload is an ordered list of assumed decision literals (propagations
-are re-derived by the worker).  The app's ``budget_kind`` says what a unit
-of ``budget.max_nodes`` counts: free decisions or conflicts.  Budget
-exhaustion returns the backtrack-path splits as new jobs.  Learnt clauses of
-at most ``MAX_SHARED_LITERALS`` (8) literals travel as shared tokens, each
-the sorted clause, so the master's byte-level dedup keeps one token per
-clause; a learnt unit is a one-literal clause, and a job hands the solver
-all its tokens as one list, parsed but not re-checked.  The first model
-found halts the run; a completed run with no model means the whole
+are re-derived by the worker).  Past its assumption a job branches on the
+free variable of highest activity (VSIDS: variables in recent conflicts
+score higher; ties go to the lowest index).  The app's ``budget_kind`` says
+what a unit of ``budget.max_nodes`` counts: free decisions or conflicts.
+Budget exhaustion returns the backtrack-path splits as new jobs.  Learnt
+clauses of at most ``MAX_SHARED_LITERALS`` (8) literals travel as shared
+tokens, each the sorted clause, so the master's byte-level dedup keeps one
+token per clause; a learnt unit is a one-literal clause, and a job hands the
+solver all its tokens as one list, parsed but not re-checked.  The first
+model found halts the run; a completed run with no model means the whole
 assumption space was refuted, so the finalize hook emits the UNSAT verdict.
 """
 
@@ -18,8 +20,7 @@ from typing import Sequence
 
 from ...budget import Budget
 from ...errors import BtsearchError, NodeDecodeError
-from ...search_api import Application, SearchResult
-from ..base import decode_ints, encode_ints
+from ...search_api import Application, SearchResult, decode_ints, encode_ints
 from .dimacs import CnfFormula, parse_dimacs, verify_model
 from .solver import MAX_SHARED_LITERALS, solve_budgeted
 
@@ -31,15 +32,12 @@ class SatApplication(Application):
     # the units ``budget.max_nodes`` may count; the first is the default
     budget_kinds = ("decisions", "conflicts")
 
-    def __init__(
-        self, restarts: bool = False, vsids: bool = False, budget_kind: str = "decisions"
-    ) -> None:
+    def __init__(self, restarts: bool = False, budget_kind: str = "decisions") -> None:
         """ValueError on a budget kind not in ``budget_kinds``."""
         if budget_kind not in self.budget_kinds:
             accepted = ", ".join(self.budget_kinds)
             raise ValueError(f"{self.name} accepts budget kinds {accepted}, not {budget_kind!r}")
         self.restarts = restarts
-        self.vsids = vsids
         self.budget_kind = budget_kind
 
     def init(self, input_bytes: bytes) -> tuple[CnfFormula, bytes]:
@@ -72,7 +70,7 @@ class SatApplication(Application):
             self.budget_kind,
             shared_clauses=[decode_ints(token, "shared clause") for token in shared],
             restarts=self.restarts,
-            vsids=self.vsids,
+            vsids=True,
         )
         visited = outcome.budget_spent(self.budget_kind)
         delta = [encode_ints(clause) for clause in outcome.learnt_clauses]
@@ -80,7 +78,7 @@ class SatApplication(Application):
             assert outcome.model is not None
             if not verify_model(global_data, outcome.model):
                 raise BtsearchError("solver returned a model violating the formula")
-            lines = ["s SATISFIABLE", "v " + " ".join(str(l) for l in outcome.model) + " 0"]
+            lines = ["s SATISFIABLE", " ".join(["v", *map(str, outcome.model), "0"])]
             return SearchResult(
                 outputs=lines,
                 output_count=len(lines),

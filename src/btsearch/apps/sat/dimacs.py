@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, NamedTuple
 
 from ...errors import InputFormatError
@@ -59,6 +60,8 @@ def parse_dimacs(data: bytes | str) -> CnfFormula:
                 raise InputFormatError(f"line {lineno}: bad header counts: {exc}") from exc
             if num_vars < 0 or declared < 0:
                 raise InputFormatError(f"line {lineno}: negative header counts")
+            if 2 * num_vars + 1 > sys.maxsize:  # the solver's per-literal tables
+                raise InputFormatError(f"line {lineno}: {num_vars} variables; too many to allocate")
             continue
         if num_vars is None:
             raise InputFormatError(f"line {lineno}: clause before 'p cnf' header")

@@ -14,6 +14,13 @@ globally.  A job returns its learnt clauses of at most
 ``MAX_SHARED_LITERALS`` literals; a later job attaches that list, units as
 one-literal clauses, after the formula's own, so it need not learn them again.
 
+Past its assumptions a job branches on a free variable, set true.  With
+``vsids`` (Chaff's rule, which the sat app always uses) that is the one of
+highest activity: each conflict analysis bumps the variables it touches by
+an increment that grows 1/0.95 times per conflict, and ties go to the lowest
+index.  Without it, the lowest-numbered free variable is taken; that is the
+library default, so ``solve_budgeted(formula)`` keeps its outcomes.
+
 Values and watch lists are indexed by the literal itself: ``lv[lit]`` is
 the value of ``lit`` (1 true, -1 false, 0 unassigned) in a list of size
 2n + 1, where a negative literal wraps to the upper half, so the
@@ -282,17 +289,11 @@ class CdclSolver:
     # -- branching -------------------------------------------------------------
 
     def _pick_branch(self) -> int | None:
-        if self.vsids:
-            best = None
-            best_act = -1.0
-            for v in range(1, self.nvars + 1):
-                if self.lv[v] == _UNASSIGNED and self._activity[v] > best_act:
-                    best, best_act = v, self._activity[v]
-            return best
-        for v in range(1, self.nvars + 1):
-            if self.lv[v] == _UNASSIGNED:
-                return v
-        return None
+        lv = self.lv
+        free = [v for v in range(1, self.nvars + 1) if lv[v] == _UNASSIGNED]
+        if self.vsids and free:  # max keeps the first, lowest-index, of equals
+            return max(free, key=self._activity.__getitem__)
+        return free[0] if free else None
 
     def _model(self) -> tuple[int, ...]:
         return tuple(v if self.lv[v] == _TRUE else -v for v in range(1, self.nvars + 1))

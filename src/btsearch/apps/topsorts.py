@@ -22,6 +22,7 @@ element names that the oracle builds once.
 from __future__ import annotations
 
 import heapq
+import sys
 from typing import NamedTuple
 
 from ..errors import InputFormatError, NodeDecodeError
@@ -47,6 +48,8 @@ def parse_poset(data: bytes | str) -> Poset:
 def _read_poset(data: bytes | str) -> tuple[Poset, Closure]:
     """:func:`parse_poset` plus the poset's :func:`_closure`, which rejects cycles."""
     n, pairs = parse_pairs(data, "poset", "relation", "a b")
+    if n + 1 > sys.maxsize:  # the closure's lists have n + 1 entries
+        raise InputFormatError(f"poset has {n} elements; too many to allocate")
     relations = set()
     for lineno, a, b in pairs:
         if not (1 <= a <= n and 1 <= b <= n) or a == b:
@@ -55,7 +58,7 @@ def _read_poset(data: bytes | str) -> tuple[Poset, Closure]:
     poset = Poset(n=n, relations=frozenset(relations))
     try:
         return poset, _closure(poset)
-    except (OverflowError, MemoryError) as exc:  # the closure's lists have n + 1 entries
+    except MemoryError as exc:
         raise InputFormatError(f"poset has {n} elements; too many to allocate") from exc
 
 

@@ -3,15 +3,30 @@
 An application parses its input once, produces a root job payload, and can
 run a budgeted search from *any* payload it previously produced, in any
 worker.  Job payloads and shared tokens are opaque bytes to the engine; only
-the owning application interprets them.
+the owning application interprets them.  Every bundled app writes them with
+:func:`encode_ints`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .budget import Budget
+from .errors import NodeDecodeError
+
+
+def encode_ints(values: Iterable[int]) -> bytes:
+    """Every bundled app's payload format: space-separated ASCII decimals."""
+    return " ".join(map(str, values)).encode("ascii")
+
+
+def decode_ints(payload: bytes, what: str) -> tuple[int, ...]:
+    """Inverse of :func:`encode_ints`; NodeDecodeError naming ``what`` on garbage."""
+    try:
+        return tuple(map(int, payload.decode("ascii").split()))
+    except (UnicodeDecodeError, ValueError) as exc:
+        raise NodeDecodeError(f"bad {what} payload: {exc}") from exc
 
 
 class SearchResult(NamedTuple):

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from btsearch import cli
+from btsearch.apps import APPLICATION_NAMES
 from btsearch.apps.gwtree import make_law, sample_offspring_sequence
 from btsearch.apps.sat.app import SatApplication
 from btsearch.apps.topsorts import TopsortsApplication
@@ -84,7 +85,7 @@ class TestParseCli:
 
     @pytest.mark.parametrize(
         ("app", "flags"),
-        [("sat", ["-prune", "1"]), ("topsorts", ["-restarts"]), ("topsorts", ["-vsids"])],
+        [("sat", ["-prune", "1"]), ("topsorts", ["-restarts"]), ("spantree", ["-restarts"])],
     )
     def test_a_flag_of_another_app_is_a_usage_error(self, tmp_path, capsys, app, flags):
         # each used to be ignored, with exit 0
@@ -95,6 +96,16 @@ class TestParseCli:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("btsearch: ") and flags[0] in line
+
+    @pytest.mark.parametrize("app", APPLICATION_NAMES)
+    def test_vsids_is_not_a_flag(self, tmp_path, capsys, app):
+        # sat jobs always branch by activity, so no flag chooses the rule
+        inp = tmp_path / "input.txt"
+        inp.write_text(cnf_text(pigeonhole_cnf(3, 2)) if app == "sat" else "3 0\n")
+        assert main(["run", app, str(inp), "-vsids"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "btsearch: unrecognized arguments: -vsids\n"
 
 
 class TestMain:
@@ -254,6 +265,24 @@ class TestMain:
         code = main(["run", "sat", str(inp), "-np", "2"])
         assert code == 0
         assert "s UNSATISFIABLE" in capsys.readouterr().out
+
+    def test_run_sat_empty_formula_prints_an_empty_model(self, tmp_path, capsys):
+        inp = tmp_path / "empty.cnf"
+        inp.write_text("p cnf 0 0\n")
+        assert main(["run", "sat", str(inp)]) == 0
+        assert capsys.readouterr().out == "s SATISFIABLE\nv 0\n"
+
+    def test_a_cnf_header_too_large_to_index_exits_2(self, tmp_path, capsys):
+        # a worker's per-literal tables would have 2n + 1 entries, too many
+        # to index.  An n that can be indexed but not allocated is left
+        # untested: it would fill the memory.
+        inp = tmp_path / "huge.cnf"
+        inp.write_text("p cnf 100000000000000000000 1\n1 0\n")
+        assert main(["run", "sat", str(inp)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("btsearch: line 1: 100000000000000000000 variables")
 
     def test_missing_input_is_input_error(self, tmp_path):
         code = main(["run", "topsorts", str(tmp_path / "absent.txt")])
@@ -429,6 +458,21 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["btsearch.apps"]
+
+    def test_a_sat_run_loads_no_reverse_search_module(self):
+        # compiling reverse_search.py and apps/base.py takes about 4 ms of
+        # a run with no cached bytecode, and sat needs neither
+        script = (
+            "import sys, btsearch.cli, btsearch.apps.sat.app\n"
+            "print(' '.join(m for m in sys.modules if m.startswith('btsearch')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "btsearch.apps.sat.app" in loaded
+        assert loaded.isdisjoint({"btsearch.reverse_search", "btsearch.apps.base"})
 
     def test_importing_the_cli_does_not_load_numpy(self):
         # Every run pays for what these imports load on top of a bare

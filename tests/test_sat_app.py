@@ -112,7 +112,7 @@ class TestSharedUnits:
         app = SatApplication(budget_kind="conflicts")
         gd, root = app.init(cnf_text(pigeonhole_cnf(5, 4)).encode())
         result = app.search(gd, root, Budget(None, 30), ())
-        outcome = solve_budgeted(gd, (), 30, "conflicts")
+        outcome = solve_budgeted(gd, (), 30, "conflicts", vsids=True)
         assert result.shared_delta == [encode_ints(c) for c in outcome.learnt_clauses]
         assert any(len(c) > 1 for c in outcome.learnt_clauses)
 
@@ -198,6 +198,21 @@ class TestCheckpointResume:
         assert checked == tokens
 
 
+class TestBranching:
+    def test_a_job_branches_by_activity(self):
+        cnf = random_3cnf(random.Random(0), 40, 170)
+        app = SatApplication(budget_kind="conflicts")
+        gd, _root = app.init(cnf_text(cnf).encode())
+        result = app.search(gd, encode_ints((2, -7)), Budget(None, 20), ())
+        outcome = solve_budgeted(gd, (2, -7), 20, "conflicts", vsids=True)
+        assert outcome.status == "exhausted"
+        assert result.unexplored == [encode_ints(s) for s in outcome.splits]
+        assert result.visited == outcome.conflicts
+        assert result.shared_delta == [encode_ints(c) for c in outcome.learnt_clauses]
+        # the lowest-index order splits this job elsewhere
+        assert solve_budgeted(gd, (2, -7), 20, "conflicts").splits != outcome.splits
+
+
 class TestNodePayloads:
     def test_assumption_round_trip(self):
         app = SatApplication()
@@ -237,8 +252,8 @@ class TestNodePayloads:
         for kind in ("decisions", "conflicts"):
             app = SatApplication(budget_kind=kind)
             gd, root = app.init(data)
-            result = app.search(gd, root, Budget(None, 4), ())
-            outcome = solve_budgeted(gd, (), 4, kind)
+            result = app.search(gd, root, Budget(None, 5), ())
+            outcome = solve_budgeted(gd, (), 5, kind, vsids=True)
             assert outcome.status == "exhausted"
             assert result.visited == getattr(outcome, kind)
             splits[kind] = list(result.unexplored)

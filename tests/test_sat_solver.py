@@ -110,6 +110,15 @@ class TestBudgets:
         outcome = solve_budgeted(cnf, limit=None, kind="decisions")
         assert outcome.status == "sat"
 
+    def test_the_default_branches_by_lowest_index(self):
+        # perfbench/workloads.py:223 keeps a sat-unsat CNF by the conflicts
+        # that solve_budgeted(formula) needs at its defaults; another default
+        # would generate other CNFs on one side of a benchmark pair
+        cnf = random_3cnf(random.Random(0), 40, 170)
+        default = solve_budgeted(cnf)
+        assert default == solve_budgeted(cnf, vsids=False)
+        assert default.conflicts != solve_budgeted(cnf, vsids=True).conflicts
+
 
 class TestLearning:
     def test_single_decision_conflict_learns_a_unit(self):

@@ -3,26 +3,48 @@
 A job payload is an ordered list of assumed decision literals (propagations
 are re-derived by the worker).  Past its assumption a job branches on the
 free variable of highest activity (VSIDS: variables in recent conflicts
-score higher; ties go to the lowest index).  The app's ``budget_kind`` says
-what a unit of ``budget.max_nodes`` counts: free decisions or conflicts.
-Budget exhaustion returns the backtrack-path splits as new jobs.  Learnt
-clauses of at most ``MAX_SHARED_LITERALS`` (8) literals travel as shared
-tokens, each the sorted clause, so the master's byte-level dedup keeps one
-token per clause; a learnt unit is a one-literal clause, and a job hands the
-solver all its tokens as one list, parsed but not re-checked.  The first
-model found halts the run; a completed run with no model means the whole
-assumption space was refuted, so the finalize hook emits the UNSAT verdict.
+score higher; ties go to the lowest index).  Every job starts from the same
+activities, each variable's number of occurrences in the formula, counted
+once in ``init``.  The app's ``budget_kind`` says what a unit of
+``budget.max_nodes`` counts: free decisions or conflicts.  Budget
+exhaustion returns the backtrack-path splits as new jobs.  Learnt clauses of
+at most ``MAX_SHARED_LITERALS`` (8) literals travel as shared tokens, each
+the sorted clause, so the master's byte-level dedup keeps one token per
+clause; a learnt unit is a one-literal clause.  A job hands the solver all
+its tokens as one list of clauses; each token is parsed once per process,
+the first time a job receives it, and the solver range-checks the clauses
+on every job.  The first model found halts the run; a completed run with no
+model means the whole assumption space was refuted, so the finalize hook
+emits the UNSAT verdict.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ...budget import Budget
-from ...errors import BtsearchError, NodeDecodeError
+from ...errors import BtsearchError, InputFormatError, NodeDecodeError
 from ...search_api import Application, SearchResult, decode_ints, encode_ints
-from .dimacs import CnfFormula, parse_dimacs, verify_model
+from .dimacs import parse_dimacs, verify_model
 from .solver import MAX_SHARED_LITERALS, solve_budgeted
+
+
+class SeededCnf(NamedTuple):
+    """The global data: a ``CnfFormula``'s two fields, then ``activity``,
+    each variable's number of occurrences (entry 0 unused), which every job
+    starts its branching order from."""
+
+    num_vars: int
+    clauses: tuple[tuple[int, ...], ...]
+    activity: tuple[int, ...]
+
+
+class _ClauseMemo(dict):
+    """Token bytes -> the clause they encode, parsed on first lookup."""
+
+    def __missing__(self, token: bytes) -> tuple[int, ...]:
+        clause = self[token] = decode_ints(token, "shared clause")
+        return clause
 
 
 class SatApplication(Application):
@@ -39,11 +61,25 @@ class SatApplication(Application):
             raise ValueError(f"{self.name} accepts budget kinds {accepted}, not {budget_kind!r}")
         self.restarts = restarts
         self.budget_kind = budget_kind
+        # decoding reads only the token's bytes, so one memo serves every
+        # formula and every thread worker (two that miss the same token at
+        # once both store the same clause)
+        self._clauses = _ClauseMemo()
 
-    def init(self, input_bytes: bytes) -> tuple[CnfFormula, bytes]:
-        return parse_dimacs(input_bytes), b""  # the empty assumption
+    def init(self, input_bytes: bytes) -> tuple[SeededCnf, bytes]:
+        formula = parse_dimacs(input_bytes)
+        try:
+            activity = [0] * (formula.num_vars + 1)
+        except MemoryError as exc:
+            raise InputFormatError(
+                f"{formula.num_vars} variables; too many to allocate"
+            ) from exc
+        for clause in formula.clauses:
+            for lit in clause:
+                activity[abs(lit)] += 1
+        return SeededCnf(*formula, tuple(activity)), b""  # the empty assumption
 
-    def decode_node(self, payload: bytes, global_data: CnfFormula) -> tuple[int, ...]:
+    def decode_node(self, payload: bytes, global_data: SeededCnf) -> tuple[int, ...]:
         """The assumption ``payload`` encodes: distinct variables, in range."""
         lits = decode_ints(payload, "assumption")
         seen: set[int] = set()
@@ -57,7 +93,7 @@ class SatApplication(Application):
 
     def search(
         self,
-        global_data: CnfFormula,
+        global_data: SeededCnf,
         payload: bytes,
         budget: Budget,
         shared: Sequence[bytes],
@@ -68,9 +104,10 @@ class SatApplication(Application):
             assumption,
             budget.max_nodes,
             self.budget_kind,
-            shared_clauses=[decode_ints(token, "shared clause") for token in shared],
+            shared_clauses=list(map(self._clauses.__getitem__, shared)),
             restarts=self.restarts,
             vsids=True,
+            activity=global_data.activity,
         )
         visited = outcome.budget_spent(self.budget_kind)
         delta = [encode_ints(clause) for clause in outcome.learnt_clauses]
@@ -103,7 +140,7 @@ class SatApplication(Application):
             shared_delta=delta,
         )
 
-    def decode_token(self, token: bytes, global_data: CnfFormula) -> tuple[int, ...]:
+    def decode_token(self, token: bytes, global_data: SeededCnf) -> tuple[int, ...]:
         """The learnt clause ``token`` encodes: 1 to 8 literals in range, on
         distinct variables; run once per token a checkpoint restores."""
         clause = decode_ints(token, "shared clause")
@@ -119,7 +156,7 @@ class SatApplication(Application):
             raise NodeDecodeError(f"shared clause {token!r} has a literal out of range")
         return clause
 
-    def finalize(self, global_data: CnfFormula) -> list[str]:
+    def finalize(self, global_data: SeededCnf) -> list[str]:
         # the engine calls this only after a run with no verdict: every
         # subspace was refuted
         return ["s UNSATISFIABLE"]

@@ -18,8 +18,11 @@ Past its assumptions a job branches on a free variable, set true.  With
 ``vsids`` (Chaff's rule, which the sat app always uses) that is the one of
 highest activity: each conflict analysis bumps the variables it touches by
 an increment that grows 1/0.95 times per conflict, and ties go to the lowest
-index.  Without it, the lowest-numbered free variable is taken; that is the
-library default, so ``solve_budgeted(formula)`` keeps its outcomes.
+index.  Activities start at 0, or at the caller's ``activity`` (the sat app
+passes each variable's number of occurrences in the formula, so a job's
+first decisions already fall on the most constrained variables).  Without
+``vsids``, the lowest-numbered free variable is taken; that is the library
+default, so ``solve_budgeted(formula)`` keeps its outcomes.
 
 Values and watch lists are indexed by the literal itself: ``lv[lit]`` is
 the value of ``lit`` (1 true, -1 false, 0 unassigned) in a list of size
@@ -33,6 +36,7 @@ looks up no clause table.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 from ...errors import InputFormatError
@@ -73,7 +77,9 @@ class CdclSolver:
     """One solver instance per job; all state is local to the instance.
 
     ``extra_clauses``, implied by the formula, are attached in order after
-    its clauses; a unit is a one-literal clause.
+    its clauses; a unit is a one-literal clause.  ``activity`` holds the
+    starting activity of each variable, indexed by variable (entry 0
+    unused); it is copied, and read only under ``vsids``.
     """
 
     def __init__(
@@ -83,6 +89,7 @@ class CdclSolver:
         restarts: bool = False,
         vsids: bool = False,
         restart_base: int = 100,
+        activity: Sequence[float] | None = None,
     ) -> None:
         self.nvars = formula.num_vars
         self.restarts = restarts
@@ -98,19 +105,23 @@ class CdclSolver:
         self.qhead = 0
         self.ok = True
         self._seen = [False] * (self.nvars + 1)
-        self._activity = [0.0] * (self.nvars + 1)
+        self._activity = [0.0] * (self.nvars + 1) if activity is None else list(activity)
         self._act_inc = 1.0
         # _watches[lit] -> the clauses watching lit, laid out as lv
         self._watches: list[list[list[int]]] = [[] for _ in range(2 * self.nvars + 1)]
         # the short learnt clauses, sorted; a dict keeps learning order
         self._short: dict[tuple[int, ...], None] = {}
-        for clause in formula.clauses:
-            if not self._attach(list(clause)):
-                self.ok = False
+        n = self.nvars
         for clause in extra_clauses:
-            if any(lit == 0 or abs(lit) > self.nvars for lit in clause):
+            if clause and (0 in clause or max(clause) > n or min(clause) < -n):
                 raise InputFormatError(f"shared clause {clause} out of range")
-            if not self._attach(list(clause)):
+        watches = self._watches
+        for clause in chain(formula.clauses, extra_clauses):
+            if len(clause) >= 2:  # _attach's watch branch, inline
+                c = list(clause)
+                watches[c[0]].append(c)
+                watches[c[1]].append(c)
+            elif not self._attach(list(clause)):
                 self.ok = False
 
     # -- plumbing -----------------------------------------------------------
@@ -407,11 +418,15 @@ def solve_budgeted(
     shared_clauses: Sequence[Sequence[int]] = (),
     restarts: bool = False,
     vsids: bool = False,
+    activity: Sequence[float] | None = None,
 ) -> SolveOutcome:
     """One-shot budgeted solve of ``formula`` under ``assumption``.
 
     ``shared_clauses`` were learnt elsewhere and are implied by the formula;
     a unit is a one-literal clause, and complementary units refute globally.
+    ``activity`` seeds the branching order, as in :class:`CdclSolver`.
     """
-    solver = CdclSolver(formula, shared_clauses, restarts=restarts, vsids=vsids)
+    solver = CdclSolver(
+        formula, shared_clauses, restarts=restarts, vsids=vsids, activity=activity
+    )
     return solver.solve(assumption, limit, kind)

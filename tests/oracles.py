@@ -237,6 +237,15 @@ def random_3cnf(rng: random.Random, num_vars: int, num_clauses: int) -> CnfFormu
     return CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
 
 
+def occurrences(formula: CnfFormula) -> list[int]:
+    """The number of clause literals on each variable, indexed by variable."""
+    counts = [0] * (formula.num_vars + 1)
+    for clause in formula.clauses:
+        for lit in clause:
+            counts[abs(lit)] += 1
+    return counts
+
+
 def cnf_text(formula: CnfFormula) -> str:
     lines = [f"p cnf {formula.num_vars} {len(formula.clauses)}"]
     lines += [" ".join(map(str, clause)) + " 0" for clause in formula.clauses]

@@ -274,8 +274,7 @@ class TestMain:
 
     def test_a_cnf_header_too_large_to_index_exits_2(self, tmp_path, capsys):
         # a worker's per-literal tables would have 2n + 1 entries, too many
-        # to index.  An n that can be indexed but not allocated is left
-        # untested: it would fill the memory.
+        # to index
         inp = tmp_path / "huge.cnf"
         inp.write_text("p cnf 100000000000000000000 1\n1 0\n")
         assert main(["run", "sat", str(inp)]) == 2
@@ -283,6 +282,19 @@ class TestMain:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("btsearch: line 1: 100000000000000000000 variables")
+
+    def test_a_cnf_header_too_large_to_allocate_exits_2(self, tmp_path, capsys):
+        # 2n + 1 is sys.maxsize, so the count passes the parse, but the
+        # n + 1 entries of init's occurrence table cannot be allocated; the
+        # allocation fails at once.  A count whose n + 1 entries can be
+        # allocated is left untested: it would fill the memory.
+        inp = tmp_path / "huge.cnf"
+        inp.write_text("p cnf 4611686018427387903 1\n1 0\n")
+        assert main(["run", "sat", str(inp)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line == "btsearch: 4611686018427387903 variables; too many to allocate"
 
     def test_missing_input_is_input_error(self, tmp_path):
         code = main(["run", "topsorts", str(tmp_path / "absent.txt")])

@@ -1,20 +1,28 @@
 import io
 import math
 import random
+import sys
 
 import pytest
 
 from btsearch.budget import Budget, SchedulerConfig
 from btsearch.checkpoint import checkpoint_read
 from btsearch.engine import run
-from btsearch.errors import NodeDecodeError
+from btsearch.errors import InputFormatError, NodeDecodeError
 from btsearch.apps import build_application
-from btsearch.apps.base import encode_ints
+from btsearch.apps.base import decode_ints, encode_ints
 from btsearch.apps.sat.app import SatApplication
 from btsearch.apps.sat.dimacs import parse_dimacs, verify_model
 from btsearch.apps.sat.solver import solve_budgeted
 
-from oracles import brute_force_implied, brute_force_sat, cnf_text, pigeonhole_cnf, random_3cnf
+from oracles import (
+    brute_force_implied,
+    brute_force_sat,
+    cnf_text,
+    occurrences,
+    pigeonhole_cnf,
+    random_3cnf,
+)
 
 
 def sat_config(limit, num_workers=2, **kw):
@@ -126,6 +134,62 @@ class TestSharedUnits:
         assert alone.outputs == relayed.outputs == ["s UNSATISFIABLE"]
         assert relayed.visited < alone.visited
 
+    def test_each_relayed_token_is_parsed_once(self, monkeypatch):
+        import btsearch.apps.sat.app as sat_app
+
+        parsed = []
+        delivered = set()
+        decode_ints = sat_app.decode_ints
+        search = SatApplication.search
+
+        def counted(payload, what):
+            if what == "shared clause":
+                parsed.append(payload)
+            return decode_ints(payload, what)
+
+        def recorded(app, global_data, payload, budget, shared):
+            delivered.update(shared)
+            return search(app, global_data, payload, budget, shared)
+
+        monkeypatch.setattr(sat_app, "decode_ints", counted)
+        monkeypatch.setattr(SatApplication, "search", recorded)
+        verdict, _, report = run_sat(pigeonhole_cnf(5, 4), 5, "conflicts", num_workers=1)
+        assert verdict == "s UNSATISFIABLE"
+        # every job after the first is handed every earlier job's tokens
+        assert report.jobs_executed > 5 and len(delivered) > 20
+        assert sorted(parsed) == sorted(delivered)
+
+    def test_thread_workers_share_one_memo(self):
+        # more thread workers than cores, switching often: every memo entry
+        # must still be its own token's clause
+        app = SatApplication(budget_kind="conflicts")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = run(app, cnf_text(pigeonhole_cnf(5, 4)).encode(), sat_config(3, 4), io.StringIO())
+        finally:
+            sys.setswitchinterval(interval)
+        assert report.completed and report.jobs_executed > 4
+        assert app._clauses
+        assert all(clause == decode_ints(token, "") for token, clause in app._clauses.items())
+
+    def test_a_parsed_token_is_range_checked_on_every_job(self):
+        # one app, so one memo, over two formulas: the clause parsed for
+        # the first is out of range for the second
+        app = SatApplication()
+        wide, root = app.init(b"p cnf 13 1\n1 2 0\n")
+        assert app.search(wide, root, Budget(None, None), (b"-13 -8",)).halt
+        narrow, root = app.init(b"p cnf 3 1\n1 2 0\n")
+        with pytest.raises(InputFormatError, match="out of range"):
+            app.search(narrow, root, Budget(None, None), (b"-13 -8",))
+
+    def test_an_empty_relayed_clause_refutes_globally(self):
+        app = SatApplication()
+        gd, root = app.init(b"p cnf 2 1\n1 2 0\n")
+        result = app.search(gd, root, Budget(None, None), (b"1", b""))
+        assert result.halt
+        assert result.outputs == ["s UNSATISFIABLE"]
+
     @pytest.mark.parametrize(
         "token",
         [b"", b"0", b"1 0", b"4", b"-4 1", b"2 2", b"1 -1", b"-3 1 3", b"x"],
@@ -203,14 +267,16 @@ class TestBranching:
         cnf = random_3cnf(random.Random(0), 40, 170)
         app = SatApplication(budget_kind="conflicts")
         gd, _root = app.init(cnf_text(cnf).encode())
-        result = app.search(gd, encode_ints((2, -7)), Budget(None, 20), ())
-        outcome = solve_budgeted(gd, (2, -7), 20, "conflicts", vsids=True)
+        assert gd.activity == tuple(occurrences(cnf))
+        result = app.search(gd, encode_ints((2, -7)), Budget(None, 10), ())
+        outcome = solve_budgeted(gd, (2, -7), 10, "conflicts", vsids=True, activity=gd.activity)
         assert outcome.status == "exhausted"
         assert result.unexplored == [encode_ints(s) for s in outcome.splits]
         assert result.visited == outcome.conflicts
         assert result.shared_delta == [encode_ints(c) for c in outcome.learnt_clauses]
-        # the lowest-index order splits this job elsewhere
-        assert solve_budgeted(gd, (2, -7), 20, "conflicts").splits != outcome.splits
+        # unseeded activity and the lowest-index order split this job elsewhere
+        assert solve_budgeted(gd, (2, -7), 10, "conflicts", vsids=True).splits != outcome.splits
+        assert solve_budgeted(gd, (2, -7), 10, "conflicts").splits != outcome.splits
 
 
 class TestNodePayloads:

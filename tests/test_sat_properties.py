@@ -8,9 +8,11 @@ solver takes shared units as one-literal clauses.  The reference knows no
 relayed clauses, so it gets the longer ones appended to the formula and the
 units after them, while the solver gets one list in learning order: a unit
 reads no value of a longer clause when it is attached, so both orders leave
-the same trail and watch lists.  The brute-force test
-checks the solver's verdict, models and learnt clauses against exhaustive
-enumeration in ``oracles.py``.
+the same trail and watch lists.  A seeded case starts both solvers from the
+formula's occurrence counts, the sat app's seed: the reference, which takes
+no seed, gets it written into its activity table before it solves.  The
+brute-force test checks the solver's verdict, models and learnt clauses
+against exhaustive enumeration in ``oracles.py``.
 """
 
 import random
@@ -23,7 +25,7 @@ import reference_cdcl
 from btsearch.apps.sat import solver
 from btsearch.apps.sat.dimacs import CnfFormula, verify_model
 
-from oracles import brute_force_implied, brute_force_sat
+from oracles import brute_force_implied, brute_force_sat, occurrences
 
 OUTCOME_FIELDS = (
     "status",
@@ -91,18 +93,24 @@ def fields(outcome) -> tuple:
     restarts=st.booleans(),
     vsids=st.booleans(),
     restart_base=st.sampled_from((2, 100)),
+    seeded=st.booleans(),
 )
 def test_fast_path_outcomes_equal_the_reference_solver(
-    case, shared, limit, kind, restarts, vsids, restart_base
+    case, shared, limit, kind, restarts, vsids, restart_base, seeded
 ):
     cnf, assumption, rng = case
     shared_units = [rng.choice((1, -1)) * rng.randint(1, cnf.num_vars) for _ in range(shared)]
     options = dict(restarts=restarts, vsids=vsids, restart_base=restart_base)
+    seed = occurrences(cnf) if seeded else None
     # the frozen reference reads its limit and kind from a budget object
     budget = SimpleNamespace(max_nodes=limit, kind=kind)
     reference = reference_cdcl.CdclSolver(cnf, extra_units=shared_units, **options)
+    if seeded:
+        reference._activity = list(seed)
     expected = reference.solve(assumption, budget)
-    fast = solver.CdclSolver(cnf, extra_clauses=[(lit,) for lit in shared_units], **options)
+    fast = solver.CdclSolver(
+        cnf, extra_clauses=[(lit,) for lit in shared_units], activity=seed, **options
+    )
     got = fast.solve(assumption, limit, kind)
     assert fields(got) == fields(expected)
 
@@ -115,9 +123,10 @@ def test_fast_path_outcomes_equal_the_reference_solver(
     kind=st.sampled_from(("decisions", "conflicts")),
     restarts=st.booleans(),
     vsids=st.booleans(),
+    seeded=st.booleans(),
 )
 def test_relayed_clauses_match_the_reference_on_the_extended_formula(
-    case, limit, kind, restarts, vsids
+    case, limit, kind, restarts, vsids, seeded
 ):
     cnf, assumption, rng = case
     # relay what an earlier job, under another assumption, learnt
@@ -127,18 +136,32 @@ def test_relayed_clauses_match_the_reference_on_the_extended_formula(
     options = dict(restarts=restarts, vsids=vsids, restart_base=2)
     extended = CnfFormula(cnf.num_vars, cnf.clauses + tuple(clauses))
     budget = SimpleNamespace(max_nodes=limit, kind=kind)
+    # the seed counts the formula's literals only, as the sat app's does
+    seed = occurrences(cnf) if seeded else None
     reference = reference_cdcl.CdclSolver(extended, extra_units=units, **options)
+    if seeded:
+        reference._activity = list(seed)
     expected = reference.solve(assumption, budget)
-    relayed = solver.CdclSolver(cnf, extra_clauses=earlier.learnt_clauses, **options)
+    relayed = solver.CdclSolver(
+        cnf, extra_clauses=earlier.learnt_clauses, activity=seed, **options
+    )
     got = relayed.solve(assumption, limit, kind)
     assert fields(got) == fields(expected)
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=solver_cases(max_vars=12), restarts=st.booleans(), vsids=st.booleans())
-def test_verdicts_models_and_learnt_units_match_brute_force(case, restarts, vsids):
+@given(
+    case=solver_cases(max_vars=12),
+    restarts=st.booleans(),
+    vsids=st.booleans(),
+    seeded=st.booleans(),
+)
+def test_verdicts_models_and_learnt_units_match_brute_force(case, restarts, vsids, seeded):
     cnf, assumption, _rng = case
-    outcome = solver.solve_budgeted(cnf, assumption, restarts=restarts, vsids=vsids)
+    seed = occurrences(cnf) if seeded else None
+    outcome = solver.solve_budgeted(
+        cnf, assumption, restarts=restarts, vsids=vsids, activity=seed
+    )
     assumed = CnfFormula(cnf.num_vars, cnf.clauses + tuple((lit,) for lit in assumption))
     expected_sat, _model = brute_force_sat(assumed)
     assert outcome.status == ("sat" if expected_sat else "unsat")

@@ -225,5 +225,10 @@ class TestSharedUnits:
         assert relayed.conflicts < alone.conflicts
 
     def test_an_out_of_range_shared_clause_is_rejected(self):
-        with pytest.raises(InputFormatError, match="out of range"):
-            solve_budgeted(formula(2, (1, 2)), shared_clauses=((1, 3),))
+        for clause in ((1, 3), (-3, 1), (1, 0), (0,)):
+            with pytest.raises(InputFormatError, match="out of range"):
+                solve_budgeted(formula(2, (1, 2)), shared_clauses=(clause,))
+
+    def test_an_empty_shared_clause_refutes_globally(self):
+        outcome = solve_budgeted(formula(2, (1, 2)), shared_clauses=((1,), ()))
+        assert outcome.status == "unsat" and outcome.global_unsat

@@ -11,11 +11,11 @@ exhaustion returns the backtrack-path splits as new jobs.  Learnt clauses of
 at most ``MAX_SHARED_LITERALS`` (8) literals travel as shared tokens, each
 the sorted clause, so the master's byte-level dedup keeps one token per
 clause; a learnt unit is a one-literal clause.  A job hands the solver all
-its tokens as one list of clauses; each token is parsed once per process,
-the first time a job receives it, and the solver range-checks the clauses
-on every job.  The first model found halts the run; a completed run with no
-model means the whole assumption space was refuted, so the finalize hook
-emits the UNSAT verdict.
+its tokens as one list of clauses; a worker parses each token once per run,
+the first time one of its jobs receives it, and the solver range-checks
+the clauses on every job.  The first model found halts the run; a
+completed run with no model means the whole assumption space was refuted,
+so the finalize hook emits the UNSAT verdict.
 """
 
 from __future__ import annotations
@@ -61,13 +61,13 @@ class SatApplication(Application):
             raise ValueError(f"{self.name} accepts budget kinds {accepted}, not {budget_kind!r}")
         self.restarts = restarts
         self.budget_kind = budget_kind
-        # decoding reads only the token's bytes, so one memo serves every
-        # formula and every thread worker (two that miss the same token at
-        # once both store the same clause)
-        self._clauses = _ClauseMemo()
 
     def init(self, input_bytes: bytes) -> tuple[SeededCnf, bytes]:
         formula = parse_dimacs(input_bytes)
+        # a new memo per run, so none outlives its formula; decoding reads
+        # only the token's bytes, so thread workers share it (their own
+        # init calls restart it, and a dropped token is parsed again)
+        self._clauses = _ClauseMemo()
         try:
             activity = [0] * (formula.num_vars + 1)
         except MemoryError as exc:

@@ -36,7 +36,6 @@ looks up no clause table.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import NamedTuple, Sequence
 
 from ...errors import InputFormatError
@@ -111,17 +110,13 @@ class CdclSolver:
         self._watches: list[list[list[int]]] = [[] for _ in range(2 * self.nvars + 1)]
         # the short learnt clauses, sorted; a dict keeps learning order
         self._short: dict[tuple[int, ...], None] = {}
-        n = self.nvars
+        for clause in formula.clauses:
+            if not self._attach(list(clause)):
+                self.ok = False
         for clause in extra_clauses:
-            if clause and (0 in clause or max(clause) > n or min(clause) < -n):
+            if any(lit == 0 or abs(lit) > self.nvars for lit in clause):
                 raise InputFormatError(f"shared clause {clause} out of range")
-        watches = self._watches
-        for clause in chain(formula.clauses, extra_clauses):
-            if len(clause) >= 2:  # _attach's watch branch, inline
-                c = list(clause)
-                watches[c[0]].append(c)
-                watches[c[1]].append(c)
-            elif not self._attach(list(clause)):
+            if not self._attach(list(clause)):
                 self.ok = False
 
     # -- plumbing -----------------------------------------------------------

@@ -174,14 +174,22 @@ class TestSharedUnits:
         assert all(clause == decode_ints(token, "") for token, clause in app._clauses.items())
 
     def test_a_parsed_token_is_range_checked_on_every_job(self):
-        # one app, so one memo, over two formulas: the clause parsed for
-        # the first is out of range for the second
+        # the memo holds the clause parsed for a wide formula; a job on a
+        # narrow one, for which it is out of range, still checks it
         app = SatApplication()
         wide, root = app.init(b"p cnf 13 1\n1 2 0\n")
         assert app.search(wide, root, Budget(None, None), (b"-13 -8",)).halt
-        narrow, root = app.init(b"p cnf 3 1\n1 2 0\n")
+        assert b"-13 -8" in app._clauses
+        narrow, root = SatApplication().init(b"p cnf 3 1\n1 2 0\n")
         with pytest.raises(InputFormatError, match="out of range"):
             app.search(narrow, root, Budget(None, None), (b"-13 -8",))
+
+    def test_each_run_starts_a_new_memo(self):
+        app = SatApplication()
+        gd, root = app.init(b"p cnf 13 1\n1 2 0\n")
+        app.search(gd, root, Budget(None, None), (b"-13 -8",))
+        app.init(b"p cnf 3 1\n1 2 0\n")
+        assert app._clauses == {}
 
     def test_an_empty_relayed_clause_refutes_globally(self):
         app = SatApplication()

@@ -68,6 +68,11 @@ def solver_cases(draw, max_vars, min_vars=1, ratios=(0.0, 6.0)):
     return cnf, assumption, rng
 
 
+# the seed is read only under vsids, so it is a third branching mode; each
+# mode gets as many examples as each of the two had before the seed
+BRANCHING = st.sampled_from(("lowest", "vsids", "seeded"))
+
+
 def learnt_units(outcome) -> tuple[int, ...]:
     # the reference keeps learnt units; the solver keeps them as its
     # one-literal learnt clauses
@@ -84,28 +89,27 @@ def fields(outcome) -> tuple:
     )
 
 
-@settings(max_examples=1000, deadline=None)
+@settings(max_examples=1500, deadline=None)
 @given(
     case=solver_cases(max_vars=40),
     shared=st.integers(0, 3),
     limit=st.sampled_from((1, 2, 3, 5, 20, None)),
     kind=st.sampled_from(("decisions", "conflicts")),
     restarts=st.booleans(),
-    vsids=st.booleans(),
+    branching=BRANCHING,
     restart_base=st.sampled_from((2, 100)),
-    seeded=st.booleans(),
 )
 def test_fast_path_outcomes_equal_the_reference_solver(
-    case, shared, limit, kind, restarts, vsids, restart_base, seeded
+    case, shared, limit, kind, restarts, branching, restart_base
 ):
     cnf, assumption, rng = case
     shared_units = [rng.choice((1, -1)) * rng.randint(1, cnf.num_vars) for _ in range(shared)]
-    options = dict(restarts=restarts, vsids=vsids, restart_base=restart_base)
-    seed = occurrences(cnf) if seeded else None
+    options = dict(restarts=restarts, vsids=branching != "lowest", restart_base=restart_base)
+    seed = occurrences(cnf) if branching == "seeded" else None
     # the frozen reference reads its limit and kind from a budget object
     budget = SimpleNamespace(max_nodes=limit, kind=kind)
     reference = reference_cdcl.CdclSolver(cnf, extra_units=shared_units, **options)
-    if seeded:
+    if seed is not None:
         reference._activity = list(seed)
     expected = reference.solve(assumption, budget)
     fast = solver.CdclSolver(
@@ -115,31 +119,30 @@ def test_fast_path_outcomes_equal_the_reference_solver(
     assert fields(got) == fields(expected)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=450, deadline=None)
 @given(
     # near the threshold, where an earlier job learns clauses to relay
     case=solver_cases(max_vars=40, min_vars=10, ratios=(3.5, 5.0)),
     limit=st.sampled_from((1, 3, 20, None)),
     kind=st.sampled_from(("decisions", "conflicts")),
     restarts=st.booleans(),
-    vsids=st.booleans(),
-    seeded=st.booleans(),
+    branching=BRANCHING,
 )
 def test_relayed_clauses_match_the_reference_on_the_extended_formula(
-    case, limit, kind, restarts, vsids, seeded
+    case, limit, kind, restarts, branching
 ):
     cnf, assumption, rng = case
     # relay what an earlier job, under another assumption, learnt
     earlier = solver.solve_budgeted(cnf, random_assumption(rng, cnf.num_vars, 2), 20, "conflicts")
     units = [clause[0] for clause in earlier.learnt_clauses if len(clause) == 1]
     clauses = [clause for clause in earlier.learnt_clauses if len(clause) > 1]
-    options = dict(restarts=restarts, vsids=vsids, restart_base=2)
+    options = dict(restarts=restarts, vsids=branching != "lowest", restart_base=2)
     extended = CnfFormula(cnf.num_vars, cnf.clauses + tuple(clauses))
     budget = SimpleNamespace(max_nodes=limit, kind=kind)
     # the seed counts the formula's literals only, as the sat app's does
-    seed = occurrences(cnf) if seeded else None
+    seed = occurrences(cnf) if branching == "seeded" else None
     reference = reference_cdcl.CdclSolver(extended, extra_units=units, **options)
-    if seeded:
+    if seed is not None:
         reference._activity = list(seed)
     expected = reference.solve(assumption, budget)
     relayed = solver.CdclSolver(
@@ -149,18 +152,13 @@ def test_relayed_clauses_match_the_reference_on_the_extended_formula(
     assert fields(got) == fields(expected)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    case=solver_cases(max_vars=12),
-    restarts=st.booleans(),
-    vsids=st.booleans(),
-    seeded=st.booleans(),
-)
-def test_verdicts_models_and_learnt_units_match_brute_force(case, restarts, vsids, seeded):
+@settings(max_examples=450, deadline=None)
+@given(case=solver_cases(max_vars=12), restarts=st.booleans(), branching=BRANCHING)
+def test_verdicts_models_and_learnt_units_match_brute_force(case, restarts, branching):
     cnf, assumption, _rng = case
-    seed = occurrences(cnf) if seeded else None
+    seed = occurrences(cnf) if branching == "seeded" else None
     outcome = solver.solve_budgeted(
-        cnf, assumption, restarts=restarts, vsids=vsids, activity=seed
+        cnf, assumption, restarts=restarts, vsids=branching != "lowest", activity=seed
     )
     assumed = CnfFormula(cnf.num_vars, cnf.clauses + tuple((lit,) for lit in assumption))
     expected_sat, _model = brute_force_sat(assumed)

@@ -106,7 +106,6 @@ class SatApplication(Application):
             self.budget_kind,
             shared_clauses=list(map(self._clauses.__getitem__, shared)),
             restarts=self.restarts,
-            vsids=True,
             activity=global_data.activity,
         )
         visited = outcome.budget_spent(self.budget_kind)

@@ -14,15 +14,16 @@ globally.  A job returns its learnt clauses of at most
 ``MAX_SHARED_LITERALS`` literals; a later job attaches that list, units as
 one-literal clauses, after the formula's own, so it need not learn them again.
 
-Past its assumptions a job branches on a free variable, set true.  With
-``vsids`` (Chaff's rule, which the sat app always uses) that is the one of
-highest activity: each conflict analysis bumps the variables it touches by
-an increment that grows 1/0.95 times per conflict, and ties go to the lowest
-index.  Activities start at 0, or at the caller's ``activity`` (the sat app
-passes each variable's number of occurrences in the formula, so a job's
-first decisions already fall on the most constrained variables).  Without
-``vsids``, the lowest-numbered free variable is taken; that is the library
-default, so ``solve_budgeted(formula)`` keeps its outcomes.
+Past its assumptions a job branches on a free variable, set true.  Given
+an ``activity`` (the sat app passes each variable's number of occurrences,
+so a job's first decisions fall on the most constrained variables), that is
+the one of highest activity (Chaff's rule): each conflict analysis bumps the
+variables it touches by an increment that grows 1/0.95 times per conflict,
+and ties go to the lowest index.  With ``activity=None`` the lowest-numbered
+free variable is taken, so ``solve_budgeted(formula)`` keeps its outcomes.
+A restart (``restarts``) cancels to the assumption level and keeps learnt
+clauses and activities; splits come from the stack at the budget only, so
+they still partition the job.
 
 Values and watch lists are indexed by the literal itself: ``lv[lit]`` is
 the value of ``lit`` (1 true, -1 false, 0 unassigned) in a list of size
@@ -47,6 +48,9 @@ _UNASSIGNED = 0
 
 # learnt clauses up to this length travel to other jobs (ManySAT's cut-off)
 MAX_SHARED_LITERALS = 8
+
+# conflicts before the first restart; each later restart waits twice as long
+_RESTART_BASE = 100
 
 
 class SolveOutcome(NamedTuple):
@@ -78,7 +82,8 @@ class CdclSolver:
     ``extra_clauses``, implied by the formula, are attached in order after
     its clauses; a unit is a one-literal clause.  ``activity`` holds the
     starting activity of each variable, indexed by variable (entry 0
-    unused); it is copied, and read only under ``vsids``.
+    unused), and is copied; given one, the solver branches by activity,
+    otherwise by lowest index.
     """
 
     def __init__(
@@ -86,14 +91,10 @@ class CdclSolver:
         formula: CnfFormula,
         extra_clauses: Sequence[Sequence[int]] = (),
         restarts: bool = False,
-        vsids: bool = False,
-        restart_base: int = 100,
         activity: Sequence[float] | None = None,
     ) -> None:
         self.nvars = formula.num_vars
         self.restarts = restarts
-        self.vsids = vsids
-        self.restart_base = restart_base
         # lv[lit] is the value of literal lit; lv[-lit] wraps to the upper half
         self.lv = [_UNASSIGNED] * (2 * self.nvars + 1)
         self.level = [0] * (self.nvars + 1)
@@ -104,7 +105,8 @@ class CdclSolver:
         self.qhead = 0
         self.ok = True
         self._seen = [False] * (self.nvars + 1)
-        self._activity = [0.0] * (self.nvars + 1) if activity is None else list(activity)
+        # None: branch by lowest index and keep no activities
+        self._activity = None if activity is None else list(activity)
         self._act_inc = 1.0
         # _watches[lit] -> the clauses watching lit, laid out as lv
         self._watches: list[list[list[int]]] = [[] for _ in range(2 * self.nvars + 1)]
@@ -230,7 +232,7 @@ class CdclSolver:
         level = self.level
         reason = self.reason
         seen = self._seen
-        vsids = self.vsids
+        bump = self._activity is not None
         cur = len(self.trail_lim)
         touched: list[int] = []
         learnt: list[int] = []
@@ -245,7 +247,7 @@ class CdclSolver:
                 if not seen[v] and level[v] > 0:
                     seen[v] = True
                     touched.append(v)
-                    if vsids:
+                    if bump:
                         self._bump(v)
                     if level[v] >= cur:
                         counter += 1
@@ -273,7 +275,7 @@ class CdclSolver:
             backjump = level[abs(out[1])]
         for v in touched:
             seen[v] = False
-        if vsids:
+        if bump:
             self._act_inc /= 0.95
         return out, backjump
 
@@ -297,23 +299,24 @@ class CdclSolver:
     def _pick_branch(self) -> int | None:
         lv = self.lv
         free = [v for v in range(1, self.nvars + 1) if lv[v] == _UNASSIGNED]
-        if self.vsids and free:  # max keeps the first, lowest-index, of equals
+        if self._activity is not None and free:  # max keeps the lowest-index of equals
             return max(free, key=self._activity.__getitem__)
         return free[0] if free else None
 
     def _model(self) -> tuple[int, ...]:
         return tuple(v if self.lv[v] == _TRUE else -v for v in range(1, self.nvars + 1))
 
-    def _free_decisions(self, num_assumed: int) -> list[int]:
-        return [self.trail[self.trail_lim[k]] for k in range(num_assumed, len(self.trail_lim))]
-
-    @staticmethod
-    def _splits_from(prefix: tuple[int, ...], decisions: list[int]) -> list[tuple[int, ...]]:
-        """Continuation plus one flip per decision, most recent first."""
-        out = [prefix + tuple(decisions)]
-        for i in range(len(decisions) - 1, -1, -1):
-            out.append(prefix + tuple(decisions[:i]) + (-decisions[i],))
-        return out
+    def _splits(self, base: tuple[int, ...], branch: int) -> tuple[tuple[int, ...], ...]:
+        """The continuation plus one flip per free decision, most recent
+        first; with no free decision, the two-way split on ``branch``, so
+        every returned job is strictly narrower."""
+        frees = [self.trail[start] for start in self.trail_lim[len(base):]]
+        if not frees:
+            return (base + (branch,), base + (-branch,))
+        out = [base + tuple(frees)]
+        for i in range(len(frees) - 1, -1, -1):
+            out.append(base + tuple(frees[:i]) + (-frees[i],))
+        return tuple(out)
 
     # -- main loop ---------------------------------------------------------------
 
@@ -332,8 +335,7 @@ class CdclSolver:
         num_assumed = len(base)
         decisions = 0
         conflicts = 0
-        pending: list[tuple[int, ...]] = []
-        restart_limit = self.restart_base
+        restart_limit = _RESTART_BASE
         conflicts_since_restart = 0
 
         def outcome(status: str, **kw) -> SolveOutcome:
@@ -366,8 +368,6 @@ class CdclSolver:
                 self._enqueue(learnt[0], learnt)
                 over = by_conflicts and limit is not None and conflicts >= limit
                 if self.restarts and not over and conflicts_since_restart >= restart_limit:
-                    flips = self._splits_from(base, self._free_decisions(num_assumed))[1:]
-                    pending.extend(flips)
                     restart_limit *= 2
                     conflicts_since_restart = 0
                     self._cancel_until(min(num_assumed, len(self.trail_lim)))
@@ -388,18 +388,7 @@ class CdclSolver:
             if branch is None:
                 return outcome("sat", model=self._model())
             if limit is not None and (conflicts if by_conflicts else decisions) >= limit:
-                frees = self._free_decisions(num_assumed)
-                if frees:
-                    splits = self._splits_from(base, frees)
-                else:
-                    # no decision on the trail: split on the would-be branch
-                    # variable so every returned job is strictly narrower
-                    splits = [base + (branch,), base + (-branch,)]
-                merged: list[tuple[int, ...]] = []
-                for s in splits + pending:
-                    if s not in merged:
-                        merged.append(s)
-                return outcome("exhausted", splits=tuple(merged))
+                return outcome("exhausted", splits=self._splits(base, branch))
             decisions += 1
             self._new_level()
             self._enqueue(branch, None)
@@ -412,16 +401,14 @@ def solve_budgeted(
     kind: str = "decisions",
     shared_clauses: Sequence[Sequence[int]] = (),
     restarts: bool = False,
-    vsids: bool = False,
     activity: Sequence[float] | None = None,
 ) -> SolveOutcome:
     """One-shot budgeted solve of ``formula`` under ``assumption``.
 
     ``shared_clauses`` were learnt elsewhere and are implied by the formula;
     a unit is a one-literal clause, and complementary units refute globally.
-    ``activity`` seeds the branching order, as in :class:`CdclSolver`.
+    A given ``activity`` means branching by activity, starting from it, as
+    in :class:`CdclSolver`; ``None`` means branching by lowest index.
     """
-    solver = CdclSolver(
-        formula, shared_clauses, restarts=restarts, vsids=vsids, activity=activity
-    )
+    solver = CdclSolver(formula, shared_clauses, restarts=restarts, activity=activity)
     return solver.solve(assumption, limit, kind)

@@ -424,6 +424,7 @@ def run(
             final_lines = app.finalize(global_data)
             if final_lines:
                 text += "\n".join(final_lines) + "\n"
+                master.report.total_output_count += len(final_lines)
         if app.count_only:
             text += f"{master.report.total_output_count}\n"
         _write(out, text, flush=True)  # a halting result's or finalize's lines, then any total

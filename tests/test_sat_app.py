@@ -11,6 +11,7 @@ from btsearch.engine import run
 from btsearch.errors import InputFormatError, NodeDecodeError
 from btsearch.apps import build_application
 from btsearch.apps.base import decode_ints, encode_ints
+from btsearch.apps.sat import solver
 from btsearch.apps.sat.app import SatApplication
 from btsearch.apps.sat.dimacs import parse_dimacs, verify_model
 from btsearch.apps.sat.solver import solve_budgeted
@@ -90,13 +91,34 @@ class TestVerdicts:
                         if model is not None:
                             assert verify_model(cnf, model)
 
-    def test_restart_toggle_preserves_verdicts(self):
+    def test_restart_toggle_preserves_verdicts(self, monkeypatch):
+        # restarts every 2 conflicts fire within 5-conflict jobs
+        monkeypatch.setattr(solver, "_RESTART_BASE", 2)
         rng = random.Random(555)
-        for _ in range(4):
-            cnf = random_3cnf(rng, 8, 30)
-            expected_sat, _ = brute_force_sat(cnf)
-            verdict, _, _ = run_sat(cnf, limit=5, kind="conflicts", restarts=True)
-            assert verdict == ("s SATISFIABLE" if expected_sat else "s UNSATISFIABLE")
+        randoms = [random_3cnf(rng, 8, 30) for _ in range(4)]
+        cases = [(cnf, brute_force_sat(cnf)[0]) for cnf in randoms]
+        cases += [(pigeonhole_cnf(4, 3), False), (pigeonhole_cnf(5, 4), False)]
+        for cnf, expected_sat in cases:
+            for workers in (1, 4):
+                verdict, model, _ = run_sat(
+                    cnf, limit=5, kind="conflicts", num_workers=workers, restarts=True
+                )
+                assert verdict == ("s SATISFIABLE" if expected_sat else "s UNSATISFIABLE")
+                if model is not None:
+                    assert verify_model(cnf, model)
+        # the pigeonhole runs search otherwise with restarts than without
+        for cnf, _ in cases[-2:]:
+            with_restarts = run_sat(cnf, 5, "conflicts", 1, restarts=True)[2]
+            assert with_restarts.frequencies != run_sat(cnf, 5, "conflicts", 1)[2].frequencies
+
+    def test_a_refuted_run_counts_its_verdict(self):
+        # every subspace refuted, none globally: the verdict comes from
+        # finalize and is the run's one output
+        cnf = pigeonhole_cnf(4, 3)
+        verdict, _, report = run_sat(cnf, limit=1, kind="decisions", num_workers=1)
+        assert verdict == "s UNSATISFIABLE"
+        assert not report.halted
+        assert report.total_output_count == 1
 
 
 class TestSharedUnits:
@@ -120,7 +142,7 @@ class TestSharedUnits:
         app = SatApplication(budget_kind="conflicts")
         gd, root = app.init(cnf_text(pigeonhole_cnf(5, 4)).encode())
         result = app.search(gd, root, Budget(None, 30), ())
-        outcome = solve_budgeted(gd, (), 30, "conflicts", vsids=True)
+        outcome = solve_budgeted(gd, (), 30, "conflicts", activity=gd.activity)
         assert result.shared_delta == [encode_ints(c) for c in outcome.learnt_clauses]
         assert any(len(c) > 1 for c in outcome.learnt_clauses)
 
@@ -277,13 +299,14 @@ class TestBranching:
         gd, _root = app.init(cnf_text(cnf).encode())
         assert gd.activity == tuple(occurrences(cnf))
         result = app.search(gd, encode_ints((2, -7)), Budget(None, 10), ())
-        outcome = solve_budgeted(gd, (2, -7), 10, "conflicts", vsids=True, activity=gd.activity)
+        outcome = solve_budgeted(gd, (2, -7), 10, "conflicts", activity=gd.activity)
         assert outcome.status == "exhausted"
         assert result.unexplored == [encode_ints(s) for s in outcome.splits]
         assert result.visited == outcome.conflicts
         assert result.shared_delta == [encode_ints(c) for c in outcome.learnt_clauses]
         # unseeded activity and the lowest-index order split this job elsewhere
-        assert solve_budgeted(gd, (2, -7), 10, "conflicts", vsids=True).splits != outcome.splits
+        unseeded = solve_budgeted(gd, (2, -7), 10, "conflicts", activity=[0] * len(gd.activity))
+        assert unseeded.splits != outcome.splits
         assert solve_budgeted(gd, (2, -7), 10, "conflicts").splits != outcome.splits
 
 
@@ -327,7 +350,7 @@ class TestNodePayloads:
             app = SatApplication(budget_kind=kind)
             gd, root = app.init(data)
             result = app.search(gd, root, Budget(None, 5), ())
-            outcome = solve_budgeted(gd, (), 5, kind, vsids=True)
+            outcome = solve_budgeted(gd, (), 5, kind, activity=gd.activity)
             assert outcome.status == "exhausted"
             assert result.visited == getattr(outcome, kind)
             splits[kind] = list(result.unexplored)

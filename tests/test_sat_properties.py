@@ -8,15 +8,21 @@ solver takes shared units as one-literal clauses.  The reference knows no
 relayed clauses, so it gets the longer ones appended to the formula and the
 units after them, while the solver gets one list in learning order: a unit
 reads no value of a longer clause when it is attached, so both orders leave
-the same trail and watch lists.  A seeded case starts both solvers from the
-formula's occurrence counts, the sat app's seed: the reference, which takes
-no seed, gets it written into its activity table before it solves.  The
-brute-force test checks the solver's verdict, models and learnt clauses
-against exhaustive enumeration in ``oracles.py``.
+the same trail and watch lists.  A case branches by lowest index, or by
+activity from all zeros or from the formula's occurrence counts (the sat
+app's seed); the reference takes the last two as ``vsids=True`` and, as it
+takes no seed, gets the counts written into its activity table before it
+solves.  Under restarts the reference also returns, after the splits of its
+final decision stack, a flip per decision it abandoned at each restart;
+the solver returns only the former, so there its splits must be a prefix of
+the reference's.  The brute-force test checks the solver's verdict, models
+and learnt clauses against exhaustive enumeration in ``oracles.py``.
 """
 
+import dataclasses
 import random
 from types import SimpleNamespace
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,9 +74,24 @@ def solver_cases(draw, max_vars, min_vars=1, ratios=(0.0, 6.0)):
     return cnf, assumption, rng
 
 
-# the seed is read only under vsids, so it is a third branching mode; each
-# mode gets as many examples as each of the two had before the seed
-BRANCHING = st.sampled_from(("lowest", "vsids", "seeded"))
+# by lowest index, or by activity from all zeros or from the occurrence
+# counts (the sat app's seed): a third of the examples each
+BRANCHING = st.sampled_from(("lowest", "zeros", "seeded"))
+
+
+def start_activity(cnf: CnfFormula, branching: str) -> list[int] | None:
+    if branching == "lowest":
+        return None
+    return occurrences(cnf) if branching == "seeded" else [0] * (cnf.num_vars + 1)
+
+
+def reference_solver(formula, units, activity, **options) -> reference_cdcl.CdclSolver:
+    reference = reference_cdcl.CdclSolver(
+        formula, extra_units=units, vsids=activity is not None, **options
+    )
+    if activity is not None:
+        reference._activity = list(activity)
+    return reference
 
 
 def learnt_units(outcome) -> tuple[int, ...]:
@@ -89,6 +110,14 @@ def fields(outcome) -> tuple:
     )
 
 
+def assert_same_search(got, expected, restarts: bool) -> None:
+    if restarts:
+        # the reference's restart flips follow the splits both return
+        assert got.splits == expected.splits[: len(got.splits)]
+        expected = dataclasses.replace(expected, splits=got.splits)
+    assert fields(got) == fields(expected)
+
+
 @settings(max_examples=1500, deadline=None)
 @given(
     case=solver_cases(max_vars=40),
@@ -104,19 +133,19 @@ def test_fast_path_outcomes_equal_the_reference_solver(
 ):
     cnf, assumption, rng = case
     shared_units = [rng.choice((1, -1)) * rng.randint(1, cnf.num_vars) for _ in range(shared)]
-    options = dict(restarts=restarts, vsids=branching != "lowest", restart_base=restart_base)
-    seed = occurrences(cnf) if branching == "seeded" else None
+    activity = start_activity(cnf, branching)
     # the frozen reference reads its limit and kind from a budget object
     budget = SimpleNamespace(max_nodes=limit, kind=kind)
-    reference = reference_cdcl.CdclSolver(cnf, extra_units=shared_units, **options)
-    if seed is not None:
-        reference._activity = list(seed)
+    reference = reference_solver(
+        cnf, shared_units, activity, restarts=restarts, restart_base=restart_base
+    )
     expected = reference.solve(assumption, budget)
     fast = solver.CdclSolver(
-        cnf, extra_clauses=[(lit,) for lit in shared_units], activity=seed, **options
+        cnf, [(lit,) for lit in shared_units], restarts=restarts, activity=activity
     )
-    got = fast.solve(assumption, limit, kind)
-    assert fields(got) == fields(expected)
+    with mock.patch.object(solver, "_RESTART_BASE", restart_base):
+        got = fast.solve(assumption, limit, kind)
+    assert_same_search(got, expected, restarts)
 
 
 @settings(max_examples=450, deadline=None)
@@ -136,29 +165,24 @@ def test_relayed_clauses_match_the_reference_on_the_extended_formula(
     earlier = solver.solve_budgeted(cnf, random_assumption(rng, cnf.num_vars, 2), 20, "conflicts")
     units = [clause[0] for clause in earlier.learnt_clauses if len(clause) == 1]
     clauses = [clause for clause in earlier.learnt_clauses if len(clause) > 1]
-    options = dict(restarts=restarts, vsids=branching != "lowest", restart_base=2)
     extended = CnfFormula(cnf.num_vars, cnf.clauses + tuple(clauses))
     budget = SimpleNamespace(max_nodes=limit, kind=kind)
     # the seed counts the formula's literals only, as the sat app's does
-    seed = occurrences(cnf) if branching == "seeded" else None
-    reference = reference_cdcl.CdclSolver(extended, extra_units=units, **options)
-    if seed is not None:
-        reference._activity = list(seed)
+    activity = start_activity(cnf, branching)
+    reference = reference_solver(extended, units, activity, restarts=restarts, restart_base=2)
     expected = reference.solve(assumption, budget)
-    relayed = solver.CdclSolver(
-        cnf, extra_clauses=earlier.learnt_clauses, activity=seed, **options
-    )
-    got = relayed.solve(assumption, limit, kind)
-    assert fields(got) == fields(expected)
+    relayed = solver.CdclSolver(cnf, earlier.learnt_clauses, restarts=restarts, activity=activity)
+    with mock.patch.object(solver, "_RESTART_BASE", 2):
+        got = relayed.solve(assumption, limit, kind)
+    assert_same_search(got, expected, restarts)
 
 
 @settings(max_examples=450, deadline=None)
 @given(case=solver_cases(max_vars=12), restarts=st.booleans(), branching=BRANCHING)
 def test_verdicts_models_and_learnt_units_match_brute_force(case, restarts, branching):
     cnf, assumption, _rng = case
-    seed = occurrences(cnf) if branching == "seeded" else None
     outcome = solver.solve_budgeted(
-        cnf, assumption, restarts=restarts, vsids=branching != "lowest", activity=seed
+        cnf, assumption, restarts=restarts, activity=start_activity(cnf, branching)
     )
     assumed = CnfFormula(cnf.num_vars, cnf.clauses + tuple((lit,) for lit in assumption))
     expected_sat, _model = brute_force_sat(assumed)

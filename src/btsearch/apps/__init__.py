@@ -11,8 +11,8 @@ def build_application(name: str, **options: Any) -> Application:
     """Construct a bundled application by name.
 
     Options are application-specific (``prune`` and ``count_only`` for the
-    enumeration apps; ``restarts`` and its budget kind for sat, whose jobs
-    always branch by activity).
+    enumeration apps; ``budget_kind`` for sat, whose jobs always branch by
+    activity and start afresh at their assumption).
     """
     if name == "topsorts":
         from .topsorts import TopsortsApplication

@@ -28,7 +28,7 @@ _M128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-@lru_cache(maxsize=1)  # a sampler restarts the stream of one seed per attempt
+@lru_cache(maxsize=1)  # a sampler begins the stream of one seed anew per attempt
 def _seed_words(seed: int) -> tuple[int, int]:
     """``SeedSequence(seed).generate_state(4, uint64)`` as PCG64's (state, increment)."""
     if seed < 0:

@@ -7,8 +7,9 @@ score higher; ties go to the lowest index).  Every job starts from the same
 activities, each variable's number of occurrences in the formula, counted
 once in ``init``.  The app's ``budget_kind`` says what a unit of
 ``budget.max_nodes`` counts: free decisions or conflicts.  Budget
-exhaustion returns the backtrack-path splits as new jobs.  Learnt clauses of
-at most ``MAX_SHARED_LITERALS`` (8) literals travel as shared tokens, each
+exhaustion returns the backtrack-path splits as new jobs, each searched by
+a fresh solver: the job boundary is the only restart point.  Learnt clauses
+of at most ``MAX_SHARED_LITERALS`` (8) literals travel as shared tokens, each
 the sorted clause, so the master's byte-level dedup keeps one token per
 clause; a learnt unit is a one-literal clause.  A job hands the solver all
 its tokens as one list of clauses; a worker parses each token once per run,
@@ -54,12 +55,11 @@ class SatApplication(Application):
     # the units ``budget.max_nodes`` may count; the first is the default
     budget_kinds = ("decisions", "conflicts")
 
-    def __init__(self, restarts: bool = False, budget_kind: str = "decisions") -> None:
+    def __init__(self, budget_kind: str = "decisions") -> None:
         """ValueError on a budget kind not in ``budget_kinds``."""
         if budget_kind not in self.budget_kinds:
             accepted = ", ".join(self.budget_kinds)
             raise ValueError(f"{self.name} accepts budget kinds {accepted}, not {budget_kind!r}")
-        self.restarts = restarts
         self.budget_kind = budget_kind
 
     def init(self, input_bytes: bytes) -> tuple[SeededCnf, bytes]:
@@ -105,7 +105,6 @@ class SatApplication(Application):
             budget.max_nodes,
             self.budget_kind,
             shared_clauses=list(map(self._clauses.__getitem__, shared)),
-            restarts=self.restarts,
             activity=global_data.activity,
         )
         visited = outcome.budget_spent(self.budget_kind)

@@ -21,9 +21,8 @@ the one of highest activity (Chaff's rule): each conflict analysis bumps the
 variables it touches by an increment that grows 1/0.95 times per conflict,
 and ties go to the lowest index.  With ``activity=None`` the lowest-numbered
 free variable is taken, so ``solve_budgeted(formula)`` keeps its outcomes.
-A restart (``restarts``) cancels to the assumption level and keeps learnt
-clauses and activities; splits come from the stack at the budget only, so
-they still partition the job.
+There is no restart schedule: each job starts from a fresh solver at its
+assumption, so the job boundary is the only restart point.
 
 Values and watch lists are indexed by the literal itself: ``lv[lit]`` is
 the value of ``lit`` (1 true, -1 false, 0 unassigned) in a list of size
@@ -48,9 +47,6 @@ _UNASSIGNED = 0
 
 # learnt clauses up to this length travel to other jobs (ManySAT's cut-off)
 MAX_SHARED_LITERALS = 8
-
-# conflicts before the first restart; each later restart waits twice as long
-_RESTART_BASE = 100
 
 
 class SolveOutcome(NamedTuple):
@@ -90,11 +86,9 @@ class CdclSolver:
         self,
         formula: CnfFormula,
         extra_clauses: Sequence[Sequence[int]] = (),
-        restarts: bool = False,
         activity: Sequence[float] | None = None,
     ) -> None:
         self.nvars = formula.num_vars
-        self.restarts = restarts
         # lv[lit] is the value of literal lit; lv[-lit] wraps to the upper half
         self.lv = [_UNASSIGNED] * (2 * self.nvars + 1)
         self.level = [0] * (self.nvars + 1)
@@ -150,8 +144,6 @@ class CdclSolver:
         self.trail_lim.append(len(self.trail))
 
     def _cancel_until(self, target_level: int) -> None:
-        if len(self.trail_lim) <= target_level:
-            return
         floor = self.trail_lim[target_level]
         lv = self.lv
         for lit in self.trail[floor:]:
@@ -335,8 +327,6 @@ class CdclSolver:
         num_assumed = len(base)
         decisions = 0
         conflicts = 0
-        restart_limit = _RESTART_BASE
-        conflicts_since_restart = 0
 
         def outcome(status: str, **kw) -> SolveOutcome:
             return SolveOutcome(
@@ -354,7 +344,6 @@ class CdclSolver:
             confl = self._propagate()
             if confl is not None:
                 conflicts += 1
-                conflicts_since_restart += 1
                 level = len(self.trail_lim)
                 if level == 0:
                     self.ok = False
@@ -366,11 +355,6 @@ class CdclSolver:
                 self._record_learnt(learnt)
                 self._cancel_until(backjump)
                 self._enqueue(learnt[0], learnt)
-                over = by_conflicts and limit is not None and conflicts >= limit
-                if self.restarts and not over and conflicts_since_restart >= restart_limit:
-                    restart_limit *= 2
-                    conflicts_since_restart = 0
-                    self._cancel_until(min(num_assumed, len(self.trail_lim)))
                 continue
 
             level = len(self.trail_lim)
@@ -400,7 +384,6 @@ def solve_budgeted(
     limit: int | None = None,
     kind: str = "decisions",
     shared_clauses: Sequence[Sequence[int]] = (),
-    restarts: bool = False,
     activity: Sequence[float] | None = None,
 ) -> SolveOutcome:
     """One-shot budgeted solve of ``formula`` under ``assumption``.
@@ -410,5 +393,5 @@ def solve_budgeted(
     A given ``activity`` means branching by activity, starting from it, as
     in :class:`CdclSolver`; ``None`` means branching by lowest index.
     """
-    solver = CdclSolver(formula, shared_clauses, restarts=restarts, activity=activity)
+    solver = CdclSolver(formula, shared_clauses, activity=activity)
     return solver.solve(assumption, limit, kind)

@@ -34,7 +34,7 @@ class CliOptions(NamedTuple):
     app: str
     input_path: str
     # keyword arguments of build_application: prune and count_only for the
-    # enumeration apps; restarts and budget_kind (when given) for sat
+    # enumeration apps; budget_kind for sat, when -budgetkind is given
     app_options: dict[str, Any]
     hist_path: str | None
     freq_path: str | None
@@ -90,7 +90,6 @@ def _build_parser() -> _Parser:
         help="unit of -maxnodes: nodes for the enumeration apps; decisions (default) "
         "or conflicts for sat",
     )
-    runp.add_argument("-restarts", action="store_true", help="sat: enable solver restarts")
     runp.add_argument(
         "-stopafter", type=int, default=None,
         help="checkpoint and stop after this many jobs (migration; needs -checkpoint)",
@@ -135,12 +134,8 @@ def _run_options(ns: argparse.Namespace) -> CliOptions:
             )
         if ns.prune != "off":
             raise _CliError("btsearch: sat does not prune; -prune is not supported", USAGE_ERROR)
-        app_options = {"restarts": ns.restarts}
-        if ns.budgetkind is not None:
-            app_options["budget_kind"] = ns.budgetkind
+        app_options = {} if ns.budgetkind is None else {"budget_kind": ns.budgetkind}
     else:
-        if ns.restarts:
-            raise _CliError(f"btsearch: -restarts is a sat flag, not a {ns.app} one", USAGE_ERROR)
         if ns.budgetkind not in (None, "nodes"):
             raise _CliError(
                 f"btsearch: {ns.app} accepts budget kinds nodes, not {ns.budgetkind!r}", USAGE_ERROR

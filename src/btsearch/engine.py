@@ -308,14 +308,14 @@ def run(
     """Execute a full parallel run of ``app`` on ``input_bytes``.
 
     Parses the input and decodes every job and shared token of a restart
-    checkpoint (CheckpointError on one that does not decode), both before
-    any worker starts.  Every job gets a ``Budget`` of ``max_depth`` and
-    ``max_nodes``; what a unit of ``max_nodes`` counts is the app's own
-    setting.  Then starts the workers with ``transport``
-    (``ThreadTransport`` or ``ForkTransport``), seeds the job list with the
-    application root or the restored jobs and drives the master loop until
-    every job is done, a worker signals a global answer, or
-    ``stop_after_jobs`` triggers a checkpointed early stop.  This thread
+    checkpoint, both before any worker starts: CheckpointError on one that
+    does not decode, or on a checkpoint that lists no job.  Every job gets a
+    ``Budget`` of ``max_depth`` and ``max_nodes``; what a unit of
+    ``max_nodes`` counts is the app's own setting.  Then starts the workers
+    with ``transport`` (``ThreadTransport`` or ``ForkTransport``), seeds the
+    job list with the application root or the restored jobs and drives the
+    master loop until every job is done, a worker signals a global answer,
+    or ``stop_after_jobs`` triggers a checkpointed early stop.  This thread
     writes the output lines to ``out`` as results come in and flushes it
     before each checkpoint and at the end; a count-only app
     (``app.count_only``) gets one total line.  A failed write or flush of
@@ -333,6 +333,8 @@ def run(
     master = Master(config)
     if config.restart_path is not None:
         jobs, tokens = checkpoint_read(config.restart_path, expected_app=app.name)
+        if not jobs:  # the engine checkpoints only while jobs remain
+            raise CheckpointError(f"{config.restart_path}: lists no job")
         checks = (("job", app.decode_node, jobs), ("shared token", app.decode_token, tokens))
         for what, decode, items in checks:
             for number, item in enumerate(items, start=1):

@@ -85,7 +85,12 @@ class TestParseCli:
 
     @pytest.mark.parametrize(
         ("app", "flags"),
-        [("sat", ["-prune", "1"]), ("topsorts", ["-restarts"]), ("spantree", ["-restarts"])],
+        [
+            ("sat", ["-prune", "1"]),
+            ("topsorts", ["-restarts"]),
+            ("spantree", ["-restarts"]),
+            ("sat", ["-restarts"]),  # sat jobs restart only at job boundaries
+        ],
     )
     def test_a_flag_of_another_app_is_a_usage_error(self, tmp_path, capsys, app, flags):
         # each used to be ignored, with exit 0
@@ -181,6 +186,39 @@ class TestMain:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert str(bad) in line and "shared token 2" in line
+
+    @pytest.mark.parametrize(
+        ("app", "text", "flags"),
+        [("sat", "p cnf 2 1\n1 2 0\n", []), ("topsorts", "3 0\n", ["-countonly"])],
+        ids=["sat", "topsorts"],
+    )
+    def test_restart_from_a_checkpoint_listing_no_job_exits_2(
+        self, tmp_path, capsys, app, text, flags
+    ):
+        # run from no job, a satisfiable formula would read s UNSATISFIABLE and a poset 0
+        inp = tmp_path / "input.txt"
+        inp.write_text(text)
+        empty = tmp_path / "empty.ckpt"
+        empty.write_text(f"mts-checkpoint 1 {app}\n")
+        code = main(["run", app, str(inp), "-restart", str(empty), *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line == f"btsearch: {empty}: lists no job"
+
+    def test_sat_resumes_from_its_own_checkpoint(self, tmp_path, capsys):
+        # -restart FILE, the checkpoint resume, still resumes a sat run
+        inp = tmp_path / "php.cnf"
+        inp.write_text(cnf_text(pigeonhole_cnf(4, 3)))
+        ckpt = tmp_path / "sat.ckpt"
+        flags = ["-np", "1", "-budgetkind", "conflicts", "-maxnodes", "2", "-scale", "1"]
+        code = main(["run", "sat", str(inp), *flags, "-stopafter", "1", "-checkpoint", str(ckpt)])
+        assert code == 0
+        assert capsys.readouterr().out == ""
+        assert ckpt.read_text().count("\nN ") > 1
+        assert main(["run", "sat", str(inp), *flags, "-restart", str(ckpt)]) == 0
+        assert capsys.readouterr().out == "s UNSATISFIABLE\n"
 
     def test_restart_from_a_non_ascii_checkpoint_exits_2(self, tmp_path, capsys):
         inp = tmp_path / "poset.txt"

@@ -11,7 +11,6 @@ from btsearch.engine import run
 from btsearch.errors import InputFormatError, NodeDecodeError
 from btsearch.apps import build_application
 from btsearch.apps.base import decode_ints, encode_ints
-from btsearch.apps.sat import solver
 from btsearch.apps.sat.app import SatApplication
 from btsearch.apps.sat.dimacs import parse_dimacs, verify_model
 from btsearch.apps.sat.solver import solve_budgeted
@@ -38,10 +37,10 @@ def sat_config(limit, num_workers=2, **kw):
     )
 
 
-def run_sat(cnf, limit=None, kind="decisions", num_workers=2, **app_kw):
+def run_sat(cnf, limit=None, kind="decisions", num_workers=2):
     out = io.StringIO()
     report = run(
-        SatApplication(budget_kind=kind, **app_kw),
+        SatApplication(budget_kind=kind),
         cnf_text(cnf).encode(),
         sat_config(limit, num_workers),
         out,
@@ -90,26 +89,6 @@ class TestVerdicts:
                         assert verdict == expected
                         if model is not None:
                             assert verify_model(cnf, model)
-
-    def test_restart_toggle_preserves_verdicts(self, monkeypatch):
-        # restarts every 2 conflicts fire within 5-conflict jobs
-        monkeypatch.setattr(solver, "_RESTART_BASE", 2)
-        rng = random.Random(555)
-        randoms = [random_3cnf(rng, 8, 30) for _ in range(4)]
-        cases = [(cnf, brute_force_sat(cnf)[0]) for cnf in randoms]
-        cases += [(pigeonhole_cnf(4, 3), False), (pigeonhole_cnf(5, 4), False)]
-        for cnf, expected_sat in cases:
-            for workers in (1, 4):
-                verdict, model, _ = run_sat(
-                    cnf, limit=5, kind="conflicts", num_workers=workers, restarts=True
-                )
-                assert verdict == ("s SATISFIABLE" if expected_sat else "s UNSATISFIABLE")
-                if model is not None:
-                    assert verify_model(cnf, model)
-        # the pigeonhole runs search otherwise with restarts than without
-        for cnf, _ in cases[-2:]:
-            with_restarts = run_sat(cnf, 5, "conflicts", 1, restarts=True)[2]
-            assert with_restarts.frequencies != run_sat(cnf, 5, "conflicts", 1)[2].frequencies
 
     def test_a_refuted_run_counts_its_verdict(self):
         # every subspace refuted, none globally: the verdict comes from

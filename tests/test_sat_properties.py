@@ -12,17 +12,13 @@ the same trail and watch lists.  A case branches by lowest index, or by
 activity from all zeros or from the formula's occurrence counts (the sat
 app's seed); the reference takes the last two as ``vsids=True`` and, as it
 takes no seed, gets the counts written into its activity table before it
-solves.  Under restarts the reference also returns, after the splits of its
-final decision stack, a flip per decision it abandoned at each restart;
-the solver returns only the former, so there its splits must be a prefix of
-the reference's.  The brute-force test checks the solver's verdict, models
+solves.  The reference runs without restarts, its default, as the solver
+has none.  The brute-force test checks the solver's verdict, models
 and learnt clauses against exhaustive enumeration in ``oracles.py``.
 """
 
-import dataclasses
 import random
 from types import SimpleNamespace
-from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -85,10 +81,8 @@ def start_activity(cnf: CnfFormula, branching: str) -> list[int] | None:
     return occurrences(cnf) if branching == "seeded" else [0] * (cnf.num_vars + 1)
 
 
-def reference_solver(formula, units, activity, **options) -> reference_cdcl.CdclSolver:
-    reference = reference_cdcl.CdclSolver(
-        formula, extra_units=units, vsids=activity is not None, **options
-    )
+def reference_solver(formula, units, activity) -> reference_cdcl.CdclSolver:
+    reference = reference_cdcl.CdclSolver(formula, extra_units=units, vsids=activity is not None)
     if activity is not None:
         reference._activity = list(activity)
     return reference
@@ -110,42 +104,23 @@ def fields(outcome) -> tuple:
     )
 
 
-def assert_same_search(got, expected, restarts: bool) -> None:
-    if restarts:
-        # the reference's restart flips follow the splits both return
-        assert got.splits == expected.splits[: len(got.splits)]
-        expected = dataclasses.replace(expected, splits=got.splits)
-    assert fields(got) == fields(expected)
-
-
 @settings(max_examples=1500, deadline=None)
 @given(
     case=solver_cases(max_vars=40),
     shared=st.integers(0, 3),
     limit=st.sampled_from((1, 2, 3, 5, 20, None)),
     kind=st.sampled_from(("decisions", "conflicts")),
-    restarts=st.booleans(),
     branching=BRANCHING,
-    restart_base=st.sampled_from((2, 100)),
 )
-def test_fast_path_outcomes_equal_the_reference_solver(
-    case, shared, limit, kind, restarts, branching, restart_base
-):
+def test_fast_path_outcomes_equal_the_reference_solver(case, shared, limit, kind, branching):
     cnf, assumption, rng = case
     shared_units = [rng.choice((1, -1)) * rng.randint(1, cnf.num_vars) for _ in range(shared)]
     activity = start_activity(cnf, branching)
     # the frozen reference reads its limit and kind from a budget object
     budget = SimpleNamespace(max_nodes=limit, kind=kind)
-    reference = reference_solver(
-        cnf, shared_units, activity, restarts=restarts, restart_base=restart_base
-    )
-    expected = reference.solve(assumption, budget)
-    fast = solver.CdclSolver(
-        cnf, [(lit,) for lit in shared_units], restarts=restarts, activity=activity
-    )
-    with mock.patch.object(solver, "_RESTART_BASE", restart_base):
-        got = fast.solve(assumption, limit, kind)
-    assert_same_search(got, expected, restarts)
+    expected = reference_solver(cnf, shared_units, activity).solve(assumption, budget)
+    fast = solver.CdclSolver(cnf, [(lit,) for lit in shared_units], activity=activity)
+    assert fields(fast.solve(assumption, limit, kind)) == fields(expected)
 
 
 @settings(max_examples=450, deadline=None)
@@ -154,12 +129,9 @@ def test_fast_path_outcomes_equal_the_reference_solver(
     case=solver_cases(max_vars=40, min_vars=10, ratios=(3.5, 5.0)),
     limit=st.sampled_from((1, 3, 20, None)),
     kind=st.sampled_from(("decisions", "conflicts")),
-    restarts=st.booleans(),
     branching=BRANCHING,
 )
-def test_relayed_clauses_match_the_reference_on_the_extended_formula(
-    case, limit, kind, restarts, branching
-):
+def test_relayed_clauses_match_the_reference_on_the_extended_formula(case, limit, kind, branching):
     cnf, assumption, rng = case
     # relay what an earlier job, under another assumption, learnt
     earlier = solver.solve_budgeted(cnf, random_assumption(rng, cnf.num_vars, 2), 20, "conflicts")
@@ -169,21 +141,16 @@ def test_relayed_clauses_match_the_reference_on_the_extended_formula(
     budget = SimpleNamespace(max_nodes=limit, kind=kind)
     # the seed counts the formula's literals only, as the sat app's does
     activity = start_activity(cnf, branching)
-    reference = reference_solver(extended, units, activity, restarts=restarts, restart_base=2)
-    expected = reference.solve(assumption, budget)
-    relayed = solver.CdclSolver(cnf, earlier.learnt_clauses, restarts=restarts, activity=activity)
-    with mock.patch.object(solver, "_RESTART_BASE", 2):
-        got = relayed.solve(assumption, limit, kind)
-    assert_same_search(got, expected, restarts)
+    expected = reference_solver(extended, units, activity).solve(assumption, budget)
+    relayed = solver.CdclSolver(cnf, earlier.learnt_clauses, activity=activity)
+    assert fields(relayed.solve(assumption, limit, kind)) == fields(expected)
 
 
 @settings(max_examples=450, deadline=None)
-@given(case=solver_cases(max_vars=12), restarts=st.booleans(), branching=BRANCHING)
-def test_verdicts_models_and_learnt_units_match_brute_force(case, restarts, branching):
+@given(case=solver_cases(max_vars=12), branching=BRANCHING)
+def test_verdicts_models_and_learnt_units_match_brute_force(case, branching):
     cnf, assumption, _rng = case
-    outcome = solver.solve_budgeted(
-        cnf, assumption, restarts=restarts, activity=start_activity(cnf, branching)
-    )
+    outcome = solver.solve_budgeted(cnf, assumption, activity=start_activity(cnf, branching))
     assumed = CnfFormula(cnf.num_vars, cnf.clauses + tuple((lit,) for lit in assumption))
     expected_sat, _model = brute_force_sat(assumed)
     assert outcome.status == ("sat" if expected_sat else "unsat")

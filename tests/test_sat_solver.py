@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from btsearch.apps.sat import solver
 from btsearch.apps.sat.dimacs import CnfFormula, verify_model
 from btsearch.apps.sat.solver import MAX_SHARED_LITERALS, CdclSolver, solve_budgeted
 from btsearch.errors import InputFormatError
@@ -78,44 +77,34 @@ class TestBudgets:
         assert outcome.decisions == 1
         assert outcome.splits == ((1,), (-1,))
 
-    def test_splits_cover_extensions_exactly_once(self, monkeypatch):
-        # restarting every 2 conflicts must not make the splits overlap
-        monkeypatch.setattr(solver, "_RESTART_BASE", 2)
-        for restarts in (False, True):
-            rng = random.Random(17)
-            restarted = 0
-            # sparse formulas at budgets of 1-3 units, then denser ones at
-            # budgets with room for restarts
-            for num_vars, num_clauses, limits in ((8, 20, [1, 2, 3]), (9, 42, [3, 4, 5])):
-                for _ in range(25):
-                    cnf = random_3cnf(rng, num_vars, num_clauses)
-                    kind = rng.choice(["decisions", "conflicts"])
-                    outcome = solve_budgeted(
-                        cnf, limit=rng.choice(limits), kind=kind, restarts=restarts
-                    )
-                    if outcome.status != "exhausted":
-                        continue
-                    assert outcome.splits
-                    # a third conflict within the budget: a restart fired at the second
-                    restarted += outcome.conflicts >= 3
-                    for bits in itertools.product([False, True], repeat=num_vars):
-                        full = tuple(v if bits[v - 1] else -v for v in range(1, num_vars + 1))
-                        matching = [
-                            s for s in outcome.splits if all(lit in full for lit in s)
-                        ]
-                        assert len(matching) == 1, (restarts, outcome.splits)
-            assert restarted > 1 or not restarts
+    def test_splits_cover_extensions_exactly_once(self):
+        rng = random.Random(17)
+        exhausted = 0
+        # sparse formulas at budgets of 1-3 units, then denser ones at 3-5
+        for num_vars, num_clauses, limits in ((8, 20, [1, 2, 3]), (9, 42, [3, 4, 5])):
+            for _ in range(25):
+                cnf = random_3cnf(rng, num_vars, num_clauses)
+                kind = rng.choice(["decisions", "conflicts"])
+                outcome = solve_budgeted(cnf, limit=rng.choice(limits), kind=kind)
+                if outcome.status != "exhausted":
+                    continue
+                assert outcome.splits
+                exhausted += 1
+                for bits in itertools.product([False, True], repeat=num_vars):
+                    full = tuple(v if bits[v - 1] else -v for v in range(1, num_vars + 1))
+                    matching = [s for s in outcome.splits if all(lit in full for lit in s)]
+                    assert len(matching) == 1, outcome.splits
+        assert exhausted > 1
 
-    def test_splits_are_pairwise_contradictory(self, monkeypatch):
+    def test_splits_are_pairwise_contradictory(self):
         outcome = solve_budgeted(formula(4), limit=3, kind="decisions")
         assert outcome.status == "exhausted"
         outcomes = [outcome]
-        monkeypatch.setattr(solver, "_RESTART_BASE", 2)
         rng = random.Random(29)
         for _ in range(25):
             cnf = random_3cnf(rng, 9, 42)
-            outcomes.append(solve_budgeted(cnf, limit=3, kind="conflicts", restarts=True))
-        assert sum(o.status == "exhausted" and o.conflicts >= 3 for o in outcomes) > 1
+            outcomes.append(solve_budgeted(cnf, limit=3, kind="conflicts"))
+        assert sum(o.status == "exhausted" for o in outcomes) > 1
         for outcome in outcomes:
             for a, b in itertools.combinations(outcome.splits, 2):
                 assert any(-lit in b for lit in a), outcome.splits
@@ -180,16 +169,14 @@ class TestLearning:
 
 class TestAgainstBruteForce:
     @pytest.mark.parametrize("by_activity", [False, True])
-    @pytest.mark.parametrize("restarts", [False, True])
-    def test_random_3cnf_verdicts(self, restarts, by_activity, monkeypatch):
-        monkeypatch.setattr(solver, "_RESTART_BASE", 2)
-        rng = random.Random(1000 + restarts * 10 + by_activity)
+    def test_random_3cnf_verdicts(self, by_activity):
+        rng = random.Random(1000 + by_activity)
         for _ in range(40):
             num_vars = rng.randrange(5, 14)
             cnf = random_3cnf(rng, num_vars, int(num_vars * rng.uniform(3, 5)))
             expected_sat, _ = brute_force_sat(cnf)
             activity = [0] * (num_vars + 1) if by_activity else None
-            outcome = CdclSolver(cnf, restarts=restarts, activity=activity).solve()
+            outcome = CdclSolver(cnf, activity=activity).solve()
             assert outcome.status == ("sat" if expected_sat else "unsat")
             if expected_sat:
                 assert verify_model(cnf, outcome.model)

@@ -13,8 +13,6 @@ a run loads only the modules its application needs.
 
 from __future__ import annotations
 
-import sys
-from types import ModuleType
 from typing import Any
 
 _EXPORTS = {
@@ -24,7 +22,7 @@ _EXPORTS = {
     "errors": "BtsearchError CheckpointError EngineError InputFormatError MetricsError "
     "NodeDecodeError OracleConsistencyError WorkerCrashError",
     "metrics": "EfficiencyRecord compute_efficiency",
-    "reverse_search": "AdjacencyOracle budgeted_search prune_filter reverse_search",
+    "reverse_search": "AdjacencyOracle budgeted_search prune_filter",
     "search_api": "Application SearchResult",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
@@ -43,14 +41,3 @@ def __getattr__(name: str) -> Any:
     value = getattr(import_module(f"{__name__}.{module}"), name)
     globals()[name] = value
     return value
-
-
-class _Package(ModuleType):
-    def __setattr__(self, name: str, value: Any) -> None:
-        # Loading the submodule ``reverse_search`` sets it on the package;
-        # ``btsearch.reverse_search`` stays the function of that name.
-        if not (name == "reverse_search" and isinstance(value, ModuleType)):
-            super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

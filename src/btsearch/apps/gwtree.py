@@ -67,39 +67,35 @@ class OffspringLaw(NamedTuple):
         if self.name == "binomial":
             return rng.binomial(self.k, 1.0 / self.k, size=size).astype(np.int64)
         if self.name == "uniform":
-            return rng.integers(0, self.k + 1, size=size, dtype=np.int64)
+            return rng.integers(0, 3, size=size, dtype=np.int64)
         raise InputFormatError(f"unknown offspring law {self.name!r}")
 
     def draws(self, seed: int, skip: int = 0) -> Iterator[int]:
         """The values ``draw`` takes from ``numpy.random.default_rng(seed)``
         once ``skip`` of its 64-bit outputs are spent, one at a time and
-        without numpy."""
+        without numpy; only for a law with a ``per_output``."""
         if self.name == "catalan":
             return npstream.table_draws(seed, _CATALAN_VALUES, skip)
         if self.name == "fullbinary":
             return npstream.table_draws(seed, (0, 2), skip)
         if self.name == "geometric":
             return map((-1).__add__, npstream.geometric(seed, 0.5, skip))
-        if self.name == "poisson":
-            return npstream.poisson(seed, 1.0, skip)
-        if self.name == "binomial":
-            return npstream.binomial(seed, self.k, 1.0 / self.k, skip)
-        if self.name == "uniform":
-            return npstream.table_draws(seed, range(self.k + 1), skip)
-        raise InputFormatError(f"unknown offspring law {self.name!r}")
+        raise ValueError(f"the {self.name} law has no pure-Python stream")
 
     @property
     def per_output(self) -> int | None:
-        """How many values ``draw`` takes from each 64-bit output, where
-        that is fixed: two 32-bit halves that a power-of-two range never
-        rejects, or one double.  None where draws reject or vary."""
+        """How many values ``draw`` takes from each 64-bit output, for a law
+        that ``draws`` follows without numpy: two 32-bit halves that a
+        power-of-two range never rejects, or one double.  None for a law
+        whose values take a varying number of outputs, so that a rejected
+        attempt cannot be jumped over: numpy draws it from the start."""
         return {"catalan": 2, "fullbinary": 2, "geometric": 1}.get(self.name)
 
 
 def make_law(name: str, k: int | None = None) -> OffspringLaw:
     """Build a named critical law, checking mean 1 and finite variance."""
-    if k is not None and name in ("catalan", "fullbinary", "geometric", "poisson"):
-        raise InputFormatError(f"{name} law takes no k (only binomial and uniform do)")
+    if k is not None and name in LAW_NAMES and name != "binomial":
+        raise InputFormatError(f"{name} law takes no k (only binomial does)")
     if name == "catalan":
         # {0: 1/4, 1: 1/2, 2: 1/4}; direct variance 1/2, published constant 3/2
         return OffspringLaw("catalan", variance=0.5, ratio_sigma2=1.5)
@@ -116,11 +112,8 @@ def make_law(name: str, k: int | None = None) -> OffspringLaw:
         var = 1.0 - 1.0 / k
         return OffspringLaw("binomial", variance=var, ratio_sigma2=var, k=k)
     if name == "uniform":
-        if k is None:
-            k = 2
-        if k != 2:
-            raise InputFormatError("uniform law is critical (mean 1) only for k = 2")
-        return OffspringLaw("uniform", variance=2.0 / 3.0, ratio_sigma2=2.0 / 3.0, k=k)
+        # {0, 1, 2}: the one uniform law with mean 1
+        return OffspringLaw("uniform", variance=2.0 / 3.0, ratio_sigma2=2.0 / 3.0)
     raise InputFormatError(f"unknown offspring law {name!r}; choose from {LAW_NAMES}")
 
 
@@ -204,9 +197,9 @@ def sample_offspring_list(law: OffspringLaw, size_lo: int, size_hi: int, seed: i
 
     Each attempt draws values until its walk closes or passes ``size_hi``.
     numpy's sampler also draws the rest of that attempt's last chunk, which
-    the next attempt jumps over.  A law without a fixed ``per_output``
-    cannot jump, so there numpy's sampler starts over after a rejected
-    first attempt; otherwise it goes on from the attempt Python left open.
+    the next attempt jumps over, and goes on from the attempt Python left
+    open.  A law with no ``per_output`` cannot jump, so numpy's sampler
+    draws it from the start.
     """
     _check_window(law, size_lo, size_hi)
     # Past the first attempt the search goes on only where it finds the
@@ -217,13 +210,12 @@ def sample_offspring_list(law: OffspringLaw, size_lo: int, size_hi: int, seed: i
     expected = 2 * math.sqrt(size_hi + 1) / (size_lo**-0.5 - (size_hi + 1) ** -0.5)
     hopeful = expected * math.log(5 / 4) <= _PYTHON_LIMIT
     per_output = law.per_output
-    draws = law.draws(seed)
     attempts = outputs = 0  # rejected so far, and the 64-bit outputs they took
     limit = _PYTHON_LIMIT
-    while True:
+    while per_output:  # else numpy draws every attempt
         offspring: list[int] = []
         walk = 1  # open branches
-        for value in islice(draws, min(size_hi + 1, limit)):
+        for value in islice(law.draws(seed, outputs), min(size_hi + 1, limit)):
             offspring.append(value)
             walk += value - 1
             if not walk:
@@ -232,8 +224,8 @@ def sample_offspring_list(law: OffspringLaw, size_lo: int, size_hi: int, seed: i
         limit -= n
         if not walk and size_lo <= n <= size_hi:
             return offspring
-        if (walk and n <= size_hi) or not per_output:
-            break  # the limit came first, or the next attempt cannot jump
+        if walk and n <= size_hi:
+            break  # the limit came first
         attempts += 1
         # numpy's sampler drew the attempt in whole chunks, up to the one
         # that holds its n-th value
@@ -241,7 +233,6 @@ def sample_offspring_list(law: OffspringLaw, size_lo: int, size_hi: int, seed: i
         outputs += (_FIRST_CHUNK + chunks * _BIG_CHUNK) // per_output
         if not hopeful:
             break
-        draws = law.draws(seed, outputs)
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -517,8 +508,9 @@ class GWTreeOracle(AdjacencyOracle):
 
 
 class GWTreeApplication(EnumerationApplication):
-    """Engine plug-in: input ``law size_lo size_hi seed [k]`` samples one tree
-    deterministically, then enumerates its nodes under the usual budgets.
+    """Engine plug-in: input ``law size_lo size_hi seed [k]`` (k for binomial
+    only) samples one tree deterministically, then enumerates its nodes
+    under the usual budgets.
 
     The tree is the one ``sample_offspring_sequence(law, size_lo, size_hi,
     rng=seed)`` returns, found by ``sample_offspring_list``.

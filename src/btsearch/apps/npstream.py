@@ -9,16 +9,14 @@ steps as ``PCG64.advance`` does.
 The port covers numpy's seeding (``SeedSequence`` with its default pool of
 four words), PCG64 with the XSL-RR output (O'Neill 2014), the 32-bit
 buffer that hands out the low half of a 64-bit output first,
-``next_double``, and one method per distribution: Lemire's bounded 32-bit
-integers with their rejection loop (Lemire, ACM TOMACS 2019), geometric by
-search, poisson by multiplication and binomial by inversion.  Those are the
-methods numpy picks for the parameters the offspring laws use; each
-generator notes the range where that holds.
+``next_double``, and two distributions: Lemire's bounded 32-bit integers
+(Lemire, ACM TOMACS 2019) over a power-of-two range, where numpy rejects
+no draw, and geometric by search.  Each takes a fixed number of outputs
+per value, so a skip lands on a value's first output.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -111,16 +109,13 @@ def _doubles(seed: int, skip: int) -> Iterator[float]:
 
 
 def table_draws(seed: int, table: Sequence[int], skip: int = 0) -> Iterator[int]:
-    """``table[integers(0, len(table))]``, for 2 to 2**32 - 1 entries."""
+    """``table[integers(0, len(table))]``, for 2, 4, ... 2**31 entries: numpy
+    rejects no 32-bit draw for a power of two, so each value takes one.
+    ValueError, at the call, on any other length."""
     high = len(table)
-    threshold = (1 << 32) % high  # 0 for a power of two: then nothing is rejected
-    m32 = _M32
-    words = _uint32s(seed, skip)
-    for word in words:
-        m = word * high
-        while m & m32 < threshold:
-            m = next(words) * high
-        yield table[m >> 32]
+    if not 2 <= high <= 1 << 31 or high & (high - 1):
+        raise ValueError(f"a table of {high} entries; need a power of two from 2 to 2**31")
+    return (table[word * high >> 32] for word in _uint32s(seed, skip))
 
 
 def geometric(seed: int, p: float, skip: int = 0) -> Iterator[int]:
@@ -133,41 +128,4 @@ def geometric(seed: int, p: float, skip: int = 0) -> Iterator[int]:
             prod *= q
             total += prod
             x += 1
-        yield x
-
-
-def poisson(seed: int, lam: float, skip: int = 0) -> Iterator[int]:
-    """``poisson(lam)``, for 0 < lam < 10 (numpy draws larger lam by PTRS)."""
-    enlam = math.exp(-lam)
-    doubles = _doubles(seed, skip)
-    while True:
-        x = 0
-        prod = next(doubles)
-        while prod > enlam:
-            x += 1
-            prod *= next(doubles)
-        yield x
-
-
-def binomial(seed: int, n: int, p: float, skip: int = 0) -> Iterator[int]:
-    """``binomial(n, p)``, for 0 < p <= 1/2 and n p <= 30 (numpy draws other
-    parameters by BTPE or from 1 - p)."""
-    q = 1.0 - p
-    qn = math.exp(n * math.log(q))
-    np_ = n * p
-    bound = int(min(n, np_ + 10.0 * math.sqrt(np_ * q + 1)))
-    doubles = _doubles(seed, skip)
-    while True:
-        x = 0
-        px = qn
-        u = next(doubles)
-        while u > px:
-            x += 1
-            if x > bound:
-                x = 0
-                px = qn
-                u = next(doubles)
-            else:
-                u -= px
-                px = (n - x + 1) * p * px / (x * q)
         yield x

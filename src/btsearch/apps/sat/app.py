@@ -27,7 +27,7 @@ from ...budget import Budget
 from ...errors import BtsearchError, InputFormatError, NodeDecodeError
 from ...search_api import Application, SearchResult, decode_ints, encode_ints
 from .dimacs import parse_dimacs, verify_model
-from .solver import MAX_SHARED_LITERALS, solve_budgeted
+from .solver import BUDGET_KINDS, MAX_SHARED_LITERALS, solve_budgeted
 
 
 class SeededCnf(NamedTuple):
@@ -53,7 +53,7 @@ class SatApplication(Application):
 
     name = "sat"
     # the units ``budget.max_nodes`` may count; the first is the default
-    budget_kinds = ("decisions", "conflicts")
+    budget_kinds = BUDGET_KINDS
 
     def __init__(self, budget_kind: str = "decisions") -> None:
         """ValueError on a budget kind not in ``budget_kinds``."""

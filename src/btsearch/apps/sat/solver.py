@@ -48,6 +48,14 @@ _UNASSIGNED = 0
 # learnt clauses up to this length travel to other jobs (ManySAT's cut-off)
 MAX_SHARED_LITERALS = 8
 
+# the units a budget may count; the first is the default
+BUDGET_KINDS = ("decisions", "conflicts")
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in BUDGET_KINDS:
+        raise ValueError(f"budget kind {kind!r}; expected one of {', '.join(BUDGET_KINDS)}")
+
 
 class SolveOutcome(NamedTuple):
     """Result of one budgeted solve.
@@ -69,6 +77,8 @@ class SolveOutcome(NamedTuple):
     global_unsat: bool = False
 
     def budget_spent(self, kind: str) -> int:
+        """The units of ``kind`` the job used; ValueError on an unknown kind."""
+        _check_kind(kind)
         return self.conflicts if kind == "conflicts" else self.decisions
 
 
@@ -318,10 +328,12 @@ class CdclSolver:
         """Solve under ``assumptions`` within ``limit`` units of ``kind``.
 
         ``limit`` caps the conflicts when ``kind`` is ``"conflicts"`` and
-        the decisions otherwise.  ``limit=None`` solves to completion.
-        Consistency of the assumption list is the caller's contract (job
-        payloads are validated on decode).
+        the decisions when it is ``"decisions"``; any other kind is a
+        ValueError.  ``limit=None`` solves to completion.  Consistency of the
+        assumption list is the caller's contract (job payloads are validated
+        on decode).
         """
+        _check_kind(kind)
         by_conflicts = kind == "conflicts"
         base = tuple(assumptions)
         num_assumed = len(base)

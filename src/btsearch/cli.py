@@ -51,6 +51,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # noqa: A003 - argparse API
         raise _CliError(f"{self.prog}: {message}", USAGE_ERROR)
 
+    def _get_option_tuples(self, option_string: str) -> list:
+        # argparse takes a unique prefix of a flag (-restar) or a flag glued
+        # to its value (-k7) as that flag, and allow_abbrev=False stops only
+        # the prefixes of -- flags; every flag here has one dash.  With no
+        # candidates, anything but a flag's full name is unrecognized.
+        return []
+
 
 def _unbounded_int(text: str) -> int | None:
     if text.lower() in ("inf", "none", "unbounded"):
@@ -97,7 +104,7 @@ def _build_parser() -> _Parser:
 
     gwp = sub.add_parser("gwtree", help="job-list growth experiment (CSV)")
     gwp.add_argument("-law", default="catalan")
-    gwp.add_argument("-k", type=int, default=None, help="parameter for binomial/uniform laws")
+    gwp.add_argument("-k", type=int, default=None, help="parameter of the binomial law")
     gwp.add_argument("-size", type=int, default=1_000_000, help="target tree size")
     gwp.add_argument("-budget", type=int, default=5000)
     gwp.add_argument("-trials", type=int, default=20)

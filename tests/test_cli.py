@@ -45,6 +45,42 @@ class TestParseCli:
         with pytest.raises(_CliError):
             parse_cli(["run", "topsorts", "in.txt", "-frobnicate"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "topsorts", "p.txt", "-restar", "c.ckpt"],
+            ["run", "topsorts", "p.txt", "-stop", "3", "-check", "c"],
+            ["run", "topsorts", "p.txt", "-count"],
+            ["run", "topsorts", "p.txt", "--hel"],
+            ["gwtree", "-la", "zipf"],
+            ["gwtree", "-law", "zipf", "-k7"],
+            ["efficiency", "--hel"],
+        ],
+    )
+    def test_a_flag_is_taken_only_by_its_full_name(self, capsys, argv):
+        # argparse took a unique prefix of a one-dash flag as that flag, so
+        # deleting a flag changed what its prefixes meant
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("btsearch")
+
+    def test_every_run_flag_is_taken_by_its_full_name(self):
+        opts = parse_cli(
+            ["run", "topsorts", "in.txt", "-np", "2", "-maxd", "3", "-maxnodes", "7",
+             "-scale", "5", "-lmin", "0.5", "-lmax", "2", "-prune", "1", "-countonly",
+             "-hist", "h.csv", "-freq", "f.txt", "-checkpoint", "c.ckpt", "-restart", "r.ckpt",
+             "-budgetkind", "nodes", "-stopafter", "4"]
+        )
+        config = opts.config
+        assert (config.num_workers, config.base_max_depth, config.base_max_nodes) == (2, 3, 7)
+        assert (config.scale, config.lmin, config.lmax) == (5, 0.5, 2.0)
+        assert opts.app_options == {"prune": "1", "count_only": True}
+        assert (opts.hist_path, opts.freq_path) == ("h.csv", "f.txt")
+        assert (config.checkpoint_path, config.restart_path) == ("c.ckpt", "r.ckpt")
+        assert config.stop_after_jobs == 4
+
     def test_unknown_app_rejected(self):
         with pytest.raises(_CliError):
             parse_cli(["run", "mystery", "in.txt"])
@@ -368,6 +404,25 @@ class TestMain:
         (line,) = capsys.readouterr().err.splitlines()
         assert "catalan law takes no k" in line
 
+    def test_uniform_takes_no_k(self, tmp_path, capsys):
+        # uniform is critical only on {0, 1, 2}, so its k had one legal value
+        assert main(["gwtree", "-law", "uniform", "-k", "2"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "btsearch: uniform law takes no k (only binomial does)"
+        inp = tmp_path / "g.txt"
+        inp.write_text("uniform 20 40 33 2\n")
+        assert main(["run", "gwtree", str(inp), "-np", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "btsearch: uniform law takes no k (only binomial does)\n"
+
+    def test_gwtree_binomial_takes_its_k(self, tmp_path, capsys):
+        out_csv = tmp_path / "rows.csv"
+        argv = ["gwtree", "-law", "binomial", "-k", "7", "-size", "200", "-budget", "50",
+                "-trials", "1", "-out", str(out_csv)]
+        assert main(argv) == 0
+        assert len(out_csv.read_text().splitlines()) == 2
+
     def test_efficiency_output(self, capsys):
         assert main(["efficiency", "12723", "192", "125"]) == 0
         assert capsys.readouterr().out.startswith("efficiency 0.530")
@@ -556,9 +611,16 @@ class TestConsoleEntry:
             ("catalan 20 40 2", False),
             ("catalan 20 40 0", False),
             ("poisson 20 40 0", True),
+            ("poisson 20 40 10", True),
             ("catalan 490 510 0", True),
         ],
-        ids=["first-attempt-lands", "later-attempt-lands", "no-jump-fallback", "limit-fallback"],
+        ids=[
+            "first-attempt-lands",
+            "later-attempt-lands",
+            "no-jump-fallback",
+            "no-jump-first-attempt-lands",
+            "limit-fallback",
+        ],
     )
     def test_run_gwtree_imports_numpy_only_when_pure_python_gives_up(
         self, tmp_path, text, needs_numpy
@@ -566,8 +628,9 @@ class TestConsoleEntry:
         # Seed 2's first catalan attempt lands in [20, 40], seed 0's does
         # not and a later one is found by jumping over the rejected chunks.
         # poisson's draws take a varying number of outputs, so a rejected
-        # first attempt cannot be jumped over; seed 0 needs more than the
-        # 32,768 values drawn in pure Python for [490, 510].
+        # attempt cannot be jumped over and numpy draws it from the start,
+        # also for seed 10, whose first attempt lands; catalan seed 0 needs
+        # more than the 32,768 values drawn in pure Python for [490, 510].
         inp = tmp_path / "g.txt"
         inp.write_text(text + "\n")
         proc = subprocess.run(

@@ -39,6 +39,8 @@ ALL_LAWS = [
     make_law("binomial", 7),
     make_law("uniform"),
 ]
+# the laws whose values draws follows without numpy
+STREAM_LAWS = [law for law in ALL_LAWS if law.per_output]
 # Seeds below 2**32 take one SeedSequence entropy word; larger ones take up
 # to seven, and more than four go through numpy's extra mixing loop.
 SEEDS = st.integers(0, 2**32) | st.integers(2**64, 2**200)
@@ -59,7 +61,7 @@ class TestLaws:
             ("poisson", None, 1.0),
             ("geometric", None, 2.0),
             ("binomial", 4, 0.75),
-            ("uniform", 2, 2.0 / 3.0),
+            ("uniform", None, 2.0 / 3.0),
         ],
     )
     def test_variances(self, name, k, var):
@@ -67,14 +69,24 @@ class TestLaws:
 
     def test_noncritical_laws_rejected(self):
         with pytest.raises(InputFormatError):
-            make_law("uniform", k=3)
-        with pytest.raises(InputFormatError):
             make_law("binomial", k=1)
         with pytest.raises(InputFormatError):
             make_law("zipf")
-        for name in ("catalan", "fullbinary", "geometric", "poisson"):
-            with pytest.raises(InputFormatError, match="takes no k"):
+        for name in ("catalan", "fullbinary", "geometric", "poisson", "uniform"):
+            with pytest.raises(InputFormatError, match=r"takes no k \(only binomial does\)"):
                 make_law(name, k=7)
+
+    def test_uniform_takes_no_k(self):
+        # {0, 1, 2} is the one critical uniform law, so k had one legal value
+        with pytest.raises(InputFormatError, match="uniform law takes no k"):
+            make_law("uniform", k=2)
+        law = make_law("uniform")
+        assert law.k is None
+        assert law.draw(np.random.default_rng(5), 1000).tolist() == (
+            np.random.default_rng(5).integers(0, 3, size=1000).tolist()
+        )
+        with pytest.raises(InputFormatError, match="uniform law takes no k"):
+            GWTreeApplication().init(b"uniform 20 40 33 2")
 
     def test_predicted_ratio_values(self):
         # catalan at b=5000 reproduces the published constant ~ 0.0109
@@ -131,11 +143,14 @@ class TestNumpyStreamPort:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        law=st.sampled_from(ALL_LAWS), seed=SEEDS, n=st.integers(1, 3000), cut=st.integers(0, 3000)
+        law=st.sampled_from(STREAM_LAWS),
+        seed=SEEDS,
+        n=st.integers(1, 3000),
+        cut=st.integers(0, 3000),
     )
     @example(law=ALL_LAWS[0], seed=0, n=3000, cut=1001)
-    @example(law=ALL_LAWS[7], seed=2**64, n=3000, cut=1001)
-    @example(law=ALL_LAWS[3], seed=2**70 + 3, n=3000, cut=0)
+    @example(law=ALL_LAWS[1], seed=2**64, n=3000, cut=1001)
+    @example(law=ALL_LAWS[2], seed=2**70 + 3, n=3000, cut=0)
     def test_first_draws_equal_numpy(self, law, seed, n, cut):
         # numpy's chunks share one stream, and the 32-bit laws one buffered
         # half of a 64-bit output, so any split into chunks draws the same.
@@ -145,7 +160,9 @@ class TestNumpyStreamPort:
         assert list(islice(law.draws(seed), n)) == expected
 
     @settings(max_examples=30, deadline=None)
-    @given(law=st.sampled_from(ALL_LAWS), seed=SEEDS, skip=st.integers(0, 2**80))
+    @given(law=st.sampled_from(STREAM_LAWS), seed=SEEDS, skip=st.integers(0, 2**80))
+    @example(law=ALL_LAWS[1], seed=2**64, skip=2**40 + 7)
+    @example(law=ALL_LAWS[2], seed=2**70 + 3, skip=0)
     def test_a_skip_starts_after_that_many_outputs(self, law, seed, skip):
         rng = np.random.default_rng(seed)
         rng.bit_generator.advance(skip)
@@ -153,7 +170,7 @@ class TestNumpyStreamPort:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        law=st.sampled_from([law for law in ALL_LAWS if law.per_output]),
+        law=st.sampled_from(STREAM_LAWS),
         seed=SEEDS,
         skip=st.integers(0, 3000),
     )
@@ -164,11 +181,23 @@ class TestNumpyStreamPort:
         assert list(islice(law.draws(seed, skip), 500)) == law.draw(rng, 500).tolist()
 
     @settings(max_examples=30, deadline=None)
-    @given(seed=SEEDS, high=st.integers(2, 2**32 - 1))
-    @example(seed=0, high=3 << 30)  # a quarter of the 32-bit draws are rejected
-    def test_lemire_rejections_match_numpy(self, seed, high):
+    @given(seed=SEEDS, bits=st.integers(1, 31))
+    @example(seed=0, bits=31)
+    def test_power_of_two_tables_match_numpy(self, seed, bits):
+        high = 1 << bits
         expected = np.random.default_rng(seed).integers(0, high, size=2000).tolist()
         assert list(islice(table_draws(seed, range(high)), 2000)) == expected
+
+    def test_a_table_numpy_could_reject_from_is_refused(self):
+        # numpy rejects some 32-bit draws for any other length, and the
+        # port no longer follows its rejection loop
+        for high in (0, 1, 3, 6, 1 << 32):
+            with pytest.raises(ValueError, match="power of two"):
+                table_draws(0, range(high))
+        for law in ALL_LAWS:
+            if not law.per_output:
+                with pytest.raises(ValueError, match="no pure-Python stream"):
+                    law.draws(0)
 
     def test_negative_seed_is_numpys_value_error(self):
         with pytest.raises(ValueError) as numpy_error:
@@ -258,11 +287,21 @@ class TestSampleOffspringList:
             assert numpy_calls == [(left, rng.bit_generator.state["state"])]
 
     def test_a_law_that_cannot_jump_starts_numpy_over(self, numpy_calls):
-        law = make_law("poisson")
-        assert sample_offspring_list(law, 20, 40, 0) == (
-            sample_offspring_sequence(law, 20, 40, rng=0).tolist()
-        )
-        assert numpy_calls == [(2_000_000, np.random.default_rng(0).bit_generator.state["state"])]
+        cases = [
+            (make_law("poisson"), 0),
+            (make_law("binomial", 3), 0),
+            (make_law("uniform"), 0),
+            # these first attempts land, and numpy's sampler still draws them
+            (make_law("poisson"), 10),
+            (make_law("uniform"), 33),
+        ]
+        for law, seed in cases:
+            numpy_calls.clear()
+            assert sample_offspring_list(law, 20, 40, seed) == (
+                sample_offspring_sequence(law, 20, 40, rng=seed).tolist()
+            )
+            initial = np.random.default_rng(seed).bit_generator.state["state"]
+            assert numpy_calls == [(2_000_000, initial)], (law.name, seed)
 
     def test_seed_1_reaches_a_big_chunk(self):
         walk = 1 + np.cumsum(make_law("catalan").draw(np.random.default_rng(1), 4096) - 1)

@@ -4,7 +4,14 @@ import random
 import pytest
 
 from btsearch.apps.sat.dimacs import CnfFormula, verify_model
-from btsearch.apps.sat.solver import MAX_SHARED_LITERALS, CdclSolver, solve_budgeted
+from btsearch.apps.sat.app import SatApplication
+from btsearch.apps.sat.solver import (
+    BUDGET_KINDS,
+    MAX_SHARED_LITERALS,
+    CdclSolver,
+    SolveOutcome,
+    solve_budgeted,
+)
 from btsearch.errors import InputFormatError
 
 from oracles import (
@@ -114,6 +121,23 @@ class TestBudgets:
         outcome = solve_budgeted(php, limit=1, kind="conflicts")
         assert outcome.status == "exhausted"
         assert outcome.conflicts >= 1
+
+    @pytest.mark.parametrize("kind", ["conflict", "nodes", "Decisions", ""])
+    def test_an_unknown_budget_kind_is_refused(self, kind):
+        # each used to budget decisions without a word
+        php = pigeonhole_cnf(4, 3)
+        with pytest.raises(ValueError, match="budget kind"):
+            solve_budgeted(php, (), 1, kind)
+        with pytest.raises(ValueError, match="budget kind"):
+            CdclSolver(php).solve((), None, kind)
+        with pytest.raises(ValueError, match="budget kind"):
+            SolveOutcome("exhausted", decisions=3, conflicts=1).budget_spent(kind)
+
+    def test_the_budget_kinds_are_listed_once(self):
+        assert BUDGET_KINDS == ("decisions", "conflicts")
+        assert SatApplication.budget_kinds is BUDGET_KINDS
+        outcome = SolveOutcome("exhausted", decisions=3, conflicts=1)
+        assert [outcome.budget_spent(kind) for kind in BUDGET_KINDS] == [3, 1]
 
     def test_unbounded_budget_completes(self):
         cnf = formula(3, (1, 2), (-1, 3))

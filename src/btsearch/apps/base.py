@@ -53,14 +53,16 @@ def parse_pairs(
 class EnumerationApplication(Application):
     """Reverse-search application: one oracle, one vertex codec, one format.
 
-    Subclasses provide ``init``, which returns the oracle as the global data;
-    this class runs the budgeted traversal for a job, applies optional
-    pruning to the unexplored list, and packages the result.  Pruned-away
-    chain vertices are emitted by the pruning job itself so the run-wide
-    partition of visits is preserved exactly.  A job's output count is its
-    ``visited`` (forward steps plus chain vertices), plus one for the global
-    root, which only the root job outputs.  The default codec and line format suit integer-tuple vertices: :func:`encode_ints`
-    payloads, decoded only to a tuple the oracle's ``is_vertex`` accepts.
+    Subclasses provide ``init``, which returns the oracle as the global data
+    and its root vertex as the root job; a job is a vertex.  This class runs
+    the budgeted traversal for a job, applies optional pruning to the
+    unexplored list, and packages the result.  Pruned-away chain vertices
+    are emitted by the pruning job itself so the run-wide partition of
+    visits is preserved exactly.  A job's output count is its ``visited``
+    (forward steps plus chain vertices), plus one for the global root, which
+    only the root job outputs.  The default checkpoint codec and line format
+    suit integer-tuple vertices: :func:`encode_ints` bytes, decoded only to a
+    tuple the oracle's ``is_vertex`` accepts.
     """
 
     def __init__(self, prune: str = "off", count_only: bool = False) -> None:
@@ -93,12 +95,11 @@ class EnumerationApplication(Application):
     def search(
         self,
         global_data: Any,
-        payload: bytes,
+        start: Any,
         budget: Budget,
-        shared: Sequence[bytes],
+        shared: Sequence[Any],
     ) -> SearchResult:
         oracle = self.oracle_for(global_data)
-        start = self.decode_node(payload, global_data)
         # The traversal outputs each forward step once and never its start:
         # every other job's start was already output (flagged) by the job
         # that split it off.  The global root has no such job, so it is
@@ -133,6 +134,6 @@ class EnumerationApplication(Application):
         return SearchResult(
             outputs=outputs,
             output_count=visited + is_root,
-            unexplored=[self.encode_node(v) for v in kept],
+            unexplored=kept,
             visited=visited,
         )

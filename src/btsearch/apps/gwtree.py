@@ -513,12 +513,13 @@ class GWTreeApplication(EnumerationApplication):
     under the usual budgets.
 
     The tree is the one ``sample_offspring_sequence(law, size_lo, size_hi,
-    rng=seed)`` returns, found by ``sample_offspring_list``.
+    rng=seed)`` returns, found by ``sample_offspring_list``.  A job is a
+    node id in depth-first order, the root's being 0.
     """
 
     name = "gwtree"
 
-    def init(self, input_bytes: bytes) -> tuple[GWTreeOracle, bytes]:
+    def init(self, input_bytes: bytes) -> tuple[GWTreeOracle, int]:
         text = input_bytes.decode("ascii", errors="replace")
         parts = text.split()
         if len(parts) not in (4, 5):
@@ -533,8 +534,7 @@ class GWTreeApplication(EnumerationApplication):
             offspring = sample_offspring_list(law, lo, hi, seed)
         except ValueError as exc:  # a bad size window or seed
             raise InputFormatError(f"bad gwtree input: {exc}") from exc
-        oracle = GWTreeOracle.from_offspring(offspring)
-        return oracle, self.encode_node(0)
+        return GWTreeOracle.from_offspring(offspring), 0
 
     def format_vertex(self, global_data: GWTreeOracle, vertex: int) -> str:
         return str(vertex)

@@ -1,22 +1,22 @@
 """Engine adapter: budgeted SAT as a tree-search application.
 
-A job payload is an ordered list of assumed decision literals (propagations
-are re-derived by the worker).  Past its assumption a job branches on the
-free variable of highest activity (VSIDS: variables in recent conflicts
-score higher; ties go to the lowest index).  Every job starts from the same
-activities, each variable's number of occurrences in the formula, counted
-once in ``init``.  The app's ``budget_kind`` says what a unit of
-``budget.max_nodes`` counts: free decisions or conflicts.  Budget
-exhaustion returns the backtrack-path splits as new jobs, each searched by
-a fresh solver: the job boundary is the only restart point.  Learnt clauses
-of at most ``MAX_SHARED_LITERALS`` (8) literals travel as shared tokens, each
-the sorted clause, so the master's byte-level dedup keeps one token per
-clause; a learnt unit is a one-literal clause.  A job hands the solver all
-its tokens as one list of clauses; a worker parses each token once per run,
-the first time one of its jobs receives it, and the solver range-checks
-the clauses on every job.  The first model found halts the run; a
-completed run with no model means the whole assumption space was refuted,
-so the finalize hook emits the UNSAT verdict.
+A job is a tuple of assumed decision literals, in order (propagations are
+re-derived by the worker); the root job is the empty tuple.  Past its
+assumption a job branches on the free variable of highest activity (VSIDS:
+variables in recent conflicts score higher; ties go to the lowest index).
+Every job starts from the same activities, each variable's number of
+occurrences in the formula, counted once in ``init``.  The app's
+``budget_kind`` says what a unit of ``budget.max_nodes`` counts: free
+decisions or conflicts.  Budget exhaustion returns the backtrack-path
+splits as new jobs, each searched by a fresh solver: the job boundary is
+the only restart point.  Learnt clauses of at most ``MAX_SHARED_LITERALS``
+(8) literals travel as shared tokens, each the sorted clause tuple, so the
+master's dedup keeps one token per clause; a learnt unit is a one-literal
+clause.  A job hands the solver its tokens as they came, and the solver
+range-checks them on every job.  Only a checkpoint holds jobs and tokens
+as bytes: their literals as decimal text.  The first model found halts the
+run; a completed run with no model means the whole assumption space was
+refuted, so the finalize hook emits the UNSAT verdict.
 """
 
 from __future__ import annotations
@@ -40,14 +40,6 @@ class SeededCnf(NamedTuple):
     activity: tuple[int, ...]
 
 
-class _ClauseMemo(dict):
-    """Token bytes -> the clause they encode, parsed on first lookup."""
-
-    def __missing__(self, token: bytes) -> tuple[int, ...]:
-        clause = self[token] = decode_ints(token, "shared clause")
-        return clause
-
-
 class SatApplication(Application):
     """DIMACS CNF in; ``s SATISFIABLE``/``s UNSATISFIABLE`` verdict out."""
 
@@ -62,12 +54,11 @@ class SatApplication(Application):
             raise ValueError(f"{self.name} accepts budget kinds {accepted}, not {budget_kind!r}")
         self.budget_kind = budget_kind
 
-    def init(self, input_bytes: bytes) -> tuple[SeededCnf, bytes]:
+    # a checkpoint stores an assumption or a clause as its decimal literals
+    encode_node = encode_token = staticmethod(encode_ints)
+
+    def init(self, input_bytes: bytes) -> tuple[SeededCnf, tuple[int, ...]]:
         formula = parse_dimacs(input_bytes)
-        # a new memo per run, so none outlives its formula; decoding reads
-        # only the token's bytes, so thread workers share it (their own
-        # init calls restart it, and a dropped token is parsed again)
-        self._clauses = _ClauseMemo()
         try:
             activity = [0] * (formula.num_vars + 1)
         except MemoryError as exc:
@@ -77,10 +68,11 @@ class SatApplication(Application):
         for clause in formula.clauses:
             for lit in clause:
                 activity[abs(lit)] += 1
-        return SeededCnf(*formula, tuple(activity)), b""  # the empty assumption
+        return SeededCnf(*formula, tuple(activity)), ()  # the empty assumption
 
     def decode_node(self, payload: bytes, global_data: SeededCnf) -> tuple[int, ...]:
-        """The assumption ``payload`` encodes: distinct variables, in range."""
+        """The assumption ``payload`` encodes: distinct variables, in range;
+        run once per job a checkpoint restores."""
         lits = decode_ints(payload, "assumption")
         seen: set[int] = set()
         for lit in lits:
@@ -94,21 +86,20 @@ class SatApplication(Application):
     def search(
         self,
         global_data: SeededCnf,
-        payload: bytes,
+        assumption: tuple[int, ...],
         budget: Budget,
-        shared: Sequence[bytes],
+        shared: Sequence[tuple[int, ...]],
     ) -> SearchResult:
-        assumption = self.decode_node(payload, global_data)
         outcome = solve_budgeted(
             global_data,
             assumption,
             budget.max_nodes,
             self.budget_kind,
-            shared_clauses=list(map(self._clauses.__getitem__, shared)),
+            shared_clauses=shared,
             activity=global_data.activity,
         )
         visited = outcome.budget_spent(self.budget_kind)
-        delta = [encode_ints(clause) for clause in outcome.learnt_clauses]
+        delta = outcome.learnt_clauses
         if outcome.status == "sat":
             assert outcome.model is not None
             if not verify_model(global_data, outcome.model):
@@ -133,14 +124,15 @@ class SatApplication(Application):
             # this assumption subspace is refuted; nothing left to do here
             return SearchResult(visited=visited, shared_delta=delta)
         return SearchResult(
-            unexplored=[encode_ints(split) for split in outcome.splits],
+            unexplored=outcome.splits,
             visited=visited,
             shared_delta=delta,
         )
 
     def decode_token(self, token: bytes, global_data: SeededCnf) -> tuple[int, ...]:
-        """The learnt clause ``token`` encodes: 1 to 8 literals in range, on
-        distinct variables; run once per token a checkpoint restores."""
+        """The learnt clause ``token`` encodes, sorted as ``search`` shares
+        it: 1 to 8 literals in range, on distinct variables; run once per
+        token a checkpoint restores."""
         clause = decode_ints(token, "shared clause")
         if not 1 <= len(clause) <= MAX_SHARED_LITERALS:
             raise NodeDecodeError(
@@ -152,7 +144,7 @@ class SatApplication(Application):
             raise NodeDecodeError(f"shared clause {token!r} repeats a variable")
         if 0 in variables or max(variables) > global_data.num_vars:
             raise NodeDecodeError(f"shared clause {token!r} has a literal out of range")
-        return clause
+        return tuple(sorted(clause))
 
     def finalize(self, global_data: SeededCnf) -> list[str]:
         # the engine calls this only after a run with no verdict: every

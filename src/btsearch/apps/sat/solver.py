@@ -330,8 +330,8 @@ class CdclSolver:
         ``limit`` caps the conflicts when ``kind`` is ``"conflicts"`` and
         the decisions when it is ``"decisions"``; any other kind is a
         ValueError.  ``limit=None`` solves to completion.  Consistency of the
-        assumption list is the caller's contract (job payloads are validated
-        on decode).
+        assumption list is the caller's contract (a job from a checkpoint is
+        validated on decode).
         """
         _check_kind(kind)
         by_conflicts = kind == "conflicts"

@@ -223,9 +223,9 @@ def count_spanning_trees(graph: Graph, config=None) -> int:
 class SpantreeApplication(EnumerationApplication):
     name = "spantree"
 
-    def init(self, input_bytes: bytes) -> tuple[SpantreeOracle, bytes]:
+    def init(self, input_bytes: bytes) -> tuple[SpantreeOracle, Tree]:
         oracle = SpantreeOracle(parse_graph(input_bytes))
-        return oracle, self.encode_node(oracle.root())
+        return oracle, oracle.root()
 
     def format_vertex(self, global_data: SpantreeOracle, vertex: Tree) -> str:
         return " ".join(str(idx + 1) for idx in vertex)  # 1-based like the input

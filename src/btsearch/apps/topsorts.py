@@ -197,9 +197,9 @@ def count_extensions(poset: Poset, config=None) -> int:
 class TopsortsApplication(EnumerationApplication):
     name = "topsorts"
 
-    def init(self, input_bytes: bytes) -> tuple[TopsortsOracle, bytes]:
+    def init(self, input_bytes: bytes) -> tuple[TopsortsOracle, Perm]:
         oracle = TopsortsOracle(*_read_poset(input_bytes))
-        return oracle, self.encode_node(oracle.root())
+        return oracle, oracle.root()
 
     def format_vertex(self, oracle: TopsortsOracle, perm: Perm) -> str:
         names = oracle.names

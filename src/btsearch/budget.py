@@ -43,7 +43,8 @@ class _ConfigFields(NamedTuple):
     checkpoint_path: str | Path | None = None
     restart_path: str | Path | None = None
     # Stop handing out jobs after collecting this many results, checkpoint,
-    # and return an incomplete report (lets the user migrate a run).
+    # and return an incomplete report (lets the user migrate a run); needs
+    # a checkpoint_path.
     stop_after_jobs: int | None = None
 
 
@@ -73,6 +74,9 @@ class SchedulerConfig(_ConfigFields):
             raise ValueError("lmin must not exceed lmax")
         if self.stop_after_jobs is not None and self.stop_after_jobs < 1:
             raise ValueError("stop_after_jobs must be >= 1 or None")
+        if self.stop_after_jobs is not None and self.checkpoint_path is None:
+            # the jobs left at the stop live only in the checkpoint
+            raise ValueError("stop_after_jobs needs a checkpoint_path")
 
     _make = classmethod(lambda cls, fields: cls(*fields))
 

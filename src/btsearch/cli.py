@@ -162,9 +162,6 @@ def _run_options(ns: argparse.Namespace) -> CliOptions:
         )
     except ValueError as exc:
         raise _CliError(f"btsearch: {exc}", USAGE_ERROR) from None
-    if ns.stopafter is not None and ns.checkpoint is None:
-        # without a checkpoint the jobs left at the stop would be lost
-        raise _CliError("btsearch: -stopafter needs -checkpoint", USAGE_ERROR)
     return CliOptions(
         app=ns.app,
         input_path=ns.input,

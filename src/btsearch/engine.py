@@ -1,8 +1,9 @@
 """Master/worker engine with budget-based load balancing.
 
 One master and N workers share no mutable state: every interaction is a
-message, and a job is just the payload bytes its application encoded.  The
-master is the calling thread, and it is the only writer of the output.
+message, and a job or a shared token is the value its application returned
+(a vertex tuple, say), which the engine never looks inside.  The master
+is the calling thread, and it is the only writer of the output.
 The workers sit behind a transport (``transport.py``) with four
 operations: start, send to worker i, wait for the next message from any
 worker, and stop.  There are two:
@@ -17,13 +18,15 @@ worker, and stop.  There are two:
   call ``app.init`` themselves.  Forking a process that is not btsearch's
   own is unsafe, and a fork costs far more than a thread start.
 
-The protocol has two message types and two signals:
+The protocol has two messages, bare tuples of builtins that ``marshal``
+encodes (a class reference would cost about as much to send as the search
+of a small job), and two signals:
 
-- ``AssignMsg``, master to worker: a job, its budget and the shared tokens
-  the worker has not seen yet;
-- ``ResultMsg``, worker to master, the only message a worker sends for a
-  job: its counts, its unexplored payloads, its new shared tokens and its
-  output lines joined into one string;
+- an assignment, master to worker: ``(job, max_depth, max_nodes,
+  tokens)``, with the shared tokens the worker has not seen yet;
+- a result, worker to master, the only message a worker sends for a job:
+  ``(worker_id, visited, output_count, unexplored, shared_delta, halt,
+  lines)``, its output lines joined into one string;
 - ``None`` in an inbox tells its reader to stop (under fork, end of file);
 - a ``BtsearchError`` from a worker is the error the master raises:
   ``WorkerCrashError`` from a worker whose job or ``init`` failed (under
@@ -32,17 +35,16 @@ The protocol has two message types and two signals:
   its result pipe, and that end of file raises ``WorkerCrashError`` in
   the master at once.
 
-Assignments and results cross the transport as bare tuples of builtins
-(an ``AssignMsg`` with its budget's fields, a ``ResultMsg``'s fields),
-which ``marshal`` encodes; it encodes no class instance, and a class
-reference would cost about as much to send as the search of a small job.
+Only a checkpoint holds jobs and tokens as bytes: the app's
+``encode_node``/``encode_token`` write them, and a restore reads each one
+back once with ``decode_node``/``decode_token``, which check it.
 
 The master waits for results only.  Each pass of its loop assigns a job
 to every idle worker, writes the lines of the result it collected (so no
 worker waits on a write), takes a ``-hist`` row and a checkpoint if one is
 due, and blocks in the transport's receive for the next result.  Between
 two results its state does not change, so no timer wakes it.  It grows the
-job list from returned unexplored payloads and shrinks it by assignment
+job list from returned unexplored jobs and shrinks it by assignment
 until the list is empty and no job is in flight.  Its view of the workers
 is a deque of idle worker ids and a map from each busy worker to its job,
 so assigning, collecting and the done test never scan the workers.
@@ -56,7 +58,7 @@ each checkpoint and at the end; a failed write or flush raises
 master back rather than filling a queue, and ``RunReport.wall_time``,
 which ends with the master loop, includes the time its writes block.
 
-Shared data is master-mediated: workers send opaque token deltas with each
+Shared data is master-mediated: workers send token deltas with each
 result, the master merges them (set semantics, global sequence order) and
 forwards to each worker exactly the tokens it has not seen, piggybacked on
 the next assignment.
@@ -66,7 +68,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import IO, Any, Callable, NamedTuple, Sequence
+from typing import IO, Any, Callable, Sequence
 
 from .budget import Budget, SchedulerConfig, select_budget
 from .checkpoint import checkpoint_read, checkpoint_write
@@ -85,60 +87,35 @@ _CHECKPOINT_INTERVAL_S = 30.0
 
 
 # --------------------------------------------------------------------------
-# Messages
-# --------------------------------------------------------------------------
-
-
-class AssignMsg(NamedTuple):
-    payload: bytes
-    budget: Budget
-    shared: tuple[bytes, ...]
-
-
-class ResultMsg(NamedTuple):
-    worker_id: int
-    visited: int
-    output_count: int
-    unexplored: tuple[bytes, ...]
-    shared_delta: tuple[bytes, ...]
-    halt: bool
-    # the job's output lines, each ended by a newline
-    lines: str = ""
-
-
-# --------------------------------------------------------------------------
 # Shared store
 # --------------------------------------------------------------------------
 
 
 class SharedStore:
-    """Master-side table of opaque shared tokens with per-worker delivery.
+    """Master-side table of hashable shared tokens with per-worker delivery.
 
     Tokens get strictly increasing sequence numbers (list position);
-    duplicates are stored once.  Each worker has a high-water mark so each
-    token is delivered to it exactly once.
+    equal tokens are stored once.  Each worker has a high-water mark so
+    each token is delivered to it exactly once.
     """
 
     def __init__(self, num_workers: int) -> None:
-        self._tokens: list[bytes] = []
-        self._seen: set[bytes] = set()
+        self._tokens: list[Any] = []
+        self._seen: set[Any] = set()
         self._marks = [0] * num_workers
 
     @property
-    def tokens(self) -> tuple[bytes, ...]:
+    def tokens(self) -> tuple[Any, ...]:
         return tuple(self._tokens)
 
-    def merge(self, delta: Sequence[bytes]) -> int:
-        """Union in new tokens; returns how many were actually new."""
-        added = 0
+    def merge(self, delta: Sequence[Any]) -> None:
+        """Union in the tokens not stored yet."""
         for token in delta:
             if token not in self._seen:
                 self._seen.add(token)
                 self._tokens.append(token)
-                added += 1
-        return added
 
-    def delta_for(self, worker_id: int) -> tuple[bytes, ...]:
+    def delta_for(self, worker_id: int) -> tuple[Any, ...]:
         """Tokens newer than the worker has, advancing its mark."""
         mark = self._marks[worker_id]
         delta = tuple(self._tokens[mark:])
@@ -168,7 +145,7 @@ class RunReport:
         # (elapsed_seconds, busy_workers, joblist_len) as a wait starts, >= 0.1 s apart
         self.samples: list[tuple[float, int, int]] = []
         # final shared-store contents, for auditing what was relayed
-        self.shared_tokens: tuple[bytes, ...] = ()
+        self.shared_tokens: tuple[Any, ...] = ()
 
     @property
     def jobs_executed(self) -> int:
@@ -185,30 +162,31 @@ def worker_loop(
     worker_id: int,
     app: Application,
     load: Callable[[], Any],
-    receive: Callable[[], AssignMsg | None],
+    receive: Callable[[], Any],
     send: Callable[[Any], None],
 ) -> None:
-    """Receive jobs, run the application search, send results until ``None``.
+    """Receive assignments, run the application search, send results until
+    ``None``.
 
     ``load()`` returns the global data the searches read.  Each job gets
-    one ``ResultMsg``, sent as a bare tuple, that carries its output lines
-    too.  Any exception becomes a ``WorkerCrashError`` sent to the master,
-    so the master can abort the run instead of waiting forever.
+    one result tuple, which carries its output lines too.  Any exception
+    becomes a ``WorkerCrashError`` sent to the master, so the master can
+    abort the run instead of waiting forever.
     """
     try:
         global_data = load()
-        local_shared: list[bytes] = []
+        local_shared: list[Any] = []
         while (msg := receive()) is not None:
-            payload, budget, shared = msg  # an AssignMsg, its budget maybe a bare tuple
+            job, max_depth, max_nodes, shared = msg
             local_shared.extend(shared)
-            result = app.search(global_data, payload, Budget(*budget), local_shared)
+            result = app.search(global_data, job, Budget(max_depth, max_nodes), local_shared)
             lines = "\n".join(result.outputs) + "\n" if result.outputs else ""
-            send((  # the fields of a ResultMsg
+            send((
                 worker_id,
                 result.visited,
                 result.output_count,
-                tuple(result.unexplored),
-                tuple(result.shared_delta),
+                result.unexplored,
+                result.shared_delta,
                 result.halt,
                 lines,
             ))
@@ -238,29 +216,29 @@ class Master:
     def __init__(self, config: SchedulerConfig) -> None:
         self.config = config
         n = config.num_workers
-        self.joblist: deque[bytes] = deque()
+        self.joblist: deque[Any] = deque()
         self.store = SharedStore(n)
         self.idle: deque[int] = deque(range(n))
-        self.in_flight: dict[int, bytes] = {}
+        self.in_flight: dict[int, Any] = {}
         self.report = RunReport()
         self.halting = False
 
-    def assign_next(self) -> tuple[int, AssignMsg]:
+    def assign_next(self) -> tuple[int, tuple[Any, ...]]:
         """Give the head of the job list to the longest-idle worker.
 
-        Returns that worker's id and the message to send it.  The budget is
-        chosen from the job-list length before the pop.  The message carries
-        exactly the shared tokens newer than the worker's high-water mark.
+        Returns that worker's id and the assignment to send it: ``(job,
+        max_depth, max_nodes, tokens)``.  The budget is chosen from the
+        job-list length before the pop.  The tokens are exactly the shared
+        tokens newer than the worker's high-water mark.
         """
-        budget = select_budget(len(self.joblist), self.config)
+        max_depth, max_nodes = select_budget(len(self.joblist), self.config)
         job = self.joblist.popleft()
         worker_id = self.idle.popleft()
         self.in_flight[worker_id] = job
-        return worker_id, AssignMsg(payload=job, budget=budget, shared=self.store.delta_for(worker_id))
+        return worker_id, (job, max_depth, max_nodes, self.store.delta_for(worker_id))
 
     def collect_result(self, msg: Sequence[Any]) -> str:
-        """Merge one worker result (a ``ResultMsg`` or its bare tuple) into
-        the job list, store, and report.
+        """Merge one worker's result tuple into the job list, store, and report.
 
         Returns the text for the master to write: the job's lines.
         """
@@ -269,10 +247,7 @@ class Master:
             raise EngineError(f"result from idle worker {worker_id}")
         if visited < 0 or output_count < 0:
             raise EngineError(f"worker {worker_id}: malformed result counts")
-        for payload in unexplored:
-            if not isinstance(payload, bytes):
-                raise EngineError(f"worker {worker_id}: malformed unexplored payload")
-            self.joblist.append(payload)
+        self.joblist.extend(unexplored)
         self.store.merge(shared_delta)
         del self.in_flight[worker_id]
         self.idle.append(worker_id)
@@ -282,7 +257,7 @@ class Master:
             self.halting = True
         return lines
 
-    def pending_jobs(self) -> list[bytes]:
+    def pending_jobs(self) -> list[Any]:
         """In-flight jobs plus the queued list: everything not yet finished.
 
         Checkpoints use this so that a crash after the snapshot loses no
@@ -308,14 +283,15 @@ def run(
     """Execute a full parallel run of ``app`` on ``input_bytes``.
 
     Parses the input and decodes every job and shared token of a restart
-    checkpoint, both before any worker starts: CheckpointError on one that
-    does not decode, or on a checkpoint that lists no job.  Every job gets a
-    ``Budget`` of ``max_depth`` and ``max_nodes``; what a unit of
-    ``max_nodes`` counts is the app's own setting.  Then starts the workers
-    with ``transport`` (``ThreadTransport`` or ``ForkTransport``), seeds the
-    job list with the application root or the restored jobs and drives the
-    master loop until every job is done, a worker signals a global answer,
-    or ``stop_after_jobs`` triggers a checkpointed early stop.  This thread
+    checkpoint, once each, both before any worker starts: CheckpointError
+    on one that does not decode, or on a checkpoint that lists no job.
+    Every job gets a ``Budget`` of ``max_depth`` and ``max_nodes``; what a
+    unit of ``max_nodes`` counts is the app's own setting.  Then starts the
+    workers with ``transport`` (``ThreadTransport`` or ``ForkTransport``),
+    seeds the job list with the application root or the restored jobs and
+    drives the master loop until every job is done, a worker signals a
+    global answer, or ``stop_after_jobs`` triggers a checkpointed early
+    stop.  This thread
     writes the output lines to ``out`` as results come in and flushes it
     before each checkpoint and at the end; a count-only app
     (``app.count_only``) gets one total line.  A failed write or flush of
@@ -335,15 +311,18 @@ def run(
         jobs, tokens = checkpoint_read(config.restart_path, expected_app=app.name)
         if not jobs:  # the engine checkpoints only while jobs remain
             raise CheckpointError(f"{config.restart_path}: lists no job")
-        checks = (("job", app.decode_node, jobs), ("shared token", app.decode_token, tokens))
-        for what, decode, items in checks:
+
+        def decoded(what: str, decode: Callable, items: list[bytes]) -> list[Any]:
+            values = []
             for number, item in enumerate(items, start=1):
                 try:
-                    decode(item, global_data)
+                    values.append(decode(item, global_data))
                 except NodeDecodeError as exc:
                     raise CheckpointError(f"{config.restart_path}: {what} {number}: {exc}") from exc
-        master.joblist.extend(jobs)
-        master.store.merge(tokens)
+            return values
+
+        master.joblist.extend(decoded("job", app.decode_node, jobs))
+        master.store.merge(decoded("shared token", app.decode_token, tokens))
     else:
         master.joblist.append(root)
 
@@ -369,8 +348,8 @@ def run(
             checkpoint_write(
                 config.checkpoint_path,
                 app.name,
-                master.pending_jobs(),
-                master.store.tokens,
+                [app.encode_node(job) for job in master.pending_jobs()],
+                [app.encode_token(token) for token in master.store.tokens],
             )
         except OSError as exc:
             raise EngineError(f"cannot write the checkpoint ({type(exc).__name__}: {exc})") from exc
@@ -392,8 +371,7 @@ def run(
             )
             if not stopping:
                 while master.idle and master.joblist:
-                    worker_id, assign = master.assign_next()
-                    workers.send(worker_id, (assign.payload, tuple(assign.budget), assign.shared))
+                    workers.send(*master.assign_next())
             if text:  # written once the freed worker has its next job
                 _write(out, text)
                 text = ""

@@ -10,7 +10,7 @@ class InputFormatError(BtsearchError):
 
 
 class NodeDecodeError(BtsearchError):
-    """A serialized job node payload is not decodable by this application."""
+    """A checkpoint's job or token bytes are not decodable by this application."""
 
 
 class OracleConsistencyError(BtsearchError):

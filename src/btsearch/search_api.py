@@ -1,10 +1,11 @@
 """Contract between the engine and pluggable search applications.
 
-An application parses its input once, produces a root job payload, and can
-run a budgeted search from *any* payload it previously produced, in any
-worker.  Job payloads and shared tokens are opaque bytes to the engine; only
-the owning application interprets them.  Every bundled app writes them with
-:func:`encode_ints`.
+An application parses its input once, produces a root job, and can run a
+budgeted search from *any* job it previously produced, in any worker.  Jobs
+and shared tokens are the app's own values, immutable builtins that
+``marshal`` accepts (a token is also hashable), which the engine passes on
+unchanged.  Only a checkpoint holds them as bytes, through the app's
+``encode_*``/``decode_*`` methods; every bundled app writes :func:`encode_ints`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .errors import NodeDecodeError
 
 
 def encode_ints(values: Iterable[int]) -> bytes:
-    """Every bundled app's payload format: space-separated ASCII decimals."""
+    """Every bundled app's checkpoint format: space-separated ASCII decimals."""
     return " ".join(map(str, values)).encode("ascii")
 
 
@@ -36,24 +37,25 @@ class SearchResult(NamedTuple):
     enumeration; decisions or conflicts for SAT, as the app is set up) and
     is what the frequency file records.  ``output_count`` is the number of
     lines the job output; in count-only mode ``outputs`` stays empty and the
-    count alone is returned.  Each ``unexplored`` entry is the payload of
-    the root of an unexplored subtree.  ``halt`` signals a global answer
+    count alone is returned.  Each ``unexplored`` entry is the job of the
+    root of an unexplored subtree, and each ``shared_delta`` entry a token
+    for the master to relay.  ``halt`` signals a global answer
     (e.g. a SAT model): the run ends at once, and jobs still in flight are
     abandoned uncounted.
     """
 
     outputs: Sequence[str] = ()
     output_count: int = 0
-    unexplored: Sequence[bytes] = ()
+    unexplored: Sequence[Any] = ()
     visited: int = 0
-    shared_delta: Sequence[bytes] = ()
+    shared_delta: Sequence[Any] = ()
     halt: bool = False
 
 
 class Application(ABC):
     """Budgeted tree-search code the engine can drive.
 
-    Implementations must be deterministic given (global data, payload, budget,
+    Implementations must be deterministic given (global data, job, budget,
     shared tokens) and must keep global data immutable after ``init``:
     workers only read it.
     """
@@ -65,35 +67,42 @@ class Application(ABC):
     count_only = False
 
     @abstractmethod
-    def init(self, input_bytes: bytes) -> tuple[Any, bytes]:
-        """Parse input; return (immutable global data, root job payload)."""
+    def init(self, input_bytes: bytes) -> tuple[Any, Any]:
+        """Parse input; return (immutable global data, root job)."""
 
     @abstractmethod
     def search(
         self,
         global_data: Any,
-        payload: bytes,
+        job: Any,
         budget: Budget,
-        shared: Sequence[bytes],
+        shared: Sequence[Any],
     ) -> SearchResult:
-        """Run one budgeted job from the vertex ``payload`` encodes.
+        """Run one budgeted job from the vertex ``job``.
 
         The app decides what a unit of ``budget.max_nodes`` counts.  The
-        job's outputs plus the subtrees of its unexplored payloads must
-        cover the subtree rooted at that vertex exactly once.  The
-        ``shared`` tokens need no check here (see ``decode_token``).
+        job's outputs plus the subtrees of its unexplored jobs must cover
+        the subtree rooted at that vertex exactly once.  ``job`` and the
+        ``shared`` tokens need no check here (see ``decode_node``).
         """
 
     @abstractmethod
+    def encode_node(self, job: Any) -> bytes:
+        """The bytes a checkpoint stores for a job from ``init``/``search``."""
+
+    @abstractmethod
     def decode_node(self, payload: bytes, global_data: Any) -> Any:
-        """The vertex a payload from ``init``/``search`` encodes; NodeDecodeError
-        on other bytes.  The engine also checks each restored job with it."""
+        """The job ``encode_node`` wrote as ``payload``; NodeDecodeError on
+        other bytes.  The engine calls it once per job a checkpoint restores."""
+
+    def encode_token(self, token: Any) -> bytes:
+        """The bytes a checkpoint stores for a shared token from ``search``;
+        the default suits bytes tokens."""
+        return token
 
     def decode_token(self, token: bytes, global_data: Any) -> Any:
-        """The value a shared token from ``search`` encodes; NodeDecodeError on
-        other bytes.  The engine checks each restored token with it, once;
-        every other token came from ``search``, which need not check them
-        again.  The default accepts any bytes, for apps that share nothing."""
+        """As ``decode_node``, for a token ``encode_token`` wrote.  The
+        default accepts any bytes, for apps that share nothing."""
         return token
 
     def finalize(self, global_data: Any) -> list[str]:

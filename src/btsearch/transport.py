@@ -28,10 +28,8 @@ from __future__ import annotations
 import gc
 import marshal
 import os
-import queue
 import select
 import sys
-import threading
 from collections import deque
 from typing import Any, Callable, NoReturn
 
@@ -44,14 +42,18 @@ _SIGKILL = 9  # signal.SIGKILL; importing the signal module costs about 1 ms per
 
 
 class ThreadTransport:
-    """Workers as daemon threads that share this process and its GIL."""
+    """Workers as daemon threads that share this process and its GIL.
+    ``start`` imports ``queue`` and ``threading``: a fork run needs neither."""
 
     def __init__(self) -> None:
-        self._inboxes: list[queue.SimpleQueue] = []
-        self._threads: list[threading.Thread] = []
-        self._results: queue.SimpleQueue = queue.SimpleQueue()
+        self._inboxes: list[Any] = []
+        self._threads: list[Any] = []
 
     def start(self, num_workers: int, work: Work) -> None:
+        import queue
+        import threading
+
+        self._results = queue.SimpleQueue()
         for worker_id in range(num_workers):
             inbox: queue.SimpleQueue = queue.SimpleQueue()
             thread = threading.Thread(

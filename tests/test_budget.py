@@ -73,6 +73,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             SchedulerConfig(**kw)
 
+    def test_stop_after_jobs_needs_a_checkpoint_path(self):
+        # the jobs left at the stop live only in the checkpoint
+        with pytest.raises(ValueError, match="stop_after_jobs needs a checkpoint_path"):
+            SchedulerConfig(stop_after_jobs=3)
+        assert SchedulerConfig(stop_after_jobs=3, checkpoint_path="c.ckpt").stop_after_jobs == 3
+
     def test_bad_budget_rejected(self):
         with pytest.raises(ValueError):
             Budget(max_depth=0, max_nodes=5)

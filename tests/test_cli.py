@@ -650,3 +650,25 @@ class TestConsoleEntry:
         name, lo, hi, seed = text.split()
         nodes = len(sample_offspring_sequence(make_law(name), int(lo), int(hi), rng=int(seed)))
         assert proc.stdout == f"{nodes}\n"
+
+    def test_a_fork_run_imports_no_thread_machinery(self, tmp_path):
+        # queue and threading serve only the library's thread workers; -S
+        # leaves out the interpreter's site hooks, which may load threading
+        inp = tmp_path / "p.txt"
+        inp.write_text("4 0\n")
+        proc = subprocess.run(
+            [sys.executable, "-S", "-X", "importtime", "-m", "btsearch.cli", "run", "topsorts",
+             str(inp), "-np", "2", "-maxnodes", "3", "-scale", "1"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert "btsearch.transport" in imported
+        assert imported.isdisjoint({"queue", "threading"})
+        assert len(set(proc.stdout.splitlines())) == 24

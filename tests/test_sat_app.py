@@ -1,7 +1,6 @@
 import io
 import math
 import random
-import sys
 
 import pytest
 
@@ -10,7 +9,7 @@ from btsearch.checkpoint import checkpoint_read
 from btsearch.engine import run
 from btsearch.errors import InputFormatError, NodeDecodeError
 from btsearch.apps import build_application
-from btsearch.apps.base import decode_ints, encode_ints
+from btsearch.apps.base import encode_ints
 from btsearch.apps.sat.app import SatApplication
 from btsearch.apps.sat.dimacs import parse_dimacs, verify_model
 from btsearch.apps.sat.solver import solve_budgeted
@@ -110,8 +109,8 @@ class TestSharedUnits:
         for _ in range(10):
             cnf = random_3cnf(rng, 8, 36)
             _, _, report = run_sat(cnf, limit=2, kind="decisions", num_workers=4)
-            for token in report.shared_tokens:
-                clause = app.decode_token(token, cnf)
+            for clause in report.shared_tokens:
+                assert app.decode_token(app.encode_token(clause), cnf) == clause
                 assert list(clause) == sorted(clause)
                 assert brute_force_implied(cnf, clause)
                 audited += 1
@@ -122,7 +121,7 @@ class TestSharedUnits:
         gd, root = app.init(cnf_text(pigeonhole_cnf(5, 4)).encode())
         result = app.search(gd, root, Budget(None, 30), ())
         outcome = solve_budgeted(gd, (), 30, "conflicts", activity=gd.activity)
-        assert result.shared_delta == [encode_ints(c) for c in outcome.learnt_clauses]
+        assert result.shared_delta == outcome.learnt_clauses
         assert any(len(c) > 1 for c in outcome.learnt_clauses)
 
     def test_relayed_clauses_reach_the_solver(self):
@@ -135,67 +134,20 @@ class TestSharedUnits:
         assert alone.outputs == relayed.outputs == ["s UNSATISFIABLE"]
         assert relayed.visited < alone.visited
 
-    def test_each_relayed_token_is_parsed_once(self, monkeypatch):
-        import btsearch.apps.sat.app as sat_app
-
-        parsed = []
-        delivered = set()
-        decode_ints = sat_app.decode_ints
-        search = SatApplication.search
-
-        def counted(payload, what):
-            if what == "shared clause":
-                parsed.append(payload)
-            return decode_ints(payload, what)
-
-        def recorded(app, global_data, payload, budget, shared):
-            delivered.update(shared)
-            return search(app, global_data, payload, budget, shared)
-
-        monkeypatch.setattr(sat_app, "decode_ints", counted)
-        monkeypatch.setattr(SatApplication, "search", recorded)
-        verdict, _, report = run_sat(pigeonhole_cnf(5, 4), 5, "conflicts", num_workers=1)
-        assert verdict == "s UNSATISFIABLE"
-        # every job after the first is handed every earlier job's tokens
-        assert report.jobs_executed > 5 and len(delivered) > 20
-        assert sorted(parsed) == sorted(delivered)
-
-    def test_thread_workers_share_one_memo(self):
-        # more thread workers than cores, switching often: every memo entry
-        # must still be its own token's clause
-        app = SatApplication(budget_kind="conflicts")
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            report = run(app, cnf_text(pigeonhole_cnf(5, 4)).encode(), sat_config(3, 4), io.StringIO())
-        finally:
-            sys.setswitchinterval(interval)
-        assert report.completed and report.jobs_executed > 4
-        assert app._clauses
-        assert all(clause == decode_ints(token, "") for token, clause in app._clauses.items())
-
-    def test_a_parsed_token_is_range_checked_on_every_job(self):
-        # the memo holds the clause parsed for a wide formula; a job on a
-        # narrow one, for which it is out of range, still checks it
+    def test_an_out_of_range_relayed_clause_is_refused(self):
+        # a relayed clause reaches the solver as it came; the solver still
+        # range-checks it on every job
         app = SatApplication()
         wide, root = app.init(b"p cnf 13 1\n1 2 0\n")
-        assert app.search(wide, root, Budget(None, None), (b"-13 -8",)).halt
-        assert b"-13 -8" in app._clauses
-        narrow, root = SatApplication().init(b"p cnf 3 1\n1 2 0\n")
+        assert app.search(wide, root, Budget(None, None), ((-13, -8),)).halt
+        narrow, root = app.init(b"p cnf 3 1\n1 2 0\n")
         with pytest.raises(InputFormatError, match="out of range"):
-            app.search(narrow, root, Budget(None, None), (b"-13 -8",))
-
-    def test_each_run_starts_a_new_memo(self):
-        app = SatApplication()
-        gd, root = app.init(b"p cnf 13 1\n1 2 0\n")
-        app.search(gd, root, Budget(None, None), (b"-13 -8",))
-        app.init(b"p cnf 3 1\n1 2 0\n")
-        assert app._clauses == {}
+            app.search(narrow, root, Budget(None, None), ((-13, -8),))
 
     def test_an_empty_relayed_clause_refutes_globally(self):
         app = SatApplication()
         gd, root = app.init(b"p cnf 2 1\n1 2 0\n")
-        result = app.search(gd, root, Budget(None, None), (b"1", b""))
+        result = app.search(gd, root, Budget(None, None), ((1,), ()))
         assert result.halt
         assert result.outputs == ["s UNSATISFIABLE"]
 
@@ -223,6 +175,9 @@ class TestSharedUnits:
         gd, _ = app.init(b"p cnf 3 1\n1 2 3 0\n")
         assert app.decode_token(b"-1", gd) == (-1,)
         assert app.decode_token(b"-3 -1 2", gd) == (-3, -1, 2)
+        # sorted as a job shares it, so a restored clause and a learnt one are one token
+        assert app.decode_token(b"2 -3", gd) == (-3, 2)
+        assert app.encode_token((-3, 2)) == b"-3 2"
 
 
 class TestCheckpointResume:
@@ -277,12 +232,12 @@ class TestBranching:
         app = SatApplication(budget_kind="conflicts")
         gd, _root = app.init(cnf_text(cnf).encode())
         assert gd.activity == tuple(occurrences(cnf))
-        result = app.search(gd, encode_ints((2, -7)), Budget(None, 10), ())
+        result = app.search(gd, (2, -7), Budget(None, 10), ())
         outcome = solve_budgeted(gd, (2, -7), 10, "conflicts", activity=gd.activity)
         assert outcome.status == "exhausted"
-        assert result.unexplored == [encode_ints(s) for s in outcome.splits]
+        assert result.unexplored == outcome.splits
         assert result.visited == outcome.conflicts
-        assert result.shared_delta == [encode_ints(c) for c in outcome.learnt_clauses]
+        assert result.shared_delta == outcome.learnt_clauses
         # unseeded activity and the lowest-index order split this job elsewhere
         unseeded = solve_budgeted(gd, (2, -7), 10, "conflicts", activity=[0] * len(gd.activity))
         assert unseeded.splits != outcome.splits
@@ -293,9 +248,10 @@ class TestNodePayloads:
     def test_assumption_round_trip(self):
         app = SatApplication()
         gd, root = app.init(b"p cnf 3 1\n1 2 3 0\n")
-        assert root == b""
-        assert app.decode_node(root, gd) == ()
-        assert app.decode_node(encode_ints((1, -3)), gd) == (1, -3)
+        assert root == ()
+        assert app.encode_node(root) == b""
+        assert app.decode_node(b"", gd) == ()
+        assert app.decode_node(app.encode_node((1, -3)), gd) == (1, -3)
 
     def test_decode_rejects_garbage(self):
         app = SatApplication()
@@ -318,7 +274,7 @@ class TestNodePayloads:
     def test_inconsistent_shared_units_signal_global_unsat(self):
         app = SatApplication()
         gd, root = app.init(b"p cnf 2 1\n1 2 0\n")
-        result = app.search(gd, root, Budget(None, None), (b"1", b"-1"))
+        result = app.search(gd, root, Budget(None, None), ((1,), (-1,)))
         assert result.halt
         assert result.outputs == ["s UNSATISFIABLE"]
 
@@ -332,6 +288,6 @@ class TestNodePayloads:
             outcome = solve_budgeted(gd, (), 5, kind, activity=gd.activity)
             assert outcome.status == "exhausted"
             assert result.visited == getattr(outcome, kind)
-            splits[kind] = list(result.unexplored)
-            assert splits[kind] == [encode_ints(s) for s in outcome.splits]
+            splits[kind] = result.unexplored
+            assert splits[kind] == outcome.splits
         assert splits["decisions"] != splits["conflicts"]

@@ -150,8 +150,8 @@ class TestApplication:
     def test_node_round_trip_and_decode_errors(self):
         app = SpantreeApplication()
         gd, root = app.init(format_graph(cycle_graph(4)).encode())
-        vertex = app.decode_node(root, gd)
-        assert app.encode_node(vertex) == root
+        assert root == gd.root()
+        assert app.decode_node(app.encode_node(root), gd) == root
         with pytest.raises(NodeDecodeError):
             app.decode_node(b"0 1 9", gd)  # edge index out of range
         with pytest.raises(NodeDecodeError):

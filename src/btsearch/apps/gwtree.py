@@ -352,9 +352,9 @@ class GWExperiment(NamedTuple):
     """Trial plan for measuring the job-list growth law."""
 
     law: OffspringLaw
-    target_size: int
-    budget: int
-    trials: int
+    target_size: int = 1_000_000
+    budget: int = 5000
+    trials: int = 20
     seed: int = 0
 
     def window(self) -> tuple[int, int]:
@@ -394,6 +394,8 @@ def measure_joblist_ratio(experiment: GWExperiment) -> GWExperimentResult:
 
     if experiment.trials < 1:
         raise ValueError("need at least one trial")
+    if experiment.seed < 0:
+        raise ValueError("seed must be >= 0")
     lo, hi = experiment.window()
     pred = predicted_ratio(experiment.law, experiment.budget)
     rows: list[TrialRow] = []

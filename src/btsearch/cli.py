@@ -1,27 +1,25 @@
-"""Command-line front end.
+"""Command line of btsearch.
 
-Subcommands::
+usage: btsearch run APP INPUT [flags]     parallel run of a bundled application
+       btsearch gwtree [flags]            job-list growth experiment, CSV out
+       btsearch efficiency S CORES M      efficiency/speedup arithmetic
 
-    btsearch run APP INPUT [flags]     parallel run of a bundled application
-    btsearch gwtree [flags]            job-list growth experiment, CSV out
-    btsearch efficiency S CORES M      efficiency/speedup arithmetic
-
+`btsearch COMMAND -h` lists every argument of a command.  A flag is taken
+only by its full name and always reads the next argument as its value.
 Exit codes: 0 success, 1 usage error, 2 input error, 3 internal abort.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .apps import APPLICATION_NAMES, build_application
 from .budget import SchedulerConfig
 from .engine import run
 from .errors import BtsearchError, CheckpointError, InputFormatError, MetricsError
-from .metrics import compute_efficiency, write_frequency_file, write_histogram_file
 from .transport import ForkTransport, ThreadTransport
 
 USAGE_ERROR = 1
@@ -42,134 +40,127 @@ class CliOptions(NamedTuple):
 
 
 class _CliError(Exception):
-    def __init__(self, message: str, code: int) -> None:
-        super().__init__(message)
-        self.code = code
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # noqa: A003 - argparse API
-        raise _CliError(f"{self.prog}: {message}", USAGE_ERROR)
-
-    def _get_option_tuples(self, option_string: str) -> list:
-        # argparse takes a unique prefix of a flag (-restar) or a flag glued
-        # to its value (-k7) as that flag, and allow_abbrev=False stops only
-        # the prefixes of -- flags; every flag here has one dash.  With no
-        # candidates, anything but a flag's full name is unrecognized.
-        return []
+    code = USAGE_ERROR  # main prints the message as one line
 
 
 def _unbounded_int(text: str) -> int | None:
-    if text.lower() in ("inf", "none", "unbounded"):
-        return None
-    return int(text)
+    return None if text.lower() in ("inf", "none", "unbounded") else int(text)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="btsearch", description=__doc__, add_help=True)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _choice(*names: str) -> Callable[[str], str]:
+    return {name: name for name in names}.__getitem__  # KeyError for any other word
 
-    defaults = SchedulerConfig()
-    runp = sub.add_parser("run", help="parallel run of a bundled application")
-    runp.add_argument("app", choices=APPLICATION_NAMES)
-    runp.add_argument("input", help="problem input file")
-    runp.add_argument("-np", type=int, default=defaults.num_workers, help="number of workers")
-    runp.add_argument(
-        "-maxd", type=_unbounded_int, default=defaults.base_max_depth, help="initial depth budget"
-    )
-    runp.add_argument(
-        "-maxnodes", type=_unbounded_int, default=defaults.base_max_nodes, help="node budget"
-    )
-    runp.add_argument(
-        "-scale", type=int, default=defaults.scale, help="budget multiplier for long job lists"
-    )
-    runp.add_argument("-lmin", type=float, default=defaults.lmin)
-    runp.add_argument("-lmax", type=float, default=defaults.lmax)
-    runp.add_argument("-prune", choices=("off", "0", "1"), default="off")
-    runp.add_argument("-countonly", action="store_true")
-    runp.add_argument("-hist", default=None, help="histogram CSV path")
-    runp.add_argument("-freq", default=None, help="frequency file path")
-    runp.add_argument("-checkpoint", default=None, help="checkpoint file path")
-    runp.add_argument("-restart", default=None, help="resume from this checkpoint")
-    runp.add_argument(
-        "-budgetkind",
-        default=None,
-        help="unit of -maxnodes: nodes for the enumeration apps; decisions (default) "
-        "or conflicts for sat",
-    )
-    runp.add_argument(
-        "-stopafter", type=int, default=None,
-        help="checkpoint and stop after this many jobs (migration; needs -checkpoint)",
-    )
 
-    gwp = sub.add_parser("gwtree", help="job-list growth experiment (CSV)")
-    gwp.add_argument("-law", default="catalan")
-    gwp.add_argument("-k", type=int, default=None, help="parameter of the binomial law")
-    gwp.add_argument("-size", type=int, default=1_000_000, help="target tree size")
-    gwp.add_argument("-budget", type=int, default=5000)
-    gwp.add_argument("-trials", type=int, default=20)
-    gwp.add_argument("-seed", type=int, default=0)
-    gwp.add_argument("-out", default=None, help="CSV path (default stdout)")
+# Each command's table maps the name of an argument, a flag when it starts
+# with '-', to (key, converter, help line).  The key says where the value
+# goes: a field of SchedulerConfig or GWExperiment, an app option or a CLI
+# setting.  A switch has no converter.  A value not given is left to the
+# default of its field, or of the code that reads it.
+_COMMANDS: dict[str, dict[str, tuple[str, Callable[[str], Any] | None, str]]] = {
+    "run": {
+        "app": ("app", _choice(*APPLICATION_NAMES), "one of " + ", ".join(APPLICATION_NAMES)),
+        "input": ("input_path", str, "problem input file"),
+        "-np": ("num_workers", int, "number of workers"),
+        "-maxd": ("base_max_depth", _unbounded_int, "depth budget of a job; inf for none"),
+        "-maxnodes": ("base_max_nodes", _unbounded_int, "unit budget of a job; inf for none"),
+        "-scale": ("scale", int, "multiplier of -maxnodes while the job list is long"),
+        "-lmin": ("lmin", float, "no depth budget from lmin x (np + 2) jobs on"),
+        "-lmax": ("lmax", float, "-scale applies above lmax x (np + 2) jobs"),
+        "-prune": ("prune", _choice("off", "0", "1"), "0 drops leaf jobs, 1 walks chains"),
+        "-countonly": ("count_only", None, "print only the number of outputs"),
+        "-hist": ("hist_path", str, "write the job-list time series to this CSV"),
+        "-freq": ("freq_path", str, "write the units each job used to this file"),
+        "-checkpoint": ("checkpoint_path", str, "checkpoint file"),
+        "-restart": ("restart_path", str, "resume from this checkpoint"),
+        "-budgetkind": ("budget_kind", str, "unit of -maxnodes: nodes, decisions, conflicts"),
+        "-stopafter": ("stop_after_jobs", int, "stop after this many jobs; needs -checkpoint"),
+    },
+    "gwtree": {
+        "-law": ("law", str, "critical offspring law, such as catalan or binomial"),
+        "-k": ("k", int, "parameter of the binomial law"),
+        "-size": ("target_size", int, "target tree size"),
+        "-budget": ("budget", int, "node budget of a job"),
+        "-trials": ("trials", int, "number of trees"),
+        "-seed": ("seed", int, "random seed, >= 0"),
+        "-out": ("out", str, "CSV path; stdout when not given"),
+    },
+    "efficiency": {
+        "single": ("single", float, "single core seconds"),
+        "cores": ("cores", int, "number of cores"),
+        "multi": ("multi", float, "multicore seconds"),
+    },
+}
 
-    effp = sub.add_parser("efficiency", help="efficiency/speedup arithmetic")
-    effp.add_argument("single", type=float, help="single core seconds")
-    effp.add_argument("cores", type=int)
-    effp.add_argument("multi", type=float, help="multicore seconds")
-    return parser
+
+def _parse(command: str, argv: Sequence[str]) -> dict[str, Any]:
+    """The values given on one command's line, by key; the last of a repeated flag wins.
+
+    Each word is ``-h`` or ``--help`` (print the table and exit 0), a flag's
+    full name, that flag's value, or the next positional argument.  A value
+    may start with '-'; a positional may only when it is a number (-inf).
+    """
+    table = _COMMANDS[command]
+    positionals = [name for name in table if not name.startswith("-")]
+    values: dict[str, Any] = {}
+    words = iter(argv)
+    for word in words:
+        if word in ("-h", "--help"):
+            print(_usage(command, table))
+            raise SystemExit(0)
+        if word.startswith("-") and word in table:
+            name, text = word, ("" if table[word][1] is None else next(words, None))
+        elif positionals and (not word.startswith("-") or table[positionals[0]][1] in (int, float)):
+            name, text = positionals.pop(0), word
+        else:
+            raise _CliError(f"unrecognized arguments: {word}")
+        if text is None:
+            raise _CliError(f"{name} needs a value")
+        key, convert, _ = table[name]
+        try:
+            values[key] = True if convert is None else convert(text)
+        except (KeyError, ValueError):
+            raise _CliError(f"{name}: invalid value {text!r}") from None
+    if positionals:
+        raise _CliError(f"{command} needs {' '.join(positionals)}")
+    return values
+
+
+def _usage(command: str, table: dict[str, tuple]) -> str:
+    words = [name for name in table if not name.startswith("-")]
+    flags = ["[flags]"] if len(words) < len(table) else []
+    lines = [" ".join(["usage: btsearch", command, *words, *flags])]
+    return "\n".join(lines + [f"  {name:<13}{line}" for name, (_, _, line) in table.items()])
 
 
 def parse_cli(argv: Sequence[str]) -> CliOptions:
-    """Parse a ``run`` command line into options and a validated engine config.
+    """Parse a ``run`` command line, with or without its leading ``run``.
 
-    Out-of-range values are usage errors, and so are ``-stopafter`` without
-    ``-checkpoint`` and a flag of another app (``-budgetkind`` other than
-    ``nodes`` for the enumeration apps).  Sat checks its budget kind when
-    it is built.
+    Out-of-range values are usage errors that name the flag, and so are
+    ``-stopafter`` without ``-checkpoint`` and a flag of another app
+    (``-budgetkind`` other than ``nodes`` for the enumeration apps).  Sat
+    checks its budget kind when it is built.
     """
-    ns = _build_parser().parse_args(["run", *argv] if argv and argv[0] not in ("run",) else argv)
-    if ns.command != "run":
-        raise _CliError("parse_cli handles 'run' invocations", USAGE_ERROR)
-    return _run_options(ns)
-
-
-def _run_options(ns: argparse.Namespace) -> CliOptions:
-    """The options of a parsed ``run`` command line; see :func:`parse_cli`."""
-    if ns.app == "sat":
-        if ns.countonly:
-            raise _CliError(
-                "btsearch: sat streams its verdict; -countonly is not supported", USAGE_ERROR
-            )
-        if ns.prune != "off":
-            raise _CliError("btsearch: sat does not prune; -prune is not supported", USAGE_ERROR)
-        app_options = {} if ns.budgetkind is None else {"budget_kind": ns.budgetkind}
+    values = _parse("run", argv[1:] if argv and argv[0] == "run" else argv)
+    app, input_path = values.pop("app"), values.pop("input_path")
+    hist_path, freq_path = values.pop("hist_path", None), values.pop("freq_path", None)
+    kind, prune = values.pop("budget_kind", None), values.pop("prune", "off")
+    count_only = values.pop("count_only", False)
+    if app == "sat":
+        if count_only:
+            raise _CliError("sat streams its verdict; -countonly is not supported")
+        if prune != "off":
+            raise _CliError("sat does not prune; -prune is not supported")
+        app_options = {} if kind is None else {"budget_kind": kind}
     else:
-        if ns.budgetkind not in (None, "nodes"):
-            raise _CliError(
-                f"btsearch: {ns.app} accepts budget kinds nodes, not {ns.budgetkind!r}", USAGE_ERROR
-            )
-        app_options = {"prune": ns.prune, "count_only": ns.countonly}
+        if kind not in (None, "nodes"):
+            raise _CliError(f"-budgetkind: {app} accepts budget kinds nodes, not {kind!r}")
+        app_options = {"prune": prune, "count_only": count_only}
     try:
-        config = SchedulerConfig(
-            num_workers=ns.np,
-            base_max_depth=ns.maxd,
-            base_max_nodes=ns.maxnodes,
-            scale=ns.scale,
-            lmin=ns.lmin,
-            lmax=ns.lmax,
-            checkpoint_path=ns.checkpoint,
-            restart_path=ns.restart,
-            stop_after_jobs=ns.stopafter,
-        )
-    except ValueError as exc:
-        raise _CliError(f"btsearch: {exc}", USAGE_ERROR) from None
-    return CliOptions(
-        app=ns.app,
-        input_path=ns.input,
-        app_options=app_options,
-        hist_path=ns.hist,
-        freq_path=ns.freq,
-        config=config,
-    )
+        config = SchedulerConfig(**values)  # the keys left name its fields
+    except ValueError as exc:  # the message names fields; the user typed flags
+        flags = {key: name for name, (key, _, _) in _COMMANDS["run"].items()}
+        raise _CliError(" ".join(flags.get(word, word) for word in str(exc).split())) from None
+    return CliOptions(app, input_path, app_options, hist_path, freq_path, config)
 
 
 def _cmd_run(opts: CliOptions, transport: type) -> int:
@@ -181,7 +172,7 @@ def _cmd_run(opts: CliOptions, transport: type) -> int:
     try:
         app = build_application(opts.app, **opts.app_options)
     except ValueError as exc:  # a budget kind sat does not accept
-        print(f"btsearch: {exc}", file=sys.stderr)
+        print(f"btsearch: -budgetkind: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
         report = run(app, input_bytes, opts.config, out=sys.stdout, transport=transport)
@@ -192,7 +183,9 @@ def _cmd_run(opts: CliOptions, transport: type) -> int:
         print(f"btsearch: aborted: {exc}", file=sys.stderr)
         _drop_unwritable_stdout()
         return INTERNAL_ERROR
-    # the run's result stands even when an instrumentation file cannot be written
+    # only these flags load metrics; the run's result stands if a file cannot be written
+    if opts.freq_path or opts.hist_path:
+        from .metrics import write_frequency_file, write_histogram_file
     if opts.freq_path and not write_frequency_file(report.frequencies, opts.freq_path):
         print(f"btsearch: cannot write frequency file {opts.freq_path}", file=sys.stderr)
     if opts.hist_path and not write_histogram_file(report.samples, opts.hist_path):
@@ -220,26 +213,24 @@ def _drop_unwritable_stdout() -> None:
         os.close(devnull)
 
 
-def _cmd_gwtree(ns: argparse.Namespace) -> int:
+def _cmd_gwtree(values: dict[str, Any]) -> int:
     # Imported here: the CLI loads only the app its command line names.
     # measure_joblist_ratio imports numpy when it runs.
     from .apps.gwtree import GWExperiment, make_law, measure_joblist_ratio, write_experiment_csv
 
+    out = values.pop("out", None)
     try:
-        law = make_law(ns.law, k=ns.k)
-        experiment = GWExperiment(
-            law=law, target_size=ns.size, budget=ns.budget, trials=ns.trials, seed=ns.seed
-        )
-        result = measure_joblist_ratio(experiment)
+        law = make_law(values.pop("law", "catalan"), k=values.pop("k", None))
+        result = measure_joblist_ratio(GWExperiment(law, **values))  # the keys left name fields
     except (InputFormatError, ValueError) as exc:
         print(f"btsearch: {exc}", file=sys.stderr)
         return INPUT_ERROR
-    if ns.out:
+    if out:
         try:
-            with open(ns.out, "w", encoding="ascii") as fh:
+            with open(out, "w", encoding="ascii") as fh:
                 write_experiment_csv(result, fh)
         except OSError as exc:
-            print(f"btsearch: cannot write {ns.out}: {exc}", file=sys.stderr)
+            print(f"btsearch: cannot write {out}: {exc}", file=sys.stderr)
             return INPUT_ERROR
     else:
         write_experiment_csv(result, sys.stdout)
@@ -251,9 +242,11 @@ def _cmd_gwtree(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_efficiency(ns: argparse.Namespace) -> int:
+def _cmd_efficiency(values: dict[str, Any]) -> int:
+    from .metrics import compute_efficiency
+
     try:
-        rec = compute_efficiency(ns.single, ns.cores, ns.multi)
+        rec = compute_efficiency(values["single"], values["cores"], values["multi"])
     except MetricsError as exc:
         print(f"btsearch: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -269,17 +262,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     """
     transport = ForkTransport if argv is None else ThreadTransport
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv[:1] == ["efficiency"] and not {"-h", "--help", "--"} & set(argv):
-        argv.insert(1, "--")  # else argparse reads a time of -inf as a flag
+    command = argv[0] if argv else ""
+    if command in ("-h", "--help"):
+        print(__doc__.rstrip())
+        raise SystemExit(0)
     try:
-        ns = _build_parser().parse_args(argv)
-        if ns.command == "run":
-            return _cmd_run(_run_options(ns), transport)  # reports its own failed writes
+        if command == "run":
+            return _cmd_run(parse_cli(argv), transport)  # reports its own failed writes
+        if command not in _COMMANDS:
+            raise _CliError(f"the command is one of {', '.join(_COMMANDS)}")
+        values = _parse(command, argv[1:])
     except _CliError as exc:
-        print(str(exc), file=sys.stderr)
+        print(f"btsearch: {exc}", file=sys.stderr)
         return exc.code
     try:
-        code = _cmd_gwtree(ns) if ns.command == "gwtree" else _cmd_efficiency(ns)
+        code = _cmd_gwtree(values) if command == "gwtree" else _cmd_efficiency(values)
         sys.stdout.flush()  # a buffered write fails only here
     except OSError as exc:
         print(

@@ -96,7 +96,9 @@ class TestParseCli:
         assert main(["run", "sat", str(inp), "-budgetkind", "nodes"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "btsearch: sat accepts budget kinds decisions, conflicts, not 'nodes'\n"
+        assert captured.err == (
+            "btsearch: -budgetkind: sat accepts budget kinds decisions, conflicts, not 'nodes'\n"
+        )
         with pytest.raises(_CliError) as err:
             parse_cli(["run", "sat", "f.cnf", "-countonly"])
         assert err.value.code == 1
@@ -115,7 +117,9 @@ class TestParseCli:
         assert main(["run", "topsorts", str(inp), "-budgetkind", "conflicts"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "btsearch: topsorts accepts budget kinds nodes, not 'conflicts'\n"
+        assert captured.err == (
+            "btsearch: -budgetkind: topsorts accepts budget kinds nodes, not 'conflicts'\n"
+        )
         assert main(["run", "topsorts", str(inp), "-budgetkind", "nodes", "-countonly"]) == 0
         assert capsys.readouterr().out == "6\n"
 
@@ -399,6 +403,13 @@ class TestMain:
     def test_gwtree_rejects_bad_law(self):
         assert main(["gwtree", "-law", "cauchy"]) == 2
 
+    def test_gwtree_rejects_a_negative_seed(self, capsys):
+        # numpy's own message named no argument
+        assert main(["gwtree", "-seed", "-1", "-size", "200", "-trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "btsearch: seed must be >= 0\n"
+
     def test_gwtree_rejects_k_for_a_law_without_one(self, capsys):
         assert main(["gwtree", "-law", "catalan", "-k", "7"]) == 2
         (line,) = capsys.readouterr().err.splitlines()
@@ -446,6 +457,25 @@ class TestMain:
         assert exit_.value.code == 0
         assert "single cores multi" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        ("command", "flags"),
+        [
+            ("run", ["-np", "-maxd", "-maxnodes", "-scale", "-lmin", "-lmax", "-prune",
+                     "-countonly", "-hist", "-freq", "-checkpoint", "-restart", "-budgetkind",
+                     "-stopafter"]),
+            ("gwtree", ["-law", "-k", "-size", "-budget", "-trials", "-seed", "-out"]),
+        ],
+    )
+    def test_help_gives_every_flag_a_line(self, capsys, command, flags):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(f"usage: btsearch {command} ")
+        named = [line.split()[0] for line in lines[1:]]
+        assert [name for name in named if name.startswith("-")] == flags
+        assert all(len(line.split()) > 1 for line in lines[1:])  # each with its help
+
 
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):
@@ -484,7 +514,8 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
-        assert len(proc.stderr.splitlines()) == 1
+        (line,) = proc.stderr.splitlines()
+        assert flags[0] in line  # the flag typed, not the SchedulerConfig field
         assert proc.stdout == ""
 
     @pytest.mark.parametrize("flags", [["-np", "1"], ["-np", "2"], ["-countonly"]])
@@ -670,5 +701,9 @@ class TestConsoleEntry:
             if line.startswith("import time:")
         }
         assert "btsearch.transport" in imported
-        assert imported.isdisjoint({"queue", "threading"})
+        # argparse, gettext and locale were the parser's; metrics serves only
+        # -freq, -hist and efficiency
+        assert imported.isdisjoint(
+            {"queue", "threading", "argparse", "gettext", "locale", "btsearch.metrics"}
+        )
         assert len(set(proc.stdout.splitlines())) == 24

@@ -372,7 +372,7 @@ class TestRun:
         assert cli.main(["run", name, str(inp), "-budgetkind", kind]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"btsearch: {name} accepts budget kinds ")
+        assert captured.err.startswith(f"btsearch: -budgetkind: {name} accepts budget kinds ")
         assert captured.err.endswith(f", not {kind!r}\n")
         assert inits == [] and runs == []
         leaked = [t.name for t in threading.enumerate() if t.name.startswith("btsearch-")]
